@@ -19,19 +19,25 @@ suite checks the two agree.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.exceptions import InfeasibleError
-from repro.ilp.branch_and_bound import BranchAndBound
-from repro.ilp.model import Model
-from repro.ilp.solution import Solution, SolveStatus
 from repro.tam.assignment import AssignmentResult, evaluate_assignment
+
+# repro.ilp needs numpy and scipy (the optional ``ilp`` extra), so it
+# is imported where a model is built or solved: ``import repro``
+# works without them.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ilp.model import Model
+    from repro.ilp.solution import Solution
 
 
 def build_paw_model(
     times: Sequence[Sequence[int]], widths: Sequence[int]
 ) -> Model:
     """Build the P_AW ILP for the given times matrix and bus widths."""
+    from repro.ilp.model import Model
+
     num_cores = len(times)
     num_buses = len(widths)
     model = Model(name=f"paw_{num_cores}x{num_buses}")
@@ -98,6 +104,9 @@ def solve_paw_ilp(
     solution was found — which for this model can only mean the node
     budget was exhausted, since a feasible assignment always exists.
     """
+    from repro.ilp.branch_and_bound import BranchAndBound
+    from repro.ilp.solution import SolveStatus
+
     model = build_paw_model(times, widths)
     solution = BranchAndBound(model, node_limit=node_limit).solve()
     if not solution.is_feasible:

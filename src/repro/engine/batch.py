@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from time import monotonic as _os_clock
+from contextlib import contextmanager, nullcontext
 from time import sleep as _sleep
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -49,6 +50,8 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -57,6 +60,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
     Union,
 )
 
@@ -70,6 +74,7 @@ from repro.engine.kernel import (
     dense_time_tables,
 )
 from repro.engine.shm import (
+    BoardDescriptor,
     DenseDescriptor,
     IncumbentBoard,
     SegmentRegistry,
@@ -112,6 +117,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.store import TableStore
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 #: Valid ``on_error`` policies: abort the grid on the first failing
 #: point, or record it as a :class:`FailedPoint` and keep going.
@@ -491,36 +498,26 @@ def _run_job_tracked(
     return point, (0 if descriptor is None else 1)
 
 
-def _run_job_cached(
-    caches: Dict[str, WrapperTableCache],
-    job: BatchJob,
-    store: "Optional[TableStore]" = None,
-    descriptor: Optional[DenseDescriptor] = None,
-) -> SweepPoint:
-    """Evaluate one job against the transported matrix or shared caches."""
-    return _run_job_tracked(
-        caches, job, store=store, descriptor=descriptor
-    )[0]
-
-
-def _run_job_safe(
-    caches: Dict[str, WrapperTableCache],
+def _with_policy(
     job: BatchJob,
     on_error: str,
     retries: int,
-    store: "Optional[TableStore]" = None,
-    descriptor: Optional[DenseDescriptor] = None,
-    point_index: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-) -> Tuple[BatchResult, int]:
-    """Evaluate one job under the runner's failure policy."""
+    run: Callable[[], Tuple[BatchResult, _T]],
+    empty: _T,
+) -> Tuple[BatchResult, _T]:
+    """Run one job's attempts under the runner's failure policy.
+
+    ``run`` gets ``retries + 1`` attempts.  A ``BrokenProcessPool``
+    is pool-level, not the job's: it passes straight up to the pool
+    supervisor.  The last failure raises, or under
+    ``on_error="record"`` becomes ``(FailedPoint, empty)``.
+    """
     attempts = retries + 1
     for attempt in range(1, attempts + 1):
         try:
-            return _run_job_tracked(
-                caches, job, store=store, descriptor=descriptor,
-                point_index=point_index, faults=faults,
-            )
+            return run()
+        except BrokenProcessPool:
+            raise
         except Exception as error:  # noqa: BLE001 - policy boundary
             if attempt < attempts:
                 logger.warning(
@@ -538,28 +535,47 @@ def _run_job_safe(
                     error_type=type(error).__name__,
                     error_message=str(error),
                     attempts=attempt,
-                ), 0
+                ), empty
             raise
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def _run_job_safe(
+    caches: Dict[str, WrapperTableCache],
+    job: BatchJob,
+    on_error: str,
+    retries: int,
+    store: "Optional[TableStore]" = None,
+    descriptor: Optional[DenseDescriptor] = None,
+    point_index: Optional[int] = None,
+    faults: Optional[FaultPlan] = None,
+) -> Tuple[BatchResult, int]:
+    """Evaluate one job under the runner's failure policy."""
+    return _with_policy(
+        job, on_error, retries,
+        lambda: _run_job_tracked(
+            caches, job, store=store, descriptor=descriptor,
+            point_index=point_index, faults=faults,
+        ),
+        0,
+    )
+
+
 def _pool_worker(
-    item: Tuple[Any, ...]
+    item: Tuple[BatchJob, Optional[DenseDescriptor], int]
 ) -> Tuple[BatchResult, int, TaskTelemetry]:
     """Pool entry point: evaluate one (job, descriptor, index) item.
 
     Ships the job's :class:`TaskTelemetry` (its spans plus this
     worker's metrics delta) back with the result, so the parent's
     registry covers the whole fleet.  The grid-point index keys the
-    fault-injection hooks (and older two-element items still work).
+    fault-injection hooks.
     """
-    job, descriptor = item[0], item[1]
-    point_index: Optional[int] = item[2] if len(item) > 2 else None
+    job, descriptor, point_index = item
     on_error, retries, store, _ = _WORKER_POLICY
     faults = _WORKER_FAULTS
     if (
         faults is not None
-        and point_index is not None
         and _IN_POOL_WORKER
         and faults.take_crash(point_index)
     ):
@@ -574,50 +590,66 @@ def _pool_worker(
     return result, fallbacks, task_end(baseline)
 
 
+def _task_prologue(
+    kind: str,
+    index: int,
+    descriptor: DenseDescriptor,
+    soc: Soc,
+    total_width: int,
+) -> Tuple[MetricsSnapshot, DenseTimeMatrix, int]:
+    """The shared start of a shard or island task.
+
+    Fires the task's crash, slow and shm fault hooks (keyed by its
+    ``index``), opens its telemetry window, and attaches the job's
+    shared dense matrix.  A worker that cannot attach rebuilds the
+    matrix privately from its cache — same outcome, reported as one
+    shared-table fallback.  Returns (telemetry baseline, matrix,
+    fallbacks).
+    """
+    faults = _WORKER_FAULTS
+    if faults is not None and _IN_POOL_WORKER \
+            and faults.take_crash(index):
+        os._exit(1)  # injected task-worker death
+    baseline = task_begin()
+    if faults is not None:
+        delay = faults.slow_delay(index)
+        if delay:
+            _sleep(delay)  # injected stall; delay comes from the plan
+    matrix = (
+        None if faults is not None and faults.take_shm_failure(index)
+        else attach(descriptor)
+    )
+    if matrix is not None:
+        return baseline, matrix, 0
+    logger.warning(
+        "%s %d: dense segment for %s unavailable; rebuilding tables "
+        "privately", kind, index, soc.name,
+    )
+    cache = _cache_for(_WORKER_CACHES, soc, store=_WORKER_POLICY[2])
+    matrix = build_dense_matrix(
+        cache.table_list(total_width), total_width
+    )
+    return baseline, matrix, 1
+
+
 def _shard_worker(
     item: Tuple[
-        DenseDescriptor, object, int, Tuple[ShardSpan, ...], Soc,
-        int, int, Optional[int], Union[bool, str],
+        DenseDescriptor, Optional[BoardDescriptor], int,
+        Tuple[ShardSpan, ...], Soc, int, int, Optional[int],
+        Union[bool, str],
     ]
 ) -> Tuple[ShardOutcome, int, TaskTelemetry]:
     """Pool entry point: score one shard of a sharded partition sweep.
 
     Attaches the job's shared dense matrix and the sweep's incumbent
     board, scores the shard's rank ranges, and ships the recorded
-    completions back for the parent-side deterministic merge.  A
-    worker that cannot attach the matrix rebuilds privately from its
-    cache — same outcome, counted as a shared-table fallback.
+    completions back for the parent-side deterministic merge.
     """
     (descriptor, board_descriptor, shard_index, spans, soc,
      total_width, keep_top, initial_best, prune) = item
-    faults = _WORKER_FAULTS
-    if (
-        faults is not None and _IN_POOL_WORKER
-        and faults.take_crash(shard_index)
-    ):
-        os._exit(1)  # injected shard-worker death
-    baseline = task_begin()
-    if faults is not None:
-        delay = faults.slow_delay(shard_index)
-        if delay:
-            _sleep(delay)  # injected stall; delay comes from the plan
-    fallbacks = 0
-    matrix = (
-        None
-        if faults is not None and faults.take_shm_failure(shard_index)
-        else attach(descriptor)
+    baseline, matrix, fallbacks = _task_prologue(
+        "shard", shard_index, descriptor, soc, total_width
     )
-    if matrix is None:
-        fallbacks = 1
-        logger.warning(
-            "shard %d: dense segment for %s unavailable; rebuilding "
-            "tables privately", shard_index, soc.name,
-        )
-        store = _WORKER_POLICY[2]
-        cache = _cache_for(_WORKER_CACHES, soc, store=store)
-        matrix = build_dense_matrix(
-            cache.table_list(total_width), total_width
-        )
     board = IncumbentBoard.attach(board_descriptor)
     try:
         with span(
@@ -639,7 +671,7 @@ def _shard_worker(
 
 
 def _search_worker(
-    item: Tuple[DenseDescriptor, object, Any, Soc, int]
+    item: Tuple[DenseDescriptor, Optional[BoardDescriptor], Any, Soc, int]
 ) -> Tuple[Any, int, TaskTelemetry]:
     """Pool entry point: run one island of a ``mode="search"`` point.
 
@@ -648,48 +680,17 @@ def _search_worker(
     :class:`~repro.search.IslandResult` back for the parent-side
     deterministic merge.  Publication to the board is write-only —
     the island never reads other islands' incumbents — so the result
-    is bit-identical to inline execution.  A worker that cannot
-    attach the matrix rebuilds privately from its cache — same
-    outcome, counted as a shared-table fallback.
+    is bit-identical to inline execution.
     """
     (descriptor, board_descriptor, plan, soc, total_width) = item
     # Imported lazily: repro.search builds on repro.engine.kernel,
     # whose package import lands back in this module.
     from repro.search.driver import run_island
 
-    faults = _WORKER_FAULTS
-    if (
-        faults is not None and _IN_POOL_WORKER
-        and faults.take_crash(plan.island_index)
-    ):
-        os._exit(1)  # injected island-worker death
-    baseline = task_begin()
-    if faults is not None:
-        delay = faults.slow_delay(plan.island_index)
-        if delay:
-            _sleep(delay)  # injected stall; delay comes from the plan
-    fallbacks = 0
-    matrix = (
-        None
-        if faults is not None
-        and faults.take_shm_failure(plan.island_index)
-        else attach(descriptor)
+    baseline, matrix, fallbacks = _task_prologue(
+        "island", plan.island_index, descriptor, soc, total_width
     )
-    if matrix is None:
-        fallbacks = 1
-        logger.warning(
-            "island %d: dense segment for %s unavailable; rebuilding "
-            "tables privately", plan.island_index, soc.name,
-        )
-        store = _WORKER_POLICY[2]
-        cache = _cache_for(_WORKER_CACHES, soc, store=store)
-        matrix = build_dense_matrix(
-            cache.table_list(total_width), total_width
-        )
-    board = (
-        IncumbentBoard.attach(board_descriptor)
-        if board_descriptor is not None else None
-    )
+    board = IncumbentBoard.attach(board_descriptor)
     publish = None
     if board is not None:
         def publish(
@@ -713,7 +714,7 @@ def _search_worker(
 
 def _polish_worker(
     item: Tuple[Any, ...]
-) -> Tuple[Any, TaskTelemetry]:
+) -> Tuple[Any, int, TaskTelemetry]:
     """Pool entry point: solve one exact-polish candidate.
 
     Executes one :data:`repro.optimize.co_optimize.PolishTask` — an
@@ -729,59 +730,71 @@ def _polish_worker(
     with span("polish_candidate", widths=str(item[1].widths)):
         exact = run_polish_task(item)
     REGISTRY.counter("engine.polish_tasks_run").inc()
-    return exact, task_end(baseline)
+    return exact, 0, task_end(baseline)
 
 
 def _build_matrix_worker(
     item: Tuple[Soc, int]
-) -> Tuple[bytes, bytes, float, TaskTelemetry]:
+) -> Tuple[Tuple[bytes, bytes], int, TaskTelemetry]:
     """Pool entry point: build one cold SOC's dense matrix + staircases.
 
     Runs the wrapper designs on a pool worker — through that worker's
     (store-backed) cache, so the build also warms it — and returns
-    the matrix bytes, the serialized design staircases, and the build
-    seconds for the parent to publish over shared memory.  This is
-    how a cold many-SOC grid's table builds spread across the pool
-    instead of serializing in the parent.
+    the matrix bytes and the serialized design staircases for the
+    parent to publish over shared memory.  This is how a cold
+    many-SOC grid's table builds spread across the pool instead of
+    serializing in the parent.
     """
     soc, total_width = item
     baseline = task_begin()
-    start = _os_clock()
-    store = _WORKER_POLICY[2]
     with span("build_tables", soc=soc.name, W=total_width):
-        cache = _cache_for(_WORKER_CACHES, soc, store=store)
+        cache = _cache_for(_WORKER_CACHES, soc, store=_WORKER_POLICY[2])
         tables = cache.table_list(total_width)
         matrix = build_dense_matrix(tables, total_width)
-    return (
-        matrix.to_bytes(),
-        design_steps_blob(tables),
-        _os_clock() - start,
-        task_end(baseline),
-    )
+    blobs = (matrix.to_bytes(), design_steps_blob(tables))
+    return blobs, 0, task_end(baseline)
 
 
 def _merge_task_telemetry(
-    parent: TaskTelemetry, shards: Sequence[TaskTelemetry]
+    parent: TaskTelemetry, tasks: Sequence[TaskTelemetry]
 ) -> TaskTelemetry:
-    """One job's telemetry from its parent-side and shard-side parts.
+    """One job's telemetry from its parent-side and task-side parts.
 
-    A sharded job's spans and counters come from two places: the
-    parent (merge, polish, certificate) and each shard worker.  The
+    A fanned job's spans and counters come from two places: the
+    parent (merge, polish, certificate) and each fanned task.  The
     merged record is what the warehouse stores per point; the caller
     is responsible for absorbing each part into the runner's registry
     exactly once.
     """
-    if not shards:
+    if not tasks:
         return parent
     registry = MetricsRegistry()
     registry.absorb(parent.metrics)
     merged: List[SpanRecord] = list(parent.spans)
-    for telemetry in shards:
+    for telemetry in tasks:
         registry.absorb(telemetry.metrics)
         merged.extend(telemetry.spans)
     return TaskTelemetry(
         spans=tuple(merged), metrics=registry.snapshot()
     )
+
+
+@contextmanager
+def _incumbent_board(
+    slots: int, keep_top: int
+) -> Iterator[Optional[BoardDescriptor]]:
+    """A fresh incumbent board for one fan-out, closed on exit.
+
+    Yields the descriptor the tasks attach by, or ``None`` when
+    shared memory is unavailable (tasks then run without broadcast:
+    looser thresholds, identical merged outcome).
+    """
+    board = IncumbentBoard.create(slots, keep_top)
+    try:
+        yield board.descriptor() if board is not None else None
+    finally:
+        if board is not None:
+            board.close()
 
 
 class BatchRunner:
@@ -795,11 +808,6 @@ class BatchRunner:
         ``None`` uses one worker per CPU; any other value sizes the
         process pool explicitly.  An ephemeral pool never exceeds
         the number of jobs; a persistent one is sized once.
-    chunksize:
-        Jobs handed to a pool worker per dispatch.  Values above 1
-        keep consecutive jobs (typically same SOC, ascending widths)
-        on one worker, improving its cache reuse at some cost in
-        load balance.
     on_error:
         ``"raise"`` (default) aborts the batch on the first failing
         job; ``"record"`` returns a :class:`FailedPoint` for it and
@@ -863,16 +871,16 @@ class BatchRunner:
         the historical fail-fast behavior.
     """
 
-    #: Extra attempts a failed *shard task* gets (at shard
-    #: granularity, before the job-level retry policy even engages);
-    #: re-running a shard is deterministic, so one retry only pays
-    #: off for environmental failures.
+    #: Attempts in all that one fanned task (a shard, an island, a
+    #: polish solve or a cold matrix build) gets before its failure
+    #: reaches the job-level policy; re-running a task is
+    #: deterministic, so the second attempt only pays off for
+    #: environmental failures.
     SHARD_RETRY_ATTEMPTS = 2
 
     def __init__(
         self,
         max_workers: Optional[int] = 1,
-        chunksize: int = 1,
         on_error: str = "raise",
         retries: int = 0,
         cache_dir: Union[str, Path, None] = None,
@@ -885,10 +893,6 @@ class BatchRunner:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
                 f"max_workers must be >= 1 or None, got {max_workers}"
-            )
-        if chunksize < 1:
-            raise ConfigurationError(
-                f"chunksize must be >= 1, got {chunksize}"
             )
         if on_error not in ON_ERROR_POLICIES:
             raise ConfigurationError(
@@ -908,7 +912,6 @@ class BatchRunner:
         self.point_timeout = normalize_point_timeout(point_timeout)
         self.pool_restart_retries = pool_restart_retries
         self.max_workers = max_workers
-        self.chunksize = chunksize
         self.on_error = on_error
         self.retries = retries
         self.cache_dir = (
@@ -934,8 +937,6 @@ class BatchRunner:
         #: Run-level spans of the previous run — parent- and
         #: pool-side table/matrix builds not attributable to one job.
         self.last_run_spans: List[SpanRecord] = []
-        #: Shard-worker telemetry of the sharded job in flight.
-        self._shard_telemetry: List[TaskTelemetry] = []
         self._store = _make_store(self.cache_dir)
         self._caches: Dict[str, WrapperTableCache] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -1029,10 +1030,8 @@ class BatchRunner:
         )
 
     def _dense_descriptors(
-        self,
-        jobs: Sequence[BatchJob],
-        pool: Optional[ProcessPoolExecutor] = None,
-    ) -> List[Optional[DenseDescriptor]]:
+        self, jobs: Sequence[BatchJob], pool: Executor
+    ) -> List[DenseDescriptor]:
         """One (possibly shared) dense descriptor per job, in order.
 
         Builds each distinct SOC's tables once — at the largest width
@@ -1042,10 +1041,10 @@ class BatchRunner:
 
         SOCs whose tables the parent already holds (or that a
         persistent runner published before) build locally: warm
-        builds are cheap.  When two or more SOCs are *cold* and a
-        ``pool`` is available, their builds fan out as pool tasks
-        (:func:`_build_matrix_worker`) instead of serializing in the
-        parent — the cold-grid half of the intra-job scaling story.
+        builds are cheap.  When two or more SOCs are *cold*, their
+        builds fan out as pool tasks (:func:`_build_matrix_worker`)
+        instead of serializing in the parent — the cold-grid half of
+        the intra-job scaling story.
         """
         width_by_soc: Dict[str, int] = {}
         soc_by_print: Dict[str, Soc] = {}
@@ -1057,22 +1056,18 @@ class BatchRunner:
             width_by_soc[fingerprint] = max(
                 width_by_soc.get(fingerprint, 0), job.total_width
             )
-        descriptors: Dict[str, Optional[DenseDescriptor]] = {}
+        descriptors: Dict[str, DenseDescriptor] = {}
         cold: List[Tuple[str, Soc, int]] = []
         for fingerprint, width in width_by_soc.items():
             soc = soc_by_print[fingerprint]
             held = self._matrices.get(fingerprint)
+            cache = self._caches.get(soc.name)
             if held is not None and held.total_width >= width:
                 descriptors[fingerprint] = self._segments.publish(
                     fingerprint, held
                 )
-                continue
-            cache = self._caches.get(soc.name)
-            warm = (
-                cache is not None and cache.soc == soc
-                and cache.max_width > 0
-            )
-            if warm or pool is None:
+            elif cache is not None and cache.soc == soc \
+                    and cache.max_width > 0:
                 descriptors[fingerprint] = self._publish_local(
                     fingerprint, soc, width
                 )
@@ -1081,32 +1076,29 @@ class BatchRunner:
         if len(cold) == 1:
             # One cold SOC gains nothing from a pool round-trip: the
             # parent would idle-wait on the single build anyway.
-            fingerprint, soc, width = cold[0]
+            fingerprint, soc, width = cold.pop()
             descriptors[fingerprint] = self._publish_local(
                 fingerprint, soc, width
             )
-        elif cold:
-            futures = [
-                (fingerprint, soc, width, pool.submit(
-                    _build_matrix_worker, (soc, width)
-                ))
-                for fingerprint, soc, width in cold
-            ]
-            for fingerprint, soc, width, future in futures:
-                data, blob, _, telemetry = future.result()
-                self.metrics.absorb(telemetry.metrics)
-                self.last_run_spans.extend(telemetry.spans)
-                matrix = DenseTimeMatrix.from_buffer(
-                    data, len(soc.cores), width
-                )
-                self._matrices[fingerprint] = matrix
-                self._merge_tables[fingerprint] = dense_time_tables(
-                    soc.cores, matrix,
-                    design_steps=parse_design_steps(blob),
-                )
-                descriptors[fingerprint] = self._segments.publish(
-                    fingerprint, matrix, designs=blob
-                )
+        built, telemetry = self._fan_out(
+            pool, _build_matrix_worker,
+            [(soc, width) for _, soc, width in cold],
+            "engine.build_retries", "matrix build",
+        )
+        for entry in telemetry:
+            self.last_run_spans.extend(entry.spans)
+        for (fingerprint, soc, width), (data, blob) in zip(cold, built):
+            matrix = DenseTimeMatrix.from_buffer(
+                data, len(soc.cores), width
+            )
+            self._matrices[fingerprint] = matrix
+            self._merge_tables[fingerprint] = dense_time_tables(
+                soc.cores, matrix,
+                design_steps=parse_design_steps(blob),
+            )
+            descriptors[fingerprint] = self._segments.publish(
+                fingerprint, matrix, designs=blob
+            )
         return [descriptors[fingerprint] for fingerprint in prints]
 
     def __enter__(self) -> "BatchRunner":
@@ -1178,11 +1170,10 @@ class BatchRunner:
     ) -> Iterator[BatchResult]:
         """Evaluate ``jobs``, yielding one result per job, in order.
 
-        The streaming form of :meth:`run`: results become available
-        as each job finishes (``concurrent.futures`` ``map`` yields
-        in submission order), which is what lets the exploration
-        server emit per-point :class:`~repro.api.JobEvent` s while a
-        grid is still running.  The iterator must be consumed for
+        The streaming form of :meth:`run`: each result becomes
+        available as soon as it and every earlier job have finished,
+        which is what lets the exploration server emit per-point
+        :class:`~repro.api.JobEvent` s while a grid is still running.  The iterator must be consumed for
         the batch to complete; abandoning it mid-grid closes the
         underlying ephemeral pool.
 
@@ -1224,12 +1215,21 @@ class BatchRunner:
             self.metrics.counter("engine.shm_fallbacks").inc(count)
 
     def _absorb_job(
-        self, index: int, telemetry: TaskTelemetry
+        self,
+        index: int,
+        telemetry: TaskTelemetry,
+        tasks: Sequence[TaskTelemetry] = (),
     ) -> None:
-        """File one job's telemetry: registry merge + per-job slot."""
+        """File one job's telemetry: registry merge + per-job slot.
+
+        ``tasks`` is the telemetry of the job's fanned tasks, which
+        :meth:`_fan_out` has already absorbed: it joins the slot only.
+        """
         self.metrics.absorb(telemetry.metrics)
         if index < len(self.last_run_telemetry):
-            self.last_run_telemetry[index] = telemetry
+            self.last_run_telemetry[index] = _merge_task_telemetry(
+                telemetry, tasks
+            )
 
     def _run_iter_inner(
         self,
@@ -1284,8 +1284,8 @@ class BatchRunner:
             return
         # Pool supervision: a BrokenProcessPool (worker OOM-killed,
         # segfaulted, or chaos-crashed) no longer aborts the grid.
-        # Already-yielded results are kept — both dispatch paths
-        # yield strictly in job order — the pool is rebuilt after a
+        # Already-yielded results are kept — the dispatch loop
+        # yields strictly in job order — the pool is rebuilt after a
         # deterministic backoff, and only jobs[emitted:] re-dispatch.
         # The published shm segments are parent-owned and survive the
         # dead pool, so the rebuilt workers re-attach to the same
@@ -1405,8 +1405,15 @@ class BatchRunner:
         idempotent for segments already wide enough — and results
         stream back in job order, so the caller can resume from its
         yield count if this pool breaks mid-grid.
+
+        Points enter a window of ``max_concurrent`` (all of them when
+        uncapped).  A whole-point job takes its slot as one pool task.
+        A sharded or island-fanned job (never under a cap) runs here
+        in the parent at its turn, fanning its own tasks over the
+        pool while the points submitted ahead of it keep running.
         """
         build_baseline = task_begin()
+        descriptors: Sequence[Optional[DenseDescriptor]]
         if self.share_tables:
             with span("publish_tables", jobs=len(jobs)):
                 descriptors = self._dense_descriptors(jobs, pool)
@@ -1415,311 +1422,162 @@ class BatchRunner:
         build_telemetry = task_end(build_baseline)
         self.metrics.absorb(build_telemetry.metrics)
         self.last_run_spans.extend(build_telemetry.spans)
-        remaining = list(range(skip, len(jobs)))
-        if any(shard_counts) or any(search_fan):
-            # Unsharded/unfanned jobs are submitted up front so they
-            # keep running concurrently; each sharded (or
-            # island-fanned search) job saturates the pool with its
-            # own tasks at its turn.
-            futures = {
-                index: pool.submit(
-                    _pool_worker,
-                    (jobs[index], descriptors[index], index),
-                )
-                for index in remaining
-                if not (
-                    (shard_counts[index] >= 2 or search_fan[index])
-                    and descriptors[index] is not None
-                    and descriptors[index].fingerprint
-                    in self._matrices
-                )
-            }
-            for index in remaining:
-                if index in futures:
+        queued = deque(range(skip, len(jobs)))
+        window = len(queued) if max_concurrent is None else max_concurrent
+        pending: Deque[Tuple[int, "Optional[Future[Any]]"]] = deque()
+
+        def fill() -> None:
+            while queued and len(pending) < window:
+                index = queued.popleft()
+                fanned = shard_counts[index] >= 2 or search_fan[index]
+                pending.append((index, None if fanned else pool.submit(
+                    _pool_worker, (jobs[index], descriptors[index], index)
+                )))
+
+        try:
+            fill()
+            while pending:
+                index, future = pending.popleft()
+                tasks: Sequence[TaskTelemetry] = ()
+                if future is not None:
                     result, fallbacks, telemetry = self._await_point(
-                        futures[index], jobs[index], point_timeout
+                        future, jobs[index], point_timeout
                     )
-                    self._fallbacks(fallbacks)
-                    if telemetry is not None:
-                        self._absorb_job(index, telemetry)
-                    yield result
                 else:
                     baseline = task_begin()
-                    if search_fan[index]:
-                        result = self._run_search_safe(
-                            jobs[index], descriptors[index], pool
-                        )
-                    else:
-                        result = self._run_sharded_safe(
+                    result, tasks = _with_policy(
+                        jobs[index], self.on_error, self.retries,
+                        lambda: self._run_fanned(
                             jobs[index], descriptors[index], pool,
                             shard_counts[index],
-                        )
-                    parent = task_end(baseline)
-                    self.metrics.absorb(parent.metrics)
-                    merged = _merge_task_telemetry(
-                        parent, self._shard_telemetry
+                        ),
+                        (),
                     )
-                    if index < len(self.last_run_telemetry):
-                        self.last_run_telemetry[index] = merged
-                    yield result
-        elif point_timeout is None and max_concurrent is None:
-            items = [
-                (jobs[index], descriptors[index], index)
-                for index in remaining
-            ]
-            for offset, (result, fallbacks, telemetry) in enumerate(
-                pool.map(
-                    _pool_worker, items, chunksize=self.chunksize
-                )
-            ):
-                self._fallbacks(fallbacks)
-                self._absorb_job(remaining[offset], telemetry)
-                yield result
-        else:
-            # Deadline enforcement needs per-point futures (map has
-            # no per-result timeout), and a concurrency cap needs
-            # windowed submission; both keep results in job order.
-            # An uncapped window equals the old submit-all path.
-            window = (
-                len(remaining) if max_concurrent is None
-                else max_concurrent
-            )
-            pending: List[Tuple[int, "Future[Any]"]] = []
-            cursor = 0
-
-            def _fill() -> None:
-                nonlocal cursor
-                while len(pending) < window \
-                        and cursor < len(remaining):
-                    index = remaining[cursor]
-                    cursor += 1
-                    pending.append((index, pool.submit(
-                        _pool_worker,
-                        (jobs[index], descriptors[index], index),
-                    )))
-
-            _fill()
-            while pending:
-                index, future = pending.pop(0)
-                result, fallbacks, telemetry = self._await_point(
-                    future, jobs[index], point_timeout
-                )
-                _fill()
+                    fallbacks, telemetry = 0, task_end(baseline)
+                fill()
                 self._fallbacks(fallbacks)
                 if telemetry is not None:
-                    self._absorb_job(index, telemetry)
+                    self._absorb_job(index, telemetry, tasks)
                 yield result
+        finally:
+            # Like Executor.map: a grid abandoned or failed mid-way
+            # leaves no queued points behind to occupy the pool.
+            for _, future in pending:
+                if future is not None:
+                    future.cancel()
 
-    def _run_sharded_safe(
+    def _fan_out(
+        self,
+        pool: Executor,
+        worker: Callable[[Any], Tuple[Any, int, TaskTelemetry]],
+        tasks: Sequence[Any],
+        retry_counter: str,
+        label: str,
+    ) -> Tuple[List[Any], List[TaskTelemetry]]:
+        """Run ``tasks`` on ``pool``: values and telemetry, task order.
+
+        Every task is submitted up front.  A task that raises re-runs
+        alone, up to :attr:`SHARD_RETRY_ATTEMPTS` attempts in all,
+        after a :func:`repro.retry.backoff_schedule` delay; each
+        re-run counts in ``retry_counter``.  Re-running is
+        deterministic — a task is a pure function of its inputs — so
+        the merged result stays bit-identical.  A ``BrokenProcessPool``
+        propagates untouched to the pool supervisor.  Each task's
+        fallbacks and metrics are absorbed into the runner's registry
+        once; the returned telemetry is for the caller's records.
+        """
+        futures = [pool.submit(worker, task) for task in tasks]
+        delays = backoff_schedule(self.SHARD_RETRY_ATTEMPTS - 1)
+        values: List[Any] = []
+        telemetry: List[TaskTelemetry] = []
+        for index, future in enumerate(futures):
+            for attempt in range(self.SHARD_RETRY_ATTEMPTS):
+                try:
+                    value, fallbacks, task_telemetry = future.result()
+                    break
+                except BrokenProcessPool:
+                    raise
+                except Exception as error:  # noqa: BLE001
+                    if attempt + 1 >= self.SHARD_RETRY_ATTEMPTS:
+                        raise
+                    logger.warning(
+                        "%s %d failed (attempt %d/%d), re-running: %s",
+                        label, index, attempt + 1,
+                        self.SHARD_RETRY_ATTEMPTS, error,
+                    )
+                    self.metrics.counter(retry_counter).inc()
+                    _sleep(delays[attempt])
+                    future = pool.submit(worker, tasks[index])
+            self._fallbacks(fallbacks)
+            self.metrics.absorb(task_telemetry.metrics)
+            values.append(value)
+            telemetry.append(task_telemetry)
+        return values, telemetry
+
+    def _run_fanned(
         self,
         job: BatchJob,
         descriptor: DenseDescriptor,
         pool: ProcessPoolExecutor,
         num_shards: int,
-    ) -> BatchResult:
-        """The sharded job under the runner's failure policy."""
-        attempts = self.retries + 1
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._run_sharded(
-                    job, descriptor, pool, num_shards
-                )
-            except BrokenProcessPool:
-                raise  # pool-level: the whole batch is over
-            except Exception as error:  # noqa: BLE001 - policy boundary
-                if attempt < attempts:
-                    logger.warning(
-                        "sharded job %s failed (attempt %d/%d), "
-                        "retrying: %s",
-                        job.describe(), attempt, attempts, error,
-                    )
-                    continue
-                if self.on_error == "record":
-                    logger.error(
-                        "sharded job %s failed permanently: %s: %s",
-                        job.describe(), type(error).__name__, error,
-                    )
-                    return FailedPoint(
-                        job=job,
-                        error_type=type(error).__name__,
-                        error_message=str(error),
-                        attempts=attempt,
-                    )
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
+    ) -> Tuple[SweepPoint, List[TaskTelemetry]]:
+        """Run one job here with its inner work fanned over the pool.
 
-    def _run_search_safe(
-        self,
-        job: BatchJob,
-        descriptor: DenseDescriptor,
-        pool: ProcessPoolExecutor,
-    ) -> BatchResult:
-        """The island-fanned search job under the failure policy."""
-        attempts = self.retries + 1
-        for attempt in range(1, attempts + 1):
-            try:
-                return self._run_search(job, descriptor, pool)
-            except BrokenProcessPool:
-                raise  # pool-level: the whole batch is over
-            except Exception as error:  # noqa: BLE001 - policy boundary
-                if attempt < attempts:
-                    logger.warning(
-                        "search job %s failed (attempt %d/%d), "
-                        "retrying: %s",
-                        job.describe(), attempt, attempts, error,
-                    )
-                    continue
-                if self.on_error == "record":
-                    logger.error(
-                        "search job %s failed permanently: %s: %s",
-                        job.describe(), type(error).__name__, error,
-                    )
-                    return FailedPoint(
-                        job=job,
-                        error_type=type(error).__name__,
-                        error_message=str(error),
-                        attempts=attempt,
-                    )
-                raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def _run_search(
-        self,
-        job: BatchJob,
-        descriptor: DenseDescriptor,
-        pool: ProcessPoolExecutor,
-    ) -> SweepPoint:
-        """Run one search job with its islands fanned across the pool.
-
-        The fixed :data:`repro.search.NUM_ISLANDS` island runs
-        execute as worker tasks over the already-shared dense matrix,
-        publishing incumbent improvements through a shared-memory
-        board; the deterministic merge, the exact polish, and the
-        certificate/utilization accounting run here in the parent
-        over the same matrix.  The result is bit-identical to inline
-        execution — island seeds and eval shares derive from the
-        fixed island count, never from the worker count.
+        A ``mode="search"`` job fans its fixed
+        :data:`repro.search.NUM_ISLANDS` islands; any other job fans
+        its partition sweep as ``num_shards`` shards and its top-k
+        exact polish solves.  Shards and islands read the
+        already-shared dense matrix and broadcast incumbents through
+        a shared-memory board.  The deterministic merge, the polish
+        reduction and the certificate/utilization accounting run here
+        over the same matrix, so the point is bit-identical to
+        whole-job execution.  Returns the point and its tasks'
+        telemetry.
         """
-        self._shard_telemetry = []
         matrix = self._matrices[descriptor.fingerprint]
-        tables = self._merge_tables[descriptor.fingerprint]
+        telemetry: List[TaskTelemetry] = []
+
+        def fan(
+            worker: Callable[[Any], Tuple[Any, int, TaskTelemetry]],
+            tasks: Sequence[Any],
+            retry_counter: str,
+            kind: str,
+        ) -> List[Any]:
+            values, task_telemetry = self._fan_out(
+                pool, worker, tasks, retry_counter,
+                f"{job.describe()} {kind}",
+            )
+            telemetry.extend(task_telemetry)
+            return values
 
         def islands(plans: Sequence[Any]) -> List[Any]:
             self.metrics.counter("search.islands_planned").inc(
                 len(plans)
             )
-            board = IncumbentBoard.create(len(plans), 1)
-            try:
-                board_descriptor = (
-                    board.descriptor() if board is not None else None
-                )
-                tasks = [
-                    (
-                        descriptor, board_descriptor, plan, job.soc,
-                        job.total_width,
-                    )
+            with _incumbent_board(len(plans), 1) as board:
+                return fan(_search_worker, [
+                    (descriptor, board, plan, job.soc, job.total_width)
                     for plan in plans
-                ]
-                futures = [
-                    pool.submit(_search_worker, task)
-                    for task in tasks
-                ]
-                retry_delays = backoff_schedule(
-                    self.SHARD_RETRY_ATTEMPTS - 1
-                )
-                results = []
-                for island_index, future in enumerate(futures):
-                    # Island-level retry: re-running an island is
-                    # deterministic (a pure function of its plan and
-                    # seed), so the merged result stays bit-identical.
-                    for attempt in range(self.SHARD_RETRY_ATTEMPTS):
-                        try:
-                            result, fallbacks, telemetry = (
-                                future.result()
-                            )
-                            break
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as error:  # noqa: BLE001
-                            if (attempt + 1
-                                    >= self.SHARD_RETRY_ATTEMPTS):
-                                raise
-                            logger.warning(
-                                "island %d of %s failed (attempt "
-                                "%d/%d), re-running: %s",
-                                island_index, job.describe(),
-                                attempt + 1,
-                                self.SHARD_RETRY_ATTEMPTS, error,
-                            )
-                            self.metrics.counter(
-                                "engine.island_retries"
-                            ).inc()
-                            _sleep(retry_delays[attempt])
-                            future = pool.submit(
-                                _search_worker, tasks[island_index]
-                            )
-                    self._fallbacks(fallbacks)
-                    self.metrics.absorb(telemetry.metrics)
-                    self._shard_telemetry.append(telemetry)
-                    results.append(result)
-                return results
-            finally:
-                if board is not None:
-                    board.close()
-
-        self.metrics.counter("engine.jobs_search_fanned").inc()
-        return evaluate_point(
-            job.soc,
-            job.total_width,
-            num_tams=job.num_tams,
-            tables=tables,
-            dense=matrix,
-            search_islands=islands,
-            **job.options_dict(),
-        )
-
-    def _run_sharded(
-        self,
-        job: BatchJob,
-        descriptor: DenseDescriptor,
-        pool: ProcessPoolExecutor,
-        num_shards: int,
-    ) -> SweepPoint:
-        """Run one job with its partition sweep fanned across the pool.
-
-        Step 1 (the sweep) executes as ``num_shards`` worker tasks
-        over the already-shared dense matrix, with incumbents
-        broadcast through a shared-memory board; the deterministic
-        merge, the exact polish, and the certificate/utilization
-        accounting run here in the parent over the same matrix.  The
-        result is bit-identical to whole-job execution.
-        """
-        self._shard_telemetry = []
-        matrix = self._matrices[descriptor.fingerprint]
-        tables = self._merge_tables[descriptor.fingerprint]
+                ], "engine.island_retries", "island")
 
         def sweep(
             table_list: Sequence[TimeTable],
             total_width: int,
             tam_counts: Union[int, Iterable[int]], *,
-            enumerator: str = "unique",
             prune: Union[bool, str] = True,
             initial_best: Optional[int] = None,
             keep_top: int = 1,
-            stratify_by_tam_count: bool = False,
-            engine: str = "kernel",
-            dense: Optional[DenseTimeMatrix] = None,
+            **options: Any,
         ) -> PartitionSearchResult:
-            if stratify_by_tam_count or engine != "kernel" \
-                    or enumerator != "unique":
+            if options.get("stratify_by_tam_count") \
+                    or options.get("engine", "kernel") != "kernel" \
+                    or options.get("enumerator", "unique") != "unique":
                 # Configurations outside the shard protocol's
-                # determinism argument run serially, as before.
+                # determinism argument run serially.
                 return partition_evaluate(
-                    table_list, total_width, tam_counts,
-                    enumerator=enumerator, prune=prune,
+                    table_list, total_width, tam_counts, prune=prune,
                     initial_best=initial_best, keep_top=keep_top,
-                    stratify_by_tam_count=stratify_by_tam_count,
-                    engine=engine, dense=dense,
+                    **options,
                 )
 
             def scorer(plan: ShardPlan) -> List[ShardOutcome]:
@@ -1727,79 +1585,18 @@ class BatchRunner:
                     plan.num_shards
                 )
                 # Unpruned sweeps never read the board; skip it.
-                board = (
-                    IncumbentBoard.create(plan.num_shards, keep_top)
-                    if prune else None
-                )
-                try:
-                    board_descriptor = (
-                        board.descriptor()
-                        if board is not None else None
-                    )
-                    tasks = [
+                with (
+                    _incumbent_board(plan.num_shards, keep_top)
+                    if prune else nullcontext()
+                ) as board:
+                    return fan(_shard_worker, [
                         (
-                            descriptor, board_descriptor, index,
-                            shard_spans, job.soc, total_width,
-                            keep_top, initial_best, prune,
+                            descriptor, board, index, shard_spans,
+                            job.soc, total_width, keep_top,
+                            initial_best, prune,
                         )
-                        for index, shard_spans
-                        in enumerate(plan.shards)
-                    ]
-                    futures = [
-                        pool.submit(_shard_worker, task)
-                        for task in tasks
-                    ]
-                    retry_delays = backoff_schedule(
-                        self.SHARD_RETRY_ATTEMPTS - 1
-                    )
-                    outcomes = []
-                    for shard_index, future in enumerate(futures):
-                        # Shard-level retry: a shard task that fails
-                        # with an ordinary exception re-runs alone
-                        # (bounded, schedule-backed) instead of
-                        # restarting the whole job.  Re-running is
-                        # deterministic — sweep_shard's completions
-                        # are a pure function of the shard's rank
-                        # range — so the merged result stays
-                        # bit-identical.  Pool-level breakage still
-                        # propagates to the grid supervisor.
-                        for attempt in range(
-                            self.SHARD_RETRY_ATTEMPTS
-                        ):
-                            try:
-                                outcome, fallbacks, telemetry = (
-                                    future.result()
-                                )
-                                break
-                            except BrokenProcessPool:
-                                raise
-                            except Exception as error:  # noqa: BLE001
-                                if (attempt + 1
-                                        >= self.SHARD_RETRY_ATTEMPTS):
-                                    raise
-                                logger.warning(
-                                    "shard %d of %s failed (attempt "
-                                    "%d/%d), re-running: %s",
-                                    shard_index, job.describe(),
-                                    attempt + 1,
-                                    self.SHARD_RETRY_ATTEMPTS, error,
-                                )
-                                self.metrics.counter(
-                                    "engine.shard_retries"
-                                ).inc()
-                                _sleep(retry_delays[attempt])
-                                future = pool.submit(
-                                    _shard_worker,
-                                    tasks[shard_index],
-                                )
-                        self._fallbacks(fallbacks)
-                        self.metrics.absorb(telemetry.metrics)
-                        self._shard_telemetry.append(telemetry)
-                        outcomes.append(outcome)
-                    return outcomes
-                finally:
-                    if board is not None:
-                        board.close()
+                        for index, shard_spans in enumerate(plan.shards)
+                    ], "engine.shard_retries", "shard")
 
             return sharded_partition_evaluate(
                 None, total_width, tam_counts, num_shards,
@@ -1808,63 +1605,31 @@ class BatchRunner:
             )
 
         def polish_runner(tasks: Sequence[Any]) -> List[Any]:
-            """Fan the top-k exact-polish solves across the pool.
-
-            Each task is independent (the serial loop never threads
-            one candidate's solution into the next solve), so results
-            come back in candidate order and the caller's first-
-            strict-minimum reduction matches the serial polish
-            bit for bit.
-            """
             self.metrics.counter("engine.polish_tasks_fanned").inc(
                 len(tasks)
             )
-            futures = [
-                pool.submit(_polish_worker, task) for task in tasks
-            ]
-            retry_delays = backoff_schedule(
-                self.SHARD_RETRY_ATTEMPTS - 1
+            return fan(
+                _polish_worker, tasks, "engine.polish_retries",
+                "polish task",
             )
-            exacts = []
-            for task_index, future in enumerate(futures):
-                for attempt in range(self.SHARD_RETRY_ATTEMPTS):
-                    try:
-                        exact, telemetry = future.result()
-                        break
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as error:  # noqa: BLE001
-                        if attempt + 1 >= self.SHARD_RETRY_ATTEMPTS:
-                            raise
-                        logger.warning(
-                            "polish task %d of %s failed (attempt "
-                            "%d/%d), re-running: %s",
-                            task_index, job.describe(), attempt + 1,
-                            self.SHARD_RETRY_ATTEMPTS, error,
-                        )
-                        self.metrics.counter(
-                            "engine.polish_retries"
-                        ).inc()
-                        _sleep(retry_delays[attempt])
-                        future = pool.submit(
-                            _polish_worker, tasks[task_index]
-                        )
-                self.metrics.absorb(telemetry.metrics)
-                self._shard_telemetry.append(telemetry)
-                exacts.append(exact)
-            return exacts
 
-        self.metrics.counter("engine.jobs_sharded").inc()
-        return evaluate_point(
+        hooks: Dict[str, Any]
+        if self._job_search_mode(job):
+            self.metrics.counter("engine.jobs_search_fanned").inc()
+            hooks = {"search_islands": islands}
+        else:
+            self.metrics.counter("engine.jobs_sharded").inc()
+            hooks = {"sweep": sweep, "polish_runner": polish_runner}
+        point = evaluate_point(
             job.soc,
             job.total_width,
             num_tams=job.num_tams,
-            tables=tables,
+            tables=self._merge_tables[descriptor.fingerprint],
             dense=matrix,
-            sweep=sweep,
-            polish_runner=polish_runner,
+            **hooks,
             **job.options_dict(),
         )
+        return point, telemetry
 
     def run(
         self,

@@ -2,6 +2,10 @@
 
 import pytest
 
+# repro.ilp needs the optional "ilp" extra (numpy and scipy).
+pytest.importorskip("numpy")
+pytest.importorskip("scipy")
+
 from repro.assign.exact import exact_assign
 from repro.assign.ilp_model import (
     build_paw_model,

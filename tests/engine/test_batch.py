@@ -66,8 +66,6 @@ class TestBatchRunner:
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):
             BatchRunner(max_workers=0)
-        with pytest.raises(ConfigurationError):
-            BatchRunner(chunksize=0)
 
     def test_empty_batch(self):
         assert BatchRunner().run([]) == []
@@ -80,7 +78,7 @@ class TestBatchRunner:
     def test_parallel_equals_inline(self, tiny_soc):
         jobs = [BatchJob(tiny_soc, w, 2) for w in (4, 6, 8)]
         inline = BatchRunner(max_workers=1).run(jobs)
-        pooled = BatchRunner(max_workers=2, chunksize=2).run(jobs)
+        pooled = BatchRunner(max_workers=2).run(jobs)
         assert inline == pooled
 
     def test_run_grid_pairs_jobs_with_points(self, tiny_soc):

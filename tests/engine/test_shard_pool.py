@@ -3,7 +3,7 @@
 import pytest
 
 import repro.engine.shm as shm
-from repro.engine.batch import BatchJob, BatchRunner, _run_job_cached
+from repro.engine.batch import BatchJob, BatchRunner, _run_job_tracked
 from repro.engine.kernel import build_dense_matrix, dense_time_tables
 from repro.engine.shm import (
     IncumbentBoard,
@@ -200,7 +200,7 @@ class TestStaircaseTransport:
                 designs=design_steps_blob(table_list),
             )
             job = BatchJob(tiny_soc, 8, 2, options={"polish": False})
-            reference = _run_job_cached({}, job)
+            reference = _run_job_tracked({}, job)[0]
 
             import repro.engine.kernel as kernel_module
             import repro.wrapper.pareto as pareto
@@ -213,9 +213,9 @@ class TestStaircaseTransport:
                 kernel_module, "design_wrapper", exploding
             )
             caches = {}
-            point = _run_job_cached(
+            point = _run_job_tracked(
                 caches, job, descriptor=descriptor
-            )
+            )[0]
             assert point == reference
             assert caches == {}
         finally:

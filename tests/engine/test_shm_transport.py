@@ -161,7 +161,7 @@ class TestWorkerDensePath:
 
     def test_stale_descriptor_falls_back_to_cache(self, tiny_soc):
         # A descriptor for *different* SOC content must be ignored.
-        from repro.engine.batch import _run_job_cached
+        from repro.engine.batch import _run_job_tracked
 
         matrix = matrix_for(tiny_soc, 8)
         descriptor = DenseDescriptor(
@@ -171,15 +171,15 @@ class TestWorkerDensePath:
             payload=matrix.to_bytes(),
         )
         job = BatchJob(tiny_soc, 6, 2)
-        from_cache = _run_job_cached({}, job)
-        via_descriptor = _run_job_cached({}, job, descriptor=descriptor)
+        from_cache = _run_job_tracked({}, job)[0]
+        via_descriptor = _run_job_tracked({}, job, descriptor=descriptor)[0]
         assert from_cache == via_descriptor
 
     def test_matching_descriptor_used_without_table_builds(
         self, tiny_soc, monkeypatch
     ):
         import repro.wrapper.pareto as pareto
-        from repro.engine.batch import _run_job_cached
+        from repro.engine.batch import _run_job_tracked
 
         matrix = matrix_for(tiny_soc, 8)
         descriptor = DenseDescriptor(
@@ -189,7 +189,7 @@ class TestWorkerDensePath:
             payload=matrix.to_bytes(),
         )
         job = BatchJob(tiny_soc, 8, 2, options={"polish": False})
-        reference = _run_job_cached({}, job)
+        reference = _run_job_tracked({}, job)[0]
 
         def exploding(core, width):
             raise AssertionError(
@@ -209,7 +209,7 @@ class TestWorkerDensePath:
         import repro.engine.kernel as kernel_module
         monkeypatch.setattr(kernel_module, "design_wrapper", counting)
         caches = {}
-        point = _run_job_cached(caches, job, descriptor=descriptor)
+        point = _run_job_tracked(caches, job, descriptor=descriptor)[0]
         assert point == reference
         assert caches == {}  # no private WrapperTableCache created
         # Designs ran only for the final architecture's bus widths.

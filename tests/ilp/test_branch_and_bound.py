@@ -2,6 +2,10 @@
 
 import pytest
 
+# repro.ilp needs the optional "ilp" extra (numpy and scipy).
+pytest.importorskip("numpy")
+pytest.importorskip("scipy")
+
 from repro.exceptions import ConfigurationError
 from repro.ilp.branch_and_bound import BranchAndBound, solve_model
 from repro.ilp.model import LinExpr, Model

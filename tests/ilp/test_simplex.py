@@ -2,6 +2,10 @@
 
 import pytest
 
+# repro.ilp needs the optional "ilp" extra (numpy and scipy).
+pytest.importorskip("numpy")
+pytest.importorskip("scipy")
+
 from repro.ilp.model import Model
 from repro.ilp.simplex import LpRelaxation
 

@@ -1,5 +1,11 @@
 """Unit tests for Solution / SolveStatus."""
 
+import pytest
+
+# repro.ilp needs the optional "ilp" extra (numpy and scipy).
+pytest.importorskip("numpy")
+pytest.importorskip("scipy")
+
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 

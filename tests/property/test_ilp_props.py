@@ -2,8 +2,13 @@
 
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+# repro.ilp needs the optional "ilp" extra (numpy and scipy).
+pytest.importorskip("numpy")
+pytest.importorskip("scipy")
 
 from repro.ilp.branch_and_bound import solve_model
 from repro.ilp.model import LinExpr, Model

@@ -14,9 +14,24 @@ import pytest
 import repro
 
 
+try:  # repro.ilp needs the optional "ilp" extra (numpy and scipy)
+    import numpy  # noqa: F401
+    import scipy  # noqa: F401
+
+    HAVE_ILP_EXTRA = True
+except ImportError:
+    HAVE_ILP_EXTRA = False
+
+
 def _walk_modules():
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        if info.name.startswith("repro.ilp") and not HAVE_ILP_EXTRA:
+            yield pytest.param(
+                info.name, id=info.name,
+                marks=pytest.mark.skip(reason="needs the ilp extra"),
+            )
+            continue
         yield importlib.import_module(info.name)
 
 
