@@ -93,7 +93,7 @@ def run_single_job_rows(soc):
     for width, num_tams, floor in SINGLE_JOBS:
         matrix = build_dense_matrix(tables, width)
         serial_s, serial = _best_of(7, lambda: partition_evaluate(
-            tables, width, num_tams, prune="lb", dense=matrix,
+            tables, width, num_tams, dense=matrix,
         ))
 
         def sharded():
@@ -102,15 +102,13 @@ def run_single_job_rows(soc):
             workspace = KernelWorkspace()
             outcomes = [
                 sweep_shard(
-                    matrix, spans, index, width, prune="lb",
+                    matrix, spans, index, width,
                     board=board, workspace=workspace,
                 )
                 for index, spans in enumerate(plan.shards)
             ]
             merge_start = time.perf_counter()
-            merged = merge_shard_outcomes(
-                matrix, plan, outcomes, prune="lb",
-            )
+            merged = merge_shard_outcomes(matrix, plan, outcomes)
             merge_s = time.perf_counter() - merge_start
             return outcomes, merged, merge_s
 

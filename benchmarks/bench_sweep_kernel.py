@@ -1,16 +1,17 @@
-"""Dense sweep kernel vs the legacy ``Partition_evaluate`` path.
+"""Dense sweep kernel vs a per-partition ``core_assign`` sweep.
 
 Two claims, quantified on d695 and p93791 and archived as the first
 entries of the ``BENCH_*.json`` perf trajectory:
 
-* **speed** — the kernel (with its outcome-identical lower-bound
-  pruning) runs the p93791 W=32 P_NPAW sweep at least 5× faster than
-  the legacy per-partition path, with the identical best testing
-  time and winning partition;
-* **fidelity** — with ``prune="lb"`` disabled, the kernel's
-  ``PartitionStats`` (``num_completed``, efficiency) match the legacy
-  path exactly on every Table-1 configuration (p21241, W=44..64,
-  B=4,5), so the paper's pruning-efficiency protocol is untouched.
+* **speed** — ``partition_evaluate`` (the dense kernel with its
+  outcome-identical lower-bound skip) runs the p93791 W=32 P_NPAW
+  sweep at least 5× faster than :func:`core_assign_sweep`, the
+  per-partition baseline the kernel replaced, with the identical
+  best testing time, winning partition and assignment;
+* **fidelity** — the kernel's ``PartitionStats`` (``num_enumerated``,
+  ``num_completed``, efficiency) match the baseline's exactly on
+  every Table-1 configuration (p21241, W=44..64, B=4,5), so the
+  paper's pruning-efficiency protocol is untouched.
 
 The timing table also lands in ``results/sweep_kernel.txt``; the
 machine-readable record is *appended* to ``BENCH_sweep_kernel.json``
@@ -25,8 +26,15 @@ from pathlib import Path
 
 from common import append_history, bench_record, load_bench
 
+from repro.assign.core_assign import core_assign
 from repro.engine.cache import WrapperTableCache
-from repro.partition.evaluate import partition_evaluate
+from repro.partition.count import count_partitions
+from repro.partition.enumerate import unique_partitions
+from repro.partition.evaluate import (
+    PartitionSearchResult,
+    PartitionStats,
+    partition_evaluate,
+)
 from repro.report.experiments import rows_to_table
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / (
@@ -36,7 +44,7 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / (
 #: The acceptance sweep: the paper's P_NPAW protocol, B = 1..10.
 NPAW_COUNTS = range(1, 11)
 
-#: (soc fixture name, W, required kernel+lb speedup).  Only p93791
+#: (soc fixture name, W, required kernel speedup).  Only p93791
 #: W=32 carries a hard floor — d695 is small enough that fixed
 #: per-sweep costs dominate and the margin is left soft.
 SWEEPS = (
@@ -62,45 +70,76 @@ def _best_of(runs, fn):
     return best_seconds, result
 
 
+def core_assign_sweep(tables, width, counts):
+    """The per-partition sweep the kernel replaced (the baseline).
+
+    Fresh N×B times and one ``core_assign`` per unique partition,
+    under the paper's best-known-time abort alone (no lower-bound
+    skip) — the same best result and ``PartitionStats`` as
+    ``partition_evaluate`` at its defaults.
+    """
+    best = None
+    stats = []
+    for count in [counts] if isinstance(counts, int) else counts:
+        enumerated = completed = 0
+        for widths in unique_partitions(width, count) \
+                if count <= width else ():
+            enumerated += 1
+            times = [[t.time(w) for w in widths] for t in tables]
+            outcome = core_assign(
+                times, widths,
+                best_known=best.testing_time if best else None,
+            )
+            if outcome.completed:
+                completed += 1
+                best = outcome.result
+        stats.append(PartitionStats(
+            num_tams=count,
+            num_unique=count_partitions(width, count)
+            if count <= width else 0,
+            num_enumerated=enumerated,
+            num_completed=completed,
+        ))
+    return PartitionSearchResult(
+        total_width=width, best=best, stats=tuple(stats),
+        elapsed_seconds=0.0,
+    )
+
+
 def run_kernel_speed_rows(socs):
-    """Legacy vs kernel vs kernel+lb timings, one row per sweep."""
+    """Baseline vs kernel timings, one row per sweep."""
     rows = []
     for soc, width, floor in socs:
         tables = WrapperTableCache(soc).table_list(width)
 
         # Best-of-N damps shared-runner noise: a transient slowdown
-        # must hit every kernel run *and* spare every legacy run to
+        # must hit every kernel run *and* spare every baseline run to
         # move the ratio the wrong way.
-        legacy_s, legacy = _best_of(3, lambda: partition_evaluate(
-            tables, width, NPAW_COUNTS, engine="legacy"))
+        baseline_s, baseline = _best_of(3, lambda: core_assign_sweep(
+            tables, width, NPAW_COUNTS))
         kernel_s, kernel = _best_of(5, lambda: partition_evaluate(
-            tables, width, NPAW_COUNTS, engine="kernel"))
-        lb_s, pruned = _best_of(5, lambda: partition_evaluate(
-            tables, width, NPAW_COUNTS, engine="kernel", prune="lb"))
+            tables, width, NPAW_COUNTS))
 
-        assert kernel.testing_time == legacy.testing_time
-        assert pruned.testing_time == legacy.testing_time
-        assert kernel.best_partition == legacy.best_partition
-        assert pruned.best_partition == legacy.best_partition
-        assert kernel.best.assignment == legacy.best.assignment
+        assert kernel.testing_time == baseline.testing_time
+        assert kernel.best_partition == baseline.best_partition
+        assert kernel.best.assignment == baseline.best.assignment
 
-        speedup = legacy_s / lb_s
+        speedup = baseline_s / kernel_s
         if floor is not None:
             assert speedup >= floor, (
-                f"{soc.name} W={width}: kernel+lb speedup "
+                f"{soc.name} W={width}: kernel speedup "
                 f"{speedup:.1f}x below the {floor}x floor "
-                f"(legacy {legacy_s:.3f}s, kernel+lb {lb_s:.3f}s)"
+                f"(baseline {baseline_s:.3f}s, kernel {kernel_s:.3f}s)"
             )
         rows.append({
             "soc": soc.name,
             "W": width,
-            "T": legacy.testing_time,
-            "partition": "+".join(map(str, legacy.best_partition)),
-            "legacy_s": round(legacy_s, 4),
+            "T": baseline.testing_time,
+            "partition": "+".join(map(str, baseline.best_partition)),
+            "baseline_s": round(baseline_s, 4),
             "kernel_s": round(kernel_s, 4),
-            "kernel_lb_s": round(lb_s, 4),
             "speedup": round(speedup, 2),
-            "lb_pruned": pruned.num_lb_pruned,
+            "lb_pruned": kernel.num_lb_pruned,
         })
     return rows
 
@@ -119,30 +158,29 @@ def test_sweep_kernel_speed_and_fidelity(
         "sweep_kernel",
         rows_to_table(
             rows,
-            ["soc", "W", "T", "partition", "legacy_s", "kernel_s",
-             "kernel_lb_s", "speedup", "lb_pruned"],
-            title="Dense sweep kernel vs legacy Partition_evaluate "
-                  "(P_NPAW, B=1..10).",
+            ["soc", "W", "T", "partition", "baseline_s", "kernel_s",
+             "speedup", "lb_pruned"],
+            title="Dense sweep kernel vs per-partition core_assign "
+                  "sweep (P_NPAW, B=1..10).",
         ),
     )
 
-    # Fidelity on the Table-1 protocol: with lb pruning off, kernel
-    # statistics are bit-identical to the legacy path on every cell.
+    # Fidelity on the Table-1 protocol: the kernel's statistics,
+    # lower-bound skip included, equal the baseline's on every cell.
     tables = WrapperTableCache(p21241).table_list(max(TABLE1_WIDTHS))
     for width in TABLE1_WIDTHS:
         for count in TABLE1_COUNTS:
-            legacy = partition_evaluate(
-                tables, width, count, engine="legacy"
+            baseline = core_assign_sweep(
+                tables, width, count
             ).stats_for(count)
             kernel = partition_evaluate(
-                tables, width, count, engine="kernel"
+                tables, width, count
             ).stats_for(count)
-            assert kernel.num_completed == legacy.num_completed, (
+            assert kernel.num_completed == baseline.num_completed, (
                 width, count,
             )
-            assert kernel.num_enumerated == legacy.num_enumerated
-            assert kernel.efficiency == legacy.efficiency
-            assert kernel.num_lb_pruned == 0
+            assert kernel.num_enumerated == baseline.num_enumerated
+            assert kernel.efficiency == baseline.efficiency
 
     headline = next(
         (
@@ -188,7 +226,7 @@ def test_sweep_kernel_telemetry_overhead(p93791):
 
     Off: the disabled tracer hands out the no-op singleton, cheap
     enough to sit in per-point code without a guard.  On: the traced
-    p93791 W=32 sweep's speedup (legacy_s / kernel_lb_s — a ratio of
+    p93791 W=32 sweep's speedup (baseline_s / kernel_s — a ratio of
     same-process timings, so it transfers across machines) must stay
     within 5% of the recorded ``BENCH_sweep_kernel.json`` baseline:
     spans are sampled at partition/shard granularity, never inside
@@ -216,16 +254,16 @@ def test_sweep_kernel_telemetry_overhead(p93791):
     tables = WrapperTableCache(p93791).table_list(32)
     TRACER.enable()
     try:
-        legacy_s, legacy = _best_of(3, lambda: partition_evaluate(
-            tables, 32, NPAW_COUNTS, engine="legacy"))
-        lb_s, pruned = _best_of(5, lambda: partition_evaluate(
-            tables, 32, NPAW_COUNTS, engine="kernel", prune="lb"))
+        baseline_s, reference = _best_of(3, lambda: core_assign_sweep(
+            tables, 32, NPAW_COUNTS))
+        kernel_s, kernel = _best_of(5, lambda: partition_evaluate(
+            tables, 32, NPAW_COUNTS))
     finally:
         TRACER.disable()
         TRACER.drain()
 
-    assert pruned.testing_time == legacy.testing_time
-    speedup = legacy_s / lb_s
+    assert kernel.testing_time == reference.testing_time
+    speedup = baseline_s / kernel_s
     assert speedup >= 0.95 * baseline, (
         f"traced p93791 W=32 speedup {speedup:.2f}x regressed more "
         f"than 5% below the recorded {baseline:.2f}x baseline"

@@ -108,11 +108,6 @@ def evaluate_point(
     :func:`~repro.optimize.co_optimize.co_optimize` verbatim
     (``polish``, ``exact_time_limit``, ...).
 
-    This is the engine/service entry point, so the sweep defaults to
-    ``prune="lb"`` — outcome-identical to the paper's abort-only
-    pruning, just faster; pass ``prune=True`` (or ``False``) in the
-    options to override.
-
     ``mode="search"`` dispatches to the anytime metaheuristic tier
     instead (:func:`repro.search.search_optimize`); the exact-tier
     knobs (``polish``, ``prune``, ...) are inert there, and the
@@ -139,8 +134,6 @@ def evaluate_point(
                     f'option {key}={value!r} only applies to '
                     f'mode="search"'
                 )
-    if co_optimize_options.get("sweep_engine", "kernel") == "kernel":
-        co_optimize_options.setdefault("prune", "lb")
     with _obs_span(
         "evaluate_point", soc=soc.name, W=total_width
     ) as point_span:
@@ -186,8 +179,8 @@ def evaluate_point(
 #: seams.
 _SEARCH_IGNORED_OPTIONS = (
     "enumerator", "polish", "polish_top_k", "polish_per_tam_count",
-    "exact_node_limit", "exact_time_limit", "prune", "sweep_engine",
-    "sweep", "polish_runner",
+    "exact_node_limit", "exact_time_limit", "prune", "sweep",
+    "polish_runner",
 )
 
 

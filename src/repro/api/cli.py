@@ -31,9 +31,8 @@ from typing import Any, Dict, Tuple, Union
 from repro.api.specs import DEFAULT_MAX_TAMS, GridSpec, OptimizeSpec
 
 #: ``--prune`` choice → ``co_optimize(prune=...)`` value.
-PRUNE_MODES: Dict[str, Union[bool, str]] = {
+PRUNE_MODES: Dict[str, bool] = {
     "abort": True,
-    "lb": "lb",
     "none": False,
 }
 
@@ -125,11 +124,9 @@ def add_spec_arguments(
         parser.add_argument(
             "--prune", choices=tuple(PRUNE_MODES), default=None,
             help="partition-sweep pruning: the paper's "
-                 "best-known-time abort, the kernel's "
-                 "outcome-identical lower-bound skip on top, or "
-                 "none (ablation).  Unset, each surface keeps its "
-                 "default (abort for cooptimize, lb in the "
-                 "engine/service paths)",
+                 "best-known-time abort, with the kernel's "
+                 "outcome-identical lower-bound skip in front of it "
+                 "(default), or none (ablation)",
         )
 
 
@@ -207,11 +204,8 @@ def optimize_options_from_args(
 ) -> Dict[str, Any]:
     """Sparse optimize knobs from a namespace.
 
-    Only knobs the user actually set are included, so each execution
-    path keeps its own default for the rest (in particular, an
-    explicit ``--prune abort`` *forces* abort-only pruning through
-    ``batch``/``submit``, while leaving the flag unset keeps the
-    engine's outcome-identical ``"lb"`` default there).
+    Only knobs the user actually set are included; the rest keep the
+    spec defaults of :data:`repro.api.specs.OPTION_DEFAULTS`.
     """
     options: Dict[str, Any] = {}
     if getattr(args, "no_polish", False):

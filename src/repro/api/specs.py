@@ -9,7 +9,7 @@ collapses them onto two frozen dataclasses:
 
 * :class:`OptimizeSpec` — everything one ``co_optimize`` call takes
   beyond the SOC itself: the TAM budget, the TAM count(s), and the
-  enumerator/polish/prune/engine knobs;
+  enumerator/polish/prune knobs;
 * :class:`GridSpec` — a whole submission: SOC *sources* (benchmark
   names or ``.soc`` paths, resolved by :func:`repro.soc.loader.
   load_source`) crossed with per-point :class:`OptimizeSpec` s, plus
@@ -67,8 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: Version history: 1 — the original exact-only option set;
 #: 2 — the ``mode={"exact","search"}`` axis plus the search-tier
 #: options (``search_strategy``/``seed``/``time_budget``/
-#: ``eval_budget``/``target_gap``).
-SPEC_SCHEMA_VERSION = 2
+#: ``eval_budget``/``target_gap``); 3 — one sweep engine (its
+#: selector option removed) and ``prune`` a plain bool defaulting to
+#: ``True`` on every surface.
+SPEC_SCHEMA_VERSION = 3
 
 #: Valid ``mode`` values: the paper's exact sweep+polish pipeline,
 #: and the anytime metaheuristic tier of :mod:`repro.search`.
@@ -90,12 +92,7 @@ OPTION_DEFAULTS: Dict[str, Any] = {
     "polish_per_tam_count": False,
     "exact_node_limit": 2_000_000,
     "exact_time_limit": 30.0,
-    # None = "the consuming surface's default": the paper's abort in
-    # a direct co_optimize call, the outcome-identical "lb" in the
-    # engine/service paths.  An explicit True/False/"lb" is always
-    # honored verbatim, on every surface.
-    "prune": None,
-    "sweep_engine": "kernel",
+    "prune": True,
     # -- the heuristic search tier (mode="search") ------------------
     # The seed is a *result-defining* input (a search outcome is a
     # pure function of spec + seed), so it lives in the canonical key
@@ -252,8 +249,7 @@ class OptimizeSpec:
     polish_per_tam_count: bool = False
     exact_node_limit: int = 2_000_000
     exact_time_limit: float = 30.0
-    prune: Union[None, bool, str] = None
-    sweep_engine: str = "kernel"
+    prune: bool = True
     mode: str = "exact"
     search_strategy: str = "sa"
     seed: int = 0
@@ -311,19 +307,13 @@ class OptimizeSpec:
             raise ConfigurationError(
                 f"enumerator must be a string, got {self.enumerator!r}"
             )
-        if not isinstance(self.sweep_engine, str):
+        if not isinstance(self.prune, bool):
             raise ConfigurationError(
-                f"sweep_engine must be a string, got {self.sweep_engine!r}"
-            )
-        if self.prune is not None \
-                and not isinstance(self.prune, (bool, str)):
-            raise ConfigurationError(
-                f"prune must be None, a bool or a string mode, got "
-                f"{self.prune!r}"
+                f"prune must be a bool, got {self.prune!r}"
             )
         # The mode axis is structural: it gates which *other* fields
-        # are legal, so unlike enumerator/sweep_engine it is checked
-        # here rather than per grid point.
+        # are legal, so unlike enumerator it is checked here rather
+        # than per grid point.
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"mode must be one of {MODES}, got {self.mode!r}"
@@ -398,9 +388,8 @@ class OptimizeSpec:
         """The non-default option fields, as sparse keyword arguments.
 
         This is what :class:`~repro.engine.batch.BatchJob.options`
-        carries: sparse on purpose, so the engine's own defaulting
-        (e.g. ``evaluate_point`` switching unspecified ``prune`` to
-        the outcome-identical ``"lb"``) still applies.
+        carries: sparse on purpose, so a job names only the knobs it
+        moves away from :data:`OPTION_DEFAULTS`.
         """
         return {
             key: getattr(self, key)

@@ -26,8 +26,8 @@ Two further modules make the hot path fast:
   the N×W testing-time matrix built once per sweep
   (:class:`DenseTimeMatrix`), memoized per-width columns and pick
   orders, an allocation-free bit-identical ``Core_assign``
-  (:func:`kernel_assign`), and the O(1) admissible partition lower
-  bound behind ``partition_evaluate(prune="lb")``;
+  (:func:`sweep_assign`), and the O(1) admissible partition lower
+  bound behind ``partition_evaluate``'s skip;
 * :mod:`~repro.engine.shm` — shared-memory transport of those
   matrices (and their wrapper-design staircases) to pool workers, so
   a batch's workers read one copy instead of each building their own
@@ -48,7 +48,6 @@ from repro.engine.kernel import (
     KernelWorkspace,
     build_dense_matrix,
     dense_time_tables,
-    kernel_assign,
     sweep_assign,
 )
 from repro.engine.batch import (
@@ -67,7 +66,6 @@ __all__ = [
     "KernelWorkspace",
     "build_dense_matrix",
     "dense_time_tables",
-    "kernel_assign",
     "sweep_assign",
     "BatchJob",
     "BatchRunner",

@@ -171,10 +171,8 @@ class BatchJob:
         """The engine job a typed :class:`repro.api.OptimizeSpec` means.
 
         Options are carried *sparse* (non-defaults only, via
-        :meth:`~repro.api.specs.OptimizeSpec.engine_options`) so the
-        engine's own defaulting — e.g. ``evaluate_point`` switching
-        an unspecified ``prune`` to the outcome-identical ``"lb"`` —
-        still applies, exactly as for a hand-built job.
+        :meth:`~repro.api.specs.OptimizeSpec.engine_options`),
+        exactly as for a hand-built job.
         """
         return cls(
             soc=soc,
@@ -1125,7 +1123,6 @@ class BatchRunner:
         return (
             options.get("mode", "exact") == "exact"
             and options.get("enumerator", "unique") == "unique"
-            and options.get("sweep_engine", "kernel") == "kernel"
             and not options.get("polish_per_tam_count", False)
         )
 
@@ -1564,13 +1561,12 @@ class BatchRunner:
             table_list: Sequence[TimeTable],
             total_width: int,
             tam_counts: Union[int, Iterable[int]], *,
-            prune: Union[bool, str] = True,
+            prune: bool = True,
             initial_best: Optional[int] = None,
             keep_top: int = 1,
             **options: Any,
         ) -> PartitionSearchResult:
             if options.get("stratify_by_tam_count") \
-                    or options.get("engine", "kernel") != "kernel" \
                     or options.get("enumerator", "unique") != "unique":
                 # Configurations outside the shard protocol's
                 # determinism argument run serially.

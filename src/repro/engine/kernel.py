@@ -1,17 +1,19 @@
-"""The dense time-matrix sweep kernel — ``Partition_evaluate``'s fast path.
+"""The dense time-matrix sweep kernel — how ``Partition_evaluate`` scores.
 
-The legacy sweep rebuilds a fresh N×B Python list-of-lists for *every*
-width partition (``_times_for``) and runs ``Core_assign`` as an
+A direct sweep would build a fresh N×B Python list-of-lists for
+*every* width partition and run ``Core_assign`` as an
 allocation-heavy pure-Python loop.  This module removes both costs
-while staying **bit-identical** to the legacy heuristic (asserted by
-the differential suite in ``tests/engine/test_kernel.py``):
+while staying **bit-identical** to :func:`repro.assign.core_assign.
+core_assign` (asserted by the differential suite in
+``tests/engine/test_kernel.py``, whose per-partition ``core_assign``
+sweep is the oracle):
 
 * :class:`DenseTimeMatrix` — every core's monotone time staircase
   exported once (:meth:`~repro.wrapper.pareto.TimeTable.dense_row`)
   into one flat width-indexed array.  Partitions share widths, so the
   per-width *columns* the assignment loop reads are memoized: each is
   materialized exactly once per sweep, with its max/sum aggregates.
-* :func:`kernel_assign` — the Fig. 1 heuristic rewritten over those
+* :func:`sweep_assign` — the Fig. 1 heuristic rewritten over those
   columns: single-scan bus and core picks, precomputed per-bus
   tie-break reference, swap-pop core removal, O(1) abort check, and a
   reusable :class:`KernelWorkspace` so the per-partition loop
@@ -21,8 +23,8 @@ the differential suite in ``tests/engine/test_kernel.py``):
   bound (:func:`repro.assign.lower_bounds.column_lower_bound` on the
   widest column's cached aggregates).  A partition whose bound
   already meets the incumbent cannot complete under the Lines 18-20
-  abort, so ``partition_evaluate(prune="lb")`` skips ``Core_assign``
-  entirely without changing any observable outcome.
+  abort, so ``partition_evaluate`` (``prune=True``) skips
+  ``Core_assign`` entirely without changing any observable outcome.
 * :class:`DenseTimeTable` — a times-only :class:`~repro.wrapper.
   pareto.TimeTable` stand-in over one matrix row, for pool workers
   that receive the matrix through shared memory
@@ -36,7 +38,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.assign.core_assign import CoreAssignOutcome, reference_buses
+from repro.assign.core_assign import reference_buses
 from repro.assign.lower_bounds import column_lower_bound
 from repro.exceptions import ConfigurationError
 from repro.obs import span as _obs_span
@@ -153,10 +155,6 @@ class DenseTimeMatrix:
         The bound depends on a partition only through its largest
         part and its bus count — and it is monotone non-increasing in
         the largest part (wider columns are elementwise faster).
-        The sharded sweep's merge exploits both facts to count
-        lower-bound-pruned partitions analytically
-        (:func:`repro.partition.enumerate.count_slice_max_at_most`)
-        instead of replaying them.
         """
         max_time, total = self.column_stats(max_part)
         return column_lower_bound(max_time, total, num_buses)
@@ -168,7 +166,7 @@ class DenseTimeMatrix:
 
         Descending time on the width-``width`` bus, ties by descending
         time on the reference bus (the widest strictly narrower one),
-        then ascending core index — exactly the legacy ``_pick_core``
+        then ascending core index — exactly ``core_assign``'s ``_pick_core``
         ordering, so the next core to assign is always the first not-
         yet-assigned entry.  Memoized per (width, reference) pair;
         partitions share widths, so the sweep sorts each pair once.
@@ -207,7 +205,7 @@ class DenseTimeMatrix:
         return context
 
     def times_for(self, widths: Sequence[int]) -> List[List[int]]:
-        """Row-major N×B times for ``widths`` (the legacy layout)."""
+        """Row-major N×B times for ``widths`` (``core_assign``'s layout)."""
         cols = [self.column(width) for width in widths]
         return [
             [col[core] for col in cols]
@@ -266,7 +264,7 @@ def build_dense_matrix(
 
 
 class KernelWorkspace:
-    """Reusable scratch arrays for :func:`kernel_assign`.
+    """Reusable scratch arrays for :func:`sweep_assign`.
 
     One workspace per sweep keeps the inner loop allocation-free: the
     loads / assignment / cursor lists are grown once and reset in
@@ -293,10 +291,18 @@ def sweep_assign(
 ) -> Optional[AssignmentResult]:
     """``Core_assign`` over dense columns; ``None`` when aborted.
 
-    The sweep-internal form of :func:`kernel_assign`: identical logic,
-    but an aborted partition returns ``None`` instead of allocating an
-    outcome object — under heavy pruning almost every partition
-    aborts, so the fast path allocates nothing.
+    Produces exactly the result of :func:`repro.assign.core_assign.
+    core_assign` on ``matrix.times_for(widths)`` on completion, and
+    aborts exactly when that would have — a run completes iff its
+    final time beats ``best_known``.  An aborted partition returns
+    ``None`` instead of allocating an outcome object: under heavy
+    pruning almost every partition aborts, so the fast path
+    allocates nothing.  The abort itself may fire *earlier* than
+    Lines 18-20: alongside the per-bus load check the loop maintains
+    an admissible partial area bound (assigned work so far plus every
+    remaining core's floor, cf. :func:`repro.assign.lower_bounds.
+    partial_lower_bound`), which dooms most partitions steps before a
+    single bus physically crosses the incumbent.
     """
     num_buses = len(widths)
     if num_buses == 0:
@@ -408,7 +414,7 @@ def sweep_assign(
             # Lines 18-20 (only this bus's load changed, and every
             # load was below the incumbent before — O(1)), plus the
             # partial area bound, which cannot misfire: it bounds the
-            # final time from below, and the legacy abort fires on
+            # final time from below, and core_assign's abort fires on
             # every run whose final time reaches the incumbent.
             projected += best_time - floors[core]
             if load >= best_known or projected > area_limit:
@@ -421,36 +427,6 @@ def sweep_assign(
         assignment=tuple(assignment[:num_cores]),
         bus_times=bus_times,
         testing_time=max(bus_times),
-    )
-
-
-def kernel_assign(
-    matrix: DenseTimeMatrix,
-    widths: Sequence[int],
-    best_known: Optional[int] = None,
-    workspace: Optional[KernelWorkspace] = None,
-) -> CoreAssignOutcome:
-    """``Core_assign`` over dense columns — bit-identical, allocation-lean.
-
-    Produces exactly the outcome of :func:`repro.assign.core_assign.
-    core_assign` on ``matrix.times_for(widths)``: the same result on
-    completion, and an abort exactly when the legacy path would have
-    aborted — a run completes iff its final time beats ``best_known``.
-    The abort itself may fire *earlier* than Lines 18-20: alongside
-    the per-bus load check the loop maintains an admissible partial
-    area bound (assigned work so far plus every remaining core's
-    floor, cf. :func:`repro.assign.lower_bounds.partial_lower_bound`),
-    which dooms most partitions steps before a single bus physically
-    crosses the incumbent.
-    """
-    result = sweep_assign(matrix, widths, best_known, workspace)
-    if result is None:
-        assert best_known is not None
-        return CoreAssignOutcome(
-            completed=False, testing_time=best_known, result=None
-        )
-    return CoreAssignOutcome(
-        completed=True, testing_time=result.testing_time, result=result
     )
 
 

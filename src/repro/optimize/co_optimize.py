@@ -100,8 +100,7 @@ def co_optimize(
     exact_node_limit: int = 2_000_000,
     exact_time_limit: float = 30.0,
     tables: Optional[Dict[str, TimeTable]] = None,
-    prune: Union[bool, str] = True,
-    sweep_engine: str = "kernel",
+    prune: bool = True,
     dense: "Optional[DenseTimeMatrix]" = None,
     spec: Optional[OptimizeSpec] = None,
     sweep: Optional[Callable[..., "PartitionSearchResult"]] = None,
@@ -159,15 +158,11 @@ def co_optimize(
         are exposed on the result, so downstream consumers
         (certificates, utilization, sweeps) never rebuild them.
     prune:
-        Partition-sweep pruning mode, forwarded to
+        Partition-sweep pruning, forwarded to
         :func:`~repro.partition.evaluate.partition_evaluate`:
-        ``True`` (default) is the paper's best-known-time abort;
-        ``"lb"`` adds the dense kernel's outcome-identical lower-bound
-        skip (what the engine/service paths run with); ``False``
-        disables pruning for ablations.
-    sweep_engine:
-        ``"kernel"`` (default) or ``"legacy"`` — the partition
-        sweep's execution engine; outcomes are bit-identical.
+        ``True`` (default) is the paper's best-known-time abort, with
+        the dense kernel's outcome-identical lower-bound skip in
+        front of it; ``False`` disables pruning for ablations.
     dense:
         Optional pre-built :class:`~repro.engine.kernel.
         DenseTimeMatrix` for the kernel sweep (e.g. attached from the
@@ -213,7 +208,6 @@ def co_optimize(
             exact_node_limit=exact_node_limit,
             exact_time_limit=exact_time_limit,
             prune=prune,
-            sweep_engine=sweep_engine,
         )
     elif total_width is not None:
         raise ConfigurationError(
@@ -237,14 +231,11 @@ def co_optimize(
             total_width,
             counts,
             enumerator=spec.enumerator,
-            # spec.prune None = "surface default", which here is the
-            # paper's best-known-time abort.
-            prune=spec.prune if spec.prune is not None else True,
+            prune=spec.prune,
             keep_top=spec.polish_top_k if spec.polish else 1,
             stratify_by_tam_count=(
                 spec.polish and spec.polish_per_tam_count
             ),
-            engine=spec.sweep_engine,
             dense=dense,
         )
         sweep_span.annotate(best_time=search.best.testing_time)

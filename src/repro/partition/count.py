@@ -75,41 +75,6 @@ def count_partitions_min(total: int, parts: int, minimum: int) -> int:
     return _p(reduced, parts)
 
 
-@lru_cache(maxsize=None)
-def _bounded(total: int, parts: int, lo: int, hi: int) -> int:
-    """Non-decreasing ``parts``-partitions of ``total`` in [lo, hi]."""
-    if parts == 1:
-        return 1 if lo <= total <= hi else 0
-    if total < parts * lo or total > parts * hi:
-        return 0
-    return sum(
-        _bounded(total - value, parts - 1, value, hi)
-        for value in range(lo, min(hi, total // parts) + 1)
-    )
-
-
-def count_partitions_bounded(
-    total: int, parts: int, lo: int, hi: int
-) -> int:
-    """Partitions of ``total`` into ``parts`` parts, each in [lo, hi].
-
-    The largest part of a canonical (non-decreasing) partition is its
-    last, so ``hi`` caps the *maximum* part — which is what the dense
-    kernel's widest-column lower bound depends on.  The sharded
-    sweep's deterministic merge counts lower-bound-pruned partitions
-    analytically with this instead of replaying them one by one.
-
-    >>> count_partitions_bounded(8, 4, 1, 3)   # 1+1+3+3, 1+2+2+3, 2+2+2+2
-    3
-    """
-    _check(total, parts)
-    if lo < 1:
-        raise ConfigurationError(f"lo must be >= 1, got {lo}")
-    if hi < lo:
-        return 0
-    return _bounded(total, parts, lo, hi)
-
-
 def count_partitions_up_to(total: int, max_parts: int) -> int:
     """Partitions of ``total`` into at most ``max_parts`` parts.
 

@@ -3,15 +3,9 @@
 Two full enumerators, plus the rank machinery that lets the sharded
 partition sweep (:mod:`repro.partition.shard`) split the canonical
 enumeration into contiguous index ranges without paying for the
-skipped prefix:
-
-* :func:`partitions_slice` — the partitions with rank in
-  ``[start, stop)`` of the canonical order, skipping to ``start`` in
-  O(W·B) counting steps instead of enumerating the prefix;
-* :func:`count_slice_max_at_most` — how many partitions of rank
-  ``< stop`` have their largest part bounded, which is what turns the
-  kernel's widest-column lower bound into an *analytically* countable
-  pruning statistic.
+skipped prefix: :func:`partitions_slice` yields the partitions with
+rank in ``[start, stop)`` of the canonical order, skipping to
+``start`` in O(W·B) counting steps instead of enumerating the prefix.
 
 Two enumerators:
 
@@ -40,11 +34,7 @@ from __future__ import annotations
 from typing import Iterator, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.partition.count import (
-    count_partitions,
-    count_partitions_bounded,
-    count_partitions_min,
-)
+from repro.partition.count import count_partitions, count_partitions_min
 
 
 def _check(total: int, parts: int) -> None:
@@ -169,69 +159,6 @@ def partitions_slice(
         emitted += 1
         if emitted == budget:
             return
-
-
-def count_slice_max_at_most(
-    total: int, parts: int, stop: int, max_part: int
-) -> int:
-    """How many of the first ``stop`` partitions have max part <= ``max_part``.
-
-    Counts over the canonical order's ranks ``[0, stop)`` without
-    enumerating: full subtrees contribute their bounded count
-    (:func:`~repro.partition.count.count_partitions_bounded`), and
-    only the single boundary path of partition ``stop`` is walked.
-    The canonical order emits parts non-decreasing, so the largest
-    part is the last one.
-
-    The sharded sweep's merge uses this to reproduce the serial
-    sweep's ``num_lb_pruned`` exactly: the kernel's widest-column
-    lower bound is monotone in the max part, so "lower bound >=
-    threshold" is "max part <= cutoff", countable per enumeration
-    segment in O(W·B).
-
-    >>> count_slice_max_at_most(8, 4, 5, 3)  # of all 5: 113x, 1223, 2222
-    3
-    >>> count_slice_max_at_most(8, 4, 2, 4)  # of 1115, 1124: just 1124
-    1
-    """
-    _check(total, parts)
-    available = count_partitions(total, parts)
-    if not 0 <= stop <= available:
-        raise ConfigurationError(
-            f"stop rank {stop} outside the {available} partitions "
-            f"of {total} into {parts} parts"
-        )
-    if stop == 0 or max_part < 1:
-        return 0
-
-    def recurse(
-        remaining: int, slots: int, minimum: int, limit: int
-    ) -> int:
-        if slots == 1:
-            # One leaf, rank 0; within the limit iff limit >= 1.
-            return 1 if limit >= 1 and remaining <= max_part else 0
-        counted = 0
-        for value in range(minimum, remaining // slots + 1):
-            size = count_partitions_min(
-                remaining - value, slots - 1, value
-            )
-            if limit >= size:
-                limit -= size
-                if value <= max_part:
-                    counted += count_partitions_bounded(
-                        remaining - value, slots - 1, value, max_part
-                    )
-                if limit == 0:
-                    break
-                continue
-            if value <= max_part:
-                counted += recurse(
-                    remaining - value, slots - 1, value, limit
-                )
-            break
-        return counted
-
-    return recurse(total, parts, 1, stop)
 
 
 def is_valid_partition(widths: Tuple[int, ...], total: int) -> bool:

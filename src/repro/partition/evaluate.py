@@ -17,53 +17,44 @@ The sweep records, per TAM count, how many partitions were enumerated
 and how many were *evaluated to completion* — the paper's
 ``N_eval`` — so the efficiency study (Table 1) falls out directly.
 
-Two execution engines score the partitions:
-
-* ``engine="kernel"`` (default) — the dense time-matrix kernel of
-  :mod:`repro.engine.kernel`: the N×W matrix is assembled once per
-  sweep, per-width columns are memoized, and the inner loop is
-  allocation-free.  Bit-identical outcomes, several times faster.
-* ``engine="legacy"`` — the original per-partition ``_times_for`` +
-  :func:`~repro.assign.core_assign.core_assign` path, kept as the
-  differential-test oracle.
-
-The kernel additionally supports ``prune="lb"``: an admissible O(1)
-lower bound per partition (widest-column aggregates) that skips
-``Core_assign`` when the bound already meets the incumbent.  Such a
-partition could never run to completion under the Lines 18-20 abort,
-so every observable outcome — best time, partition, assignment,
-``num_completed``, efficiency — is unchanged; only ``num_lb_pruned``
-and the wall clock move.  The engine/service paths enable it; the
-paper-fidelity report drivers keep the plain abort so Table 1's
-protocol is untouched.
+Partitions are scored by the dense time-matrix kernel of
+:mod:`repro.engine.kernel`: the N×W matrix is assembled once per
+sweep, per-width columns are memoized, and the inner loop is
+allocation-free.  Under the abort (``prune=True``) the kernel also
+skips ``Core_assign`` outright when an admissible O(1) lower bound
+(widest-column aggregates) already meets the incumbent.  Such a
+partition could only have aborted, so every observable outcome —
+best time, partition, assignment, ``num_completed``, efficiency — is
+the paper's; only the ``num_lb_pruned`` telemetry and the wall clock
+see the skip.  A per-partition ``core_assign`` sweep in
+``tests/engine/test_kernel.py`` is the differential oracle.
 
 This module is the *serial* sweep and the semantic reference: the
 sharded driver in :mod:`repro.partition.shard` splits the same
 enumeration across pool workers and merges back a
-:class:`PartitionSearchResult` that is bit-identical to what the
-loop below produces (the differential suite in
-``tests/partition/test_shard.py`` holds it to that), reusing the
-:class:`_TopK` incumbent tracker both for the shard-local thresholds
-and for the deterministic replay merge.
+:class:`PartitionSearchResult` equal to what the loop below produces
+(the differential suite in ``tests/partition/test_shard.py`` holds it
+to that), reusing the :class:`_TopK` incumbent tracker both for the
+shard-local thresholds and for the deterministic replay merge.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
     Iterator,
+    List,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
-from repro.assign.core_assign import core_assign
 from repro.exceptions import ConfigurationError
 from repro.obs import span as _obs_span
 from repro.partition.count import count_partitions
@@ -81,31 +72,30 @@ _ENUMERATORS: Dict[str, Enumerator] = {
     "increment": increment_partitions,
 }
 
-#: Valid ``engine`` values: the dense-matrix fast path, and the
-#: original per-partition path kept as the differential-test oracle.
-ENGINES: Tuple[str, ...] = ("kernel", "legacy")
-
 #: What a partition is scored under: ``True`` — the paper's
-#: best-known-time abort; ``"lb"`` — the abort plus the kernel's
-#: admissible lower-bound skip; ``False`` — no pruning (ablation).
-PRUNE_MODES: Tuple[object, ...] = (True, "lb", False)
+#: best-known-time abort, plus the kernel's admissible lower-bound
+#: skip; ``False`` — no pruning (ablation).
+PRUNE_MODES: Tuple[bool, ...] = (True, False)
 
 
 @dataclass(frozen=True)
 class PartitionStats:
     """Pruning statistics for one TAM count ``B`` (one row of Table 1).
 
-    ``num_lb_pruned`` counts partitions skipped *before* ``Core_assign``
-    by the kernel's lower bound (``prune="lb"``); they are included in
-    ``num_enumerated`` and can never be in ``num_completed`` (the
-    bound is admissible, so a skipped partition would have aborted).
+    ``num_lb_pruned`` is execution telemetry: the partitions this run
+    skipped *before* ``Core_assign`` by the kernel's lower bound.
+    They are included in ``num_enumerated`` and can never be in
+    ``num_completed`` (the bound is admissible, so a skipped
+    partition would have aborted).  How many get skipped depends on
+    the thresholds each scorer saw — a sharded sweep skips under its
+    own looser ones — so equality ignores the field.
     """
 
     num_tams: int
     num_unique: int
     num_enumerated: int
     num_completed: int
-    num_lb_pruned: int = 0
+    num_lb_pruned: int = field(default=0, compare=False)
 
     @property
     def efficiency(self) -> float:
@@ -156,16 +146,6 @@ class PartitionSearchResult:
         raise KeyError(f"no statistics recorded for B={num_tams}")
 
 
-def _times_for(
-    tables: Sequence[TimeTable], widths: Tuple[int, ...]
-) -> List[List[int]]:
-    """N x B testing-time matrix for one width partition."""
-    return [
-        [table.time(width) for width in widths]
-        for table in tables
-    ]
-
-
 class _TopK:
     """The ``keep_top`` best distinct partitions seen so far.
 
@@ -210,11 +190,10 @@ def partition_evaluate(
     total_width: int,
     num_tams: Union[int, Iterable[int]],
     enumerator: str = "unique",
-    prune: Union[bool, str] = True,
+    prune: bool = True,
     initial_best: Optional[int] = None,
     keep_top: int = 1,
     stratify_by_tam_count: bool = False,
-    engine: str = "kernel",
     dense: "Optional[DenseTimeMatrix]" = None,
 ) -> PartitionSearchResult:
     """Sweep width partitions, scoring each with ``Core_assign``.
@@ -234,12 +213,11 @@ def partition_evaluate(
         ``"unique"`` (default, duplicate-free) or ``"increment"`` (the
         paper's odometer, for ablation).
     prune:
-        ``True`` (default) — the paper's best-known-time abort;
-        ``"lb"`` — the abort plus the dense kernel's admissible
-        lower-bound skip (outcome-identical, faster; requires
-        ``engine="kernel"``); ``False`` — ``Core_assign`` always runs
-        to completion (disables pruning level 2 for the ablation
-        study).
+        ``True`` (default) — the paper's best-known-time abort, with
+        the kernel's admissible lower-bound skip in front of it
+        (outcome-identical, faster); ``False`` — ``Core_assign``
+        always runs to completion (disables pruning level 2 for the
+        ablation study).
     initial_best:
         Optional starting incumbent (cycles).
     keep_top:
@@ -253,11 +231,6 @@ def partition_evaluate(
         the best candidate of every B — the diversity the final exact
         polish needs to escape the paper's wrong-B anomaly, where the
         heuristically best partition has the wrong number of TAMs.
-    engine:
-        ``"kernel"`` (default) — the dense time-matrix fast path of
-        :mod:`repro.engine.kernel`, bit-identical to the legacy path;
-        ``"legacy"`` — the original per-partition implementation,
-        kept as the differential-test oracle.
     dense:
         Optional pre-built :class:`~repro.engine.kernel.
         DenseTimeMatrix` covering ``total_width`` (e.g. attached from
@@ -291,17 +264,9 @@ def partition_evaluate(
             f"unknown enumerator {enumerator!r}; "
             f"choose from {sorted(_ENUMERATORS)}"
         ) from None
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
     if prune not in PRUNE_MODES:
         raise ConfigurationError(
             f"prune must be one of {PRUNE_MODES}, got {prune!r}"
-        )
-    if prune == "lb" and engine != "kernel":
-        raise ConfigurationError(
-            'prune="lb" needs the dense columns of engine="kernel"'
         )
 
     tam_counts = (
@@ -315,32 +280,28 @@ def partition_evaluate(
 
     start = _time.monotonic()
 
-    matrix = None
-    workspace = None
-    use_lb = prune == "lb"
-    if engine == "kernel":
-        # Imported lazily: repro.engine builds on this module.
-        from repro.engine.kernel import (
-            KernelWorkspace,
-            build_dense_matrix,
-            sweep_assign,
-        )
+    # Imported lazily: repro.engine builds on this module.
+    from repro.engine.kernel import (
+        KernelWorkspace,
+        build_dense_matrix,
+        sweep_assign,
+    )
 
-        if dense is not None:
-            if dense.num_cores != len(tables):
-                raise ConfigurationError(
-                    f"dense matrix has {dense.num_cores} rows for "
-                    f"{len(tables)} tables"
-                )
-            if dense.total_width < total_width:
-                raise ConfigurationError(
-                    f"dense matrix covers widths up to "
-                    f"{dense.total_width} < total width {total_width}"
-                )
-            matrix = dense
-        else:
-            matrix = build_dense_matrix(tables, total_width)
-        workspace = KernelWorkspace()
+    if dense is not None:
+        if dense.num_cores != len(tables):
+            raise ConfigurationError(
+                f"dense matrix has {dense.num_cores} rows for "
+                f"{len(tables)} tables"
+            )
+        if dense.total_width < total_width:
+            raise ConfigurationError(
+                f"dense matrix covers widths up to "
+                f"{dense.total_width} < total width {total_width}"
+            )
+        matrix = dense
+    else:
+        matrix = build_dense_matrix(tables, total_width)
+    workspace = KernelWorkspace()
 
     global_top = _TopK(keep_top, initial_best)
     trackers: List[_TopK] = []
@@ -366,32 +327,20 @@ def partition_evaluate(
                 threshold = tracker.threshold() if prune else None
                 for widths in enumerate_fn(total_width, count):
                     enumerated += 1
-                    if matrix is not None:
-                        if (
-                            use_lb
-                            and threshold is not None
-                            and matrix.lower_bound(widths) >= threshold
-                        ):
-                            # Admissible bound: this partition could
-                            # only have aborted — skip Core_assign
-                            # entirely.
-                            lb_pruned += 1
-                            continue
-                        result = sweep_assign(
-                            matrix, widths, best_known=threshold,
-                            workspace=workspace,
-                        )
-                        if result is None:
-                            continue
-                    else:
-                        times = _times_for(tables, widths)
-                        outcome = core_assign(
-                            times, widths, best_known=threshold,
-                        )
-                        if not outcome.completed:
-                            continue
-                        assert outcome.result is not None
-                        result = outcome.result
+                    if (
+                        threshold is not None
+                        and matrix.lower_bound(widths) >= threshold
+                    ):
+                        # Admissible bound: this partition could only
+                        # have aborted — skip Core_assign entirely.
+                        lb_pruned += 1
+                        continue
+                    result = sweep_assign(
+                        matrix, widths, best_known=threshold,
+                        workspace=workspace,
+                    )
+                    if result is None:
+                        continue
                     completed += 1
                     tracker.offer(result)
                     if prune:

@@ -9,9 +9,12 @@ DenseTimeMatrix`, then merges the per-shard outcomes back into a
 :class:`~repro.partition.evaluate.PartitionSearchResult` that is
 **bit-identical** to the serial sweep's — best time, best partition,
 assignment, runners-up order, and every :class:`~repro.partition.
-evaluate.PartitionStats` counter.
+evaluate.PartitionStats` count that equality compares.  The one
+exception is the ``num_lb_pruned`` telemetry: each shard counts the
+lower-bound skips it actually makes, under its own thresholds, and
+the merge sums them.
 
-The protocol rests on three facts about the serial sweep:
+The protocol rests on two facts about the serial sweep:
 
 1. **Completion is a prefix property.**  A partition completes iff its
    heuristic time beats the incumbent, and the incumbent is exactly
@@ -28,16 +31,9 @@ The protocol rests on three facts about the serial sweep:
    shard ``s`` reads candidates published by shards ``< s`` (all of
    whose partitions precede ``s``'s in serial order) — that is what
    the incumbent board broadcasts, and why losing a broadcast can
-   only cost speed, never change a result.
-3. **Lower-bound pruning is analytically countable.**  The kernel's
-   ``prune="lb"`` bound depends on a partition only through its bus
-   count and largest part, and is monotone in the largest part; the
-   canonical order makes the largest part the final one.  So between
-   two serial completions the threshold is constant and the pruned
-   count is "ranks in segment with last part <= cutoff", which
-   :func:`~repro.partition.enumerate.count_slice_max_at_most` answers
-   without enumerating.  Shards may skip lower-bounded partitions
-   under their own (safe) thresholds without recording them.
+   only cost speed, never change a result.  The kernel's lower-bound
+   skip is safe under the same argument: a partition skipped against
+   a looser threshold would have aborted against the serial one.
 
 Everything here is process-free: :func:`sweep_shard` is the worker
 payload (the engine runs it on pool workers over the shared-memory
@@ -70,10 +66,7 @@ from repro.engine.kernel import (
 )
 from repro.exceptions import ConfigurationError
 from repro.partition.count import count_partitions
-from repro.partition.enumerate import (
-    count_slice_max_at_most,
-    partitions_slice,
-)
+from repro.partition.enumerate import partitions_slice
 from repro.partition.evaluate import (
     PRUNE_MODES,
     PartitionSearchResult,
@@ -153,11 +146,16 @@ class ShardCompletion:
 
 @dataclass(frozen=True)
 class ShardOutcome:
-    """Everything one scored shard reports back for the merge."""
+    """Everything one scored shard reports back for the merge.
+
+    ``lb_pruned`` is the shard's own tally of lower-bound skips, one
+    ``(count_index, skipped)`` pair per span it scored.
+    """
 
     shard_index: int
     completions: Tuple[ShardCompletion, ...]
     elapsed_seconds: float
+    lb_pruned: Tuple[Tuple[int, int], ...]
 
 
 class Board(Protocol):
@@ -292,7 +290,7 @@ def sweep_shard(
     total_width: int,
     keep_top: int = 1,
     initial_best: Optional[int] = None,
-    prune: Union[bool, str] = True,
+    prune: bool = True,
     board: Optional[Board] = None,
     workspace: Optional[KernelWorkspace] = None,
 ) -> ShardOutcome:
@@ -301,21 +299,22 @@ def sweep_shard(
     Runs the kernel sweep over the shard's ranks under a threshold
     that is safe by construction (own prefix + earlier shards'
     broadcasts, see :func:`_shared_threshold`), records every
-    completion with its exact result, and publishes its own kept
-    times after each one.  Under ``prune=False`` every partition
-    completes, so recording them all would ship the whole partition
-    space back to the parent; instead only the shard's *final* top-k
-    is reported — lossless, because an entry evicted from (or never
+    completion with its exact result and every lower-bound skip in
+    its per-span tally, and publishes its own kept times after each
+    completion.  Under ``prune=False`` every partition completes, so
+    recording them all would ship the whole partition space back to
+    the parent; instead only the shard's *final* top-k is reported —
+    lossless, because an entry evicted from (or never
     admitted to) a shard's top-k is rejected by the serial tracker at
     the same offer, the shard's entries being a subset of the serial
     tracker's at every rank — and the merge restores the per-count
     completion totals analytically (everything completes).
     """
     start_clock = _time.monotonic()
-    use_lb = prune == "lb"
     tracker = _TopK(keep_top, initial_best)
     workspace = workspace or KernelWorkspace()
     completions: List[ShardCompletion] = []
+    lb_pruned: List[Tuple[int, int]] = []
     #: prune=False: widths-key → latest kept completion (see above).
     kept: Dict[Tuple[int, ...], ShardCompletion] = {}
     for span in spans:
@@ -324,6 +323,7 @@ def sweep_shard(
             if prune else None
         )
         since_refresh = 0
+        skipped = 0
         for offset, widths in enumerate(partitions_slice(
             total_width, span.num_tams, span.start, span.stop,
         )):
@@ -335,10 +335,10 @@ def sweep_shard(
                         tracker, board, shard_index, keep_top
                     )
             if (
-                use_lb
-                and threshold is not None
+                threshold is not None
                 and matrix.lower_bound(widths) >= threshold
             ):
+                skipped += 1
                 continue
             result = sweep_assign(
                 matrix, widths, best_known=threshold,
@@ -369,6 +369,7 @@ def sweep_shard(
                 threshold = _shared_threshold(
                     tracker, board, shard_index, keep_top
                 )
+        lb_pruned.append((span.count_index, skipped))
     if not prune and kept:
         final_keys = {
             tuple(sorted(entry.widths)) for entry in tracker.entries
@@ -384,31 +385,8 @@ def sweep_shard(
         shard_index=shard_index,
         completions=tuple(completions),
         elapsed_seconds=_time.monotonic() - start_clock,
+        lb_pruned=tuple(lb_pruned),
     )
-
-
-def _lb_cutoff(
-    matrix: DenseTimeMatrix,
-    num_tams: int,
-    total_width: int,
-    threshold: int,
-) -> int:
-    """Largest max-part whose lower bound meets ``threshold`` (0: none).
-
-    ``lower_bound_for_max`` is monotone non-increasing in the max
-    part, so the set of pruned max-parts is a prefix — found by
-    binary search over the exact predicate the serial sweep tests.
-    """
-    lo, hi = 1, total_width
-    if matrix.lower_bound_for_max(1, num_tams) < threshold:
-        return 0
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if matrix.lower_bound_for_max(mid, num_tams) >= threshold:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
 
 
 def merge_shard_outcomes(
@@ -417,7 +395,7 @@ def merge_shard_outcomes(
     outcomes: Sequence[ShardOutcome],
     keep_top: int = 1,
     initial_best: Optional[int] = None,
-    prune: Union[bool, str] = True,
+    prune: bool = True,
     elapsed_seconds: Optional[float] = None,
 ) -> PartitionSearchResult:
     """Deterministically merge shard outcomes into the serial result.
@@ -426,12 +404,11 @@ def merge_shard_outcomes(
     fresh incumbent tracker: exactly the completions the serial sweep
     would have kept survive (extras recorded under looser shard
     thresholds are discarded), reproducing ``num_completed``, the
-    best result and the runners-up order bit-for-bit.  Under
-    ``prune="lb"`` the pruned counts are reconstructed analytically
-    per threshold segment (see module docstring, fact 3).
+    best result and the runners-up order bit-for-bit.  Each count's
+    ``num_lb_pruned`` is the sum of the shards' own skip tallies, so
+    ``matrix`` is no longer read here.
     """
     start_clock = _time.monotonic()
-    use_lb = prune == "lb"
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard_index)
     if len(ordered) != plan.num_shards:
         raise ConfigurationError(
@@ -440,9 +417,12 @@ def merge_shard_outcomes(
     per_count: List[List[ShardCompletion]] = [
         [] for _ in plan.tam_counts
     ]
+    lb_pruned = [0] * len(plan.tam_counts)
     for outcome in ordered:
         for completion in outcome.completions:
             per_count[completion.count_index].append(completion)
+        for count_index, skipped in outcome.lb_pruned:
+            lb_pruned[count_index] += skipped
     sizes = plan.count_sizes()
 
     tracker = _TopK(keep_top, initial_best)
@@ -451,10 +431,6 @@ def merge_shard_outcomes(
         size = sizes[index]
         completed = 0
         threshold = tracker.threshold() if prune else None
-        # (first rank, active threshold) per constant-threshold
-        # segment of this count's enumeration — the trajectory the
-        # analytic lb accounting integrates over.
-        segments: List[Tuple[int, Optional[int]]] = [(0, threshold)]
         previous_rank = -1
         for completion in per_count[index]:
             if completion.rank <= previous_rank:
@@ -470,53 +446,18 @@ def merge_shard_outcomes(
             completed += 1
             tracker.offer(result)
             if prune:
-                updated = tracker.threshold()
-                if updated != threshold:
-                    threshold = updated
-                    segments.append((completion.rank + 1, threshold))
+                threshold = tracker.threshold()
         if not prune:
             # No pruning: the serial sweep runs every partition to
             # completion.  Shards only report their final top-k
             # (see sweep_shard), so the count is analytic.
             completed = size
-        lb_pruned = 0
-        if use_lb and size:
-            # The tightest bound any partition of this count attains
-            # is at the smallest feasible max part, ceil(W/B); when
-            # even that one misses a segment's threshold, nothing in
-            # the segment was pruned — the common case on sweeps
-            # where the abort beats the bound, answered by one
-            # cached column-stats lookup instead of rank counting.
-            min_max_part = -(-plan.total_width // count)
-            boundaries = [start for start, _ in segments[1:]] + [size]
-            for (seg_start, seg_threshold), seg_stop in zip(
-                segments, boundaries
-            ):
-                if seg_threshold is None or seg_start >= seg_stop:
-                    continue
-                if matrix.lower_bound_for_max(
-                    min_max_part, count
-                ) < seg_threshold:
-                    continue
-                cutoff = _lb_cutoff(
-                    matrix, count, plan.total_width, seg_threshold
-                )
-                if cutoff < min_max_part:
-                    continue
-                lb_pruned += (
-                    count_slice_max_at_most(
-                        plan.total_width, count, seg_stop, cutoff
-                    )
-                    - count_slice_max_at_most(
-                        plan.total_width, count, seg_start, cutoff
-                    )
-                )
         stats.append(PartitionStats(
             num_tams=count,
             num_unique=size,
             num_enumerated=size,
             num_completed=completed,
-            num_lb_pruned=lb_pruned,
+            num_lb_pruned=lb_pruned[index],
         ))
 
     entries = list(tracker.entries)
@@ -546,14 +487,14 @@ def sharded_partition_evaluate(
     total_width: int,
     num_tams: Union[int, Sequence[int]],
     num_shards: int,
-    prune: Union[bool, str] = True,
+    prune: bool = True,
     initial_best: Optional[int] = None,
     keep_top: int = 1,
     dense: Optional[DenseTimeMatrix] = None,
     scorer: Optional[ShardScorer] = None,
     board: object = "local",
 ) -> PartitionSearchResult:
-    """The sharded sweep end to end, bit-identical to the serial one.
+    """The sharded sweep end to end, equal to the serial one.
 
     With the default inline ``scorer`` the shards run sequentially in
     this process over a :class:`LocalBoard` (pass ``board=None`` to
@@ -562,8 +503,8 @@ def sharded_partition_evaluate(
     shards out to its pool workers over shared memory.
 
     Restrictions mirror what the protocol's determinism proof needs:
-    the canonical ``unique`` enumeration, the kernel engine, and no
-    per-count stratification — exactly the production defaults.
+    the canonical ``unique`` enumeration and no per-count
+    stratification — exactly the production defaults.
     """
     start_clock = _time.monotonic()
     if keep_top < 1:

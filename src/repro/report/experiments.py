@@ -76,17 +76,16 @@ def run_table1(
     soc: Soc,
     widths: Sequence[int] = (44, 48, 52, 56, 60, 64),
     tam_counts: Sequence[int] = (4, 5),
-    prune: "bool | str" = True,
+    prune: bool = True,
 ) -> List[Dict[str, object]]:
     """Pruning-efficiency rows: P(W,B), N_eval and E per (W, B).
 
     Matches the paper's protocol: each (W, B) cell is an independent
-    ``Partition_evaluate`` run over that single B, with the paper's
-    abort-only pruning by default.  Pass ``prune="lb"`` to also
-    engage the dense kernel's lower-bound skip — N_eval and E are
-    unchanged (the bound is admissible), and the per-count
-    ``LBpruned`` columns then show how many partitions never even
-    started ``Core_assign``.
+    ``Partition_evaluate`` run over that single B under the paper's
+    best-known-time abort.  The dense kernel's lower-bound skip runs
+    in front of the abort; N_eval and E are unchanged (the bound is
+    admissible), and the per-count ``LBpruned`` columns show how
+    many partitions never even started ``Core_assign``.
     """
     cache = WrapperTableCache(soc)
     table_list = cache.table_list(max(widths))

@@ -59,7 +59,6 @@ from repro.exceptions import (
     QuotaExceededError,
     ReproError,
     ServiceError,
-    ServiceRejectionError,
     UnauthorizedError,
 )
 from repro.obs.warehouse import RunWarehouse, warehouse_for
@@ -1054,15 +1053,17 @@ class ExplorationServer:
         pool_restarts = snapshot.counter("engine.pool_restarts")
         points_timed_out = snapshot.counter("engine.points_timed_out")
         journal_errors = snapshot.counter("service.journal_errors")
+        unreplayable = snapshot.counter("service.journal_unreplayable")
         quarantined = snapshot.counter("store.quarantined")
         degraded = bool(
             pool_restarts or points_timed_out
-            or journal_errors or quarantined
+            or journal_errors or unreplayable or quarantined
         )
         health = {
             # "degraded" means the server *recovered* from something
             # (restarted a pool, quarantined a store entry, timed out
-            # a point) — results stay correct, but an operator should
+            # a point, marked a journaled job it could not rebuild
+            # lost) — results stay correct, but an operator should
             # look at why.
             "status": "degraded" if degraded else "ok",
             "journal": self.journal is not None,
@@ -1073,6 +1074,7 @@ class ExplorationServer:
                 "service.journal_replays"
             ),
             "journal_errors": journal_errors,
+            "journal_unreplayable": unreplayable,
             "journal_compactions": snapshot.counter(
                 "service.journal_compactions"
             ),

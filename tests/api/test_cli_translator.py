@@ -32,27 +32,32 @@ class TestSurfacesAgree:
 
     def test_knob_flags_reach_the_spec(self):
         args = parse([
-            "batch", "d695", "-W", "8", "--no-polish", "--prune", "lb",
+            "batch", "d695", "-W", "8", "--no-polish", "--prune", "none",
         ])
         point = grid_spec_from_args(args).points[0]
         assert point.polish is False
-        assert point.prune == "lb"
+        assert point.prune is False
 
     def test_explicit_prune_abort_survives_to_the_engine(self):
-        """Regression: `--prune abort` must force abort-only pruning
-        through batch/submit, not be dropped as 'the default'."""
+        """`--prune abort` through batch/submit is the default spec:
+        the same canonical key as leaving the flag unset."""
         args = parse(["batch", "d695", "-W", "8", "--prune", "abort"])
         point = grid_spec_from_args(args).points[0]
         assert point.prune is True
-        # The sparse engine options carry it, so evaluate_point's
-        # "lb" defaulting cannot override the user's choice.
-        assert point.engine_options() == {"prune": True}
+        assert point.engine_options() == {}
+        unset = parse(["batch", "d695", "-W", "8"])
+        assert grid_spec_from_args(args).canonical_key() == \
+            grid_spec_from_args(unset).canonical_key()
 
     def test_unset_prune_leaves_surface_defaults(self):
         args = parse(["batch", "d695", "-W", "8"])
         point = grid_spec_from_args(args).points[0]
-        assert point.prune is None
+        assert point.prune is True
         assert point.engine_options() == {}
+
+    def test_lb_is_no_longer_a_prune_choice(self):
+        with pytest.raises(SystemExit):
+            parse(["batch", "d695", "-W", "8", "--prune", "lb"])
 
     def test_default_counts_are_flat_one_to_bmax(self):
         args = parse(["cooptimize", "d695", "-W", "16", "--bmax", "3"])

@@ -1,5 +1,9 @@
 """Unit tests for the canonical job specs (repro.api.specs)."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.api import (
@@ -46,11 +50,27 @@ class TestOptimizeSpecValidation:
         with pytest.raises(ConfigurationError, match="frobnicate"):
             OptimizeSpec.from_options(8, options={"frobnicate": 1})
 
+    @pytest.mark.parametrize("prune", ["lb", None])
+    def test_prune_is_a_plain_bool(self, prune):
+        assert OptimizeSpec(total_width=8).prune is True
+        with pytest.raises(ConfigurationError, match="prune"):
+            OptimizeSpec(total_width=8, prune=prune)
+
+    def test_sweep_engine_is_an_unknown_option(self):
+        with pytest.raises(ConfigurationError, match="sweep_engine"):
+            OptimizeSpec.from_options(
+                8, options={"sweep_engine": "kernel"}
+            )
+        data = OptimizeSpec(total_width=8).to_dict()
+        data["sweep_engine"] = "kernel"
+        with pytest.raises(ConfigurationError, match="sweep_engine"):
+            OptimizeSpec.from_dict(data)
+
 
 class TestOptimizeSpecRoundTrip:
     def test_dict_round_trip(self):
         spec = OptimizeSpec(
-            total_width=24, num_tams=(2, 3), polish=False, prune="lb",
+            total_width=24, num_tams=(2, 3), polish=False, prune=False,
         )
         data = spec.to_dict()
         assert data["schema"] == SPEC_SCHEMA_VERSION
@@ -76,7 +96,7 @@ class TestOptimizeSpecRoundTrip:
 
     def test_from_options_inverts_engine_options(self):
         spec = OptimizeSpec(
-            total_width=16, num_tams=2, polish_top_k=3, prune="lb",
+            total_width=16, num_tams=2, polish_top_k=3, prune=False,
         )
         rebuilt = OptimizeSpec.from_options(
             spec.total_width,
@@ -157,7 +177,7 @@ class TestCanonicalKey:
     def test_key_survives_spec_round_trip(self):
         grid = GridSpec.from_axes(
             ["d695", "p21241"], [8, 16], num_tams=(1, 2, 3),
-            options={"prune": "lb"},
+            options={"prune": False},
         )
         rebuilt = GridSpec.from_dict(grid.to_dict())
         assert rebuilt.canonical_key() == grid.canonical_key()
@@ -234,3 +254,17 @@ class TestSearchMode:
         exact = OptimizeSpec(total_width=16)
         search = OptimizeSpec(total_width=16, mode="search")
         assert exact.canonical_key() != search.canonical_key()
+
+
+class TestDesignAppendix:
+    """DESIGN.md's appendix A examples must be records this build reads."""
+
+    DESIGN = Path(__file__).resolve().parents[2] / "DESIGN.md"
+
+    def test_a1_optimize_spec_example_parses(self):
+        text = self.DESIGN.read_text(encoding="utf-8")
+        section = text[text.index("### A.1"):text.index("### A.2")]
+        block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        data = json.loads(block)
+        spec = OptimizeSpec.from_dict(data)
+        assert spec.to_dict() == data

@@ -1,9 +1,11 @@
-"""Differential tests: the dense sweep kernel vs the legacy oracle.
+"""Differential tests: the dense sweep kernel vs a ``core_assign`` oracle.
 
 The kernel's contract is *bit-identity*: on any input, every
 observable of the sweep — testing time, winning partition, assignment
 vector, bus times, abort behavior, runners-up, per-B statistics —
-matches the legacy ``_times_for`` + ``core_assign`` path exactly.
+matches a per-partition sweep that builds each partition's N×B times
+afresh and runs :func:`~repro.assign.core_assign.core_assign` under
+the paper's abort alone (:func:`oracle_partition_evaluate` below).
 Randomized SOCs from :mod:`repro.soc.generator` drive the comparison.
 """
 
@@ -11,24 +13,104 @@ import itertools
 
 import pytest
 
-from repro.assign.core_assign import core_assign, reference_buses
+from repro.assign.core_assign import (
+    CoreAssignOutcome,
+    core_assign,
+    reference_buses,
+)
 from repro.engine.kernel import (
     DenseTimeMatrix,
     KernelWorkspace,
     build_dense_matrix,
     dense_time_tables,
-    kernel_assign,
+    sweep_assign,
 )
 from repro.exceptions import ConfigurationError
+from repro.partition.count import count_partitions
 from repro.partition.enumerate import unique_partitions
-from repro.partition.evaluate import partition_evaluate
+from repro.partition.evaluate import (
+    _ENUMERATORS,
+    PartitionSearchResult,
+    PartitionStats,
+    _TopK,
+    partition_evaluate,
+)
 from repro.soc.generator import random_soc
-from repro.wrapper.pareto import TimeTable, build_time_tables
+from repro.wrapper.pareto import build_time_tables
 
 
 def tables_for(soc, width):
     tables = build_time_tables(soc, width)
     return [tables[core.name] for core in soc.cores]
+
+
+def kernel_assign(matrix, widths, best_known=None, workspace=None):
+    """:func:`sweep_assign` as a ``core_assign``-shaped outcome."""
+    result = sweep_assign(matrix, widths, best_known, workspace)
+    if result is None:
+        return CoreAssignOutcome(
+            completed=False, testing_time=best_known, result=None
+        )
+    return CoreAssignOutcome(
+        completed=True, testing_time=result.testing_time, result=result
+    )
+
+
+def oracle_partition_evaluate(
+    tables, total_width, num_tams, enumerator="unique", prune=True,
+    keep_top=1, stratify_by_tam_count=False,
+):
+    """The sweep without the kernel: ``core_assign`` per partition.
+
+    Fresh N×B times for every partition, the paper's best-known-time
+    abort as the only pruning (no lower-bound skip), and the same
+    top-k tracking as :func:`partition_evaluate`.
+    """
+    counts = [num_tams] if isinstance(num_tams, int) else list(num_tams)
+    global_top = _TopK(keep_top, None)
+    trackers = []
+    stats = []
+    for count in counts:
+        tracker = (
+            _TopK(keep_top, None) if stratify_by_tam_count
+            else global_top
+        )
+        trackers.append(tracker)
+        enumerated = completed = 0
+        if count <= total_width:
+            for widths in _ENUMERATORS[enumerator](total_width, count):
+                enumerated += 1
+                times = [
+                    [table.time(width) for width in widths]
+                    for table in tables
+                ]
+                outcome = core_assign(
+                    times, widths,
+                    best_known=tracker.threshold() if prune else None,
+                )
+                if outcome.completed:
+                    completed += 1
+                    tracker.offer(outcome.result)
+        stats.append(PartitionStats(
+            num_tams=count,
+            num_unique=(
+                count_partitions(total_width, count)
+                if count <= total_width else 0
+            ),
+            num_enumerated=enumerated,
+            num_completed=completed,
+        ))
+    entries = sorted(
+        (entry for tracker in trackers for entry in tracker.entries),
+        key=lambda result: result.testing_time,
+    ) if stratify_by_tam_count else list(global_top.entries)
+    return PartitionSearchResult(
+        total_width=total_width,
+        best=entries[0],
+        stats=tuple(stats),
+        elapsed_seconds=0.0,
+        runners_up=tuple(entries[1:]),
+    )
 
 
 def search_key(result):
@@ -100,7 +182,7 @@ class TestDenseMatrix:
 
 
 class TestKernelAssignDifferential:
-    """kernel_assign == core_assign, core by core, abort by abort."""
+    """sweep_assign == core_assign, core by core, abort by abort."""
 
     WIDTH_SETS = [
         (1,), (7,), (3, 4), (2, 2, 3), (1, 2, 4), (32, 16, 8),
@@ -163,7 +245,7 @@ class TestKernelAssignDifferential:
 
 
 class TestPartitionEvaluateDifferential:
-    """Full-sweep bit-identity across engines, modes and SOCs."""
+    """Full-sweep bit-identity against the oracle, across modes and SOCs."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_sweeps_identical(self, seed):
@@ -178,24 +260,20 @@ class TestPartitionEvaluateDifferential:
                     enumerator=enum, keep_top=keep_top,
                     stratify_by_tam_count=stratify, prune=prune,
                 )
-                legacy = partition_evaluate(
-                    tables, total_width, counts, engine="legacy",
-                    **kwargs,
+                oracle = oracle_partition_evaluate(
+                    tables, total_width, counts, **kwargs,
                 )
                 kernel = partition_evaluate(
-                    tables, total_width, counts, engine="kernel",
-                    **kwargs,
+                    tables, total_width, counts, **kwargs,
                 )
-                assert search_key(legacy) == search_key(kernel), kwargs
+                assert search_key(oracle) == search_key(kernel), kwargs
 
     @pytest.mark.parametrize("seed", range(5))
     def test_lb_pruning_changes_nothing_observable(self, seed):
         soc = random_soc(f"lb{seed}", 4 + seed % 4, 20 + seed)
         tables = tables_for(soc, 13)
-        plain = partition_evaluate(tables, 13, range(1, 5))
-        pruned = partition_evaluate(
-            tables, 13, range(1, 5), prune="lb"
-        )
+        plain = oracle_partition_evaluate(tables, 13, range(1, 5))
+        pruned = partition_evaluate(tables, 13, range(1, 5))
         assert search_key(plain) == search_key(pruned)
         # Every lb-pruned partition is enumerated but not completed.
         for stats in pruned.stats:
@@ -205,22 +283,8 @@ class TestPartitionEvaluateDifferential:
 
     def test_lb_pruning_fires(self, p21241):
         tables = tables_for(p21241, 24)
-        pruned = partition_evaluate(
-            tables, 24, range(1, 7), prune="lb"
-        )
+        pruned = partition_evaluate(tables, 24, range(1, 7))
         assert pruned.num_lb_pruned > 0
-
-    def test_lb_requires_kernel(self, tiny_soc):
-        tables = tables_for(tiny_soc, 8)
-        with pytest.raises(ConfigurationError, match="lb"):
-            partition_evaluate(
-                tables, 8, 2, prune="lb", engine="legacy"
-            )
-
-    def test_rejects_unknown_engine(self, tiny_soc):
-        tables = tables_for(tiny_soc, 8)
-        with pytest.raises(ConfigurationError, match="engine"):
-            partition_evaluate(tables, 8, 2, engine="turbo")
 
     def test_rejects_unknown_prune_mode(self, tiny_soc):
         tables = tables_for(tiny_soc, 8)
@@ -243,25 +307,13 @@ class TestPartitionEvaluateDifferential:
 
 class TestEnginePathDefaults:
     def test_evaluate_point_defaults_to_lb_kernel(self, tiny_soc):
+        # prune=True (the kernel with its lower-bound skip) is the
+        # default on every surface, the engine entry point included.
         from repro.analysis.sweep import evaluate_point
 
         default = evaluate_point(tiny_soc, 8, num_tams=2)
-        explicit = evaluate_point(
-            tiny_soc, 8, num_tams=2, prune="lb", sweep_engine="kernel"
-        )
+        explicit = evaluate_point(tiny_soc, 8, num_tams=2, prune=True)
         assert default == explicit
-
-    def test_evaluate_point_accepts_legacy_oracle(self, tiny_soc):
-        # The lb default must not leak into the legacy engine — the
-        # documented differential-oracle path through the batch/
-        # service layers has to stay usable.
-        from repro.analysis.sweep import evaluate_point
-
-        legacy = evaluate_point(
-            tiny_soc, 8, num_tams=2, sweep_engine="legacy"
-        )
-        kernel = evaluate_point(tiny_soc, 8, num_tams=2)
-        assert legacy == kernel
 
 
 class TestDenseTimeTable:

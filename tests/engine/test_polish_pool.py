@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine.batch import BatchJob, BatchRunner
 
-POLISH_OPTIONS = {"polish_top_k": 4, "prune": "lb"}
+POLISH_OPTIONS = {"polish_top_k": 4}
 
 
 def polish_job(soc):
@@ -48,7 +48,6 @@ class TestPolishFanOut:
 
     def test_single_candidate_polish_stays_serial(self, d695):
         runner = BatchRunner(max_workers=4)
-        runner.run([BatchJob(d695, 24, options={"prune": "lb"})],
-                   shard=4)
+        runner.run([BatchJob(d695, 24)], shard=4)
         snapshot = runner.metrics.snapshot()
         assert snapshot.counter("engine.polish_tasks_fanned") == 0

@@ -85,13 +85,13 @@ class TestShardedPoolIdentity:
             options={"polish_per_tam_count": True, "polish_top_k": 2},
         )
         assert runner._shard_count(stratified, None, 2, 1) == 0
-        legacy = BatchJob(
-            tiny_soc, 10, 2, options={"sweep_engine": "legacy"},
+        increment = BatchJob(
+            tiny_soc, 10, 2, options={"enumerator": "increment"},
         )
-        assert runner._shard_count(legacy, None, 2, 1) == 0
+        assert runner._shard_count(increment, None, 2, 1) == 0
         # And the runs still succeed (served by whole-job dispatch).
-        inline = BatchRunner(max_workers=1).run([stratified, legacy])
-        pooled = runner.run([stratified, legacy])
+        inline = BatchRunner(max_workers=1).run([stratified, increment])
+        pooled = runner.run([stratified, increment])
         assert inline == pooled
         assert runner.jobs_sharded == 0
 

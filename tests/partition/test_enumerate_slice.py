@@ -1,18 +1,10 @@
-"""Rank machinery behind the sharded sweep: slices and counted prefixes."""
+"""Rank machinery behind the sharded sweep: slices and subtree counts."""
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.partition.count import (
-    count_partitions,
-    count_partitions_bounded,
-    count_partitions_min,
-)
-from repro.partition.enumerate import (
-    count_slice_max_at_most,
-    partitions_slice,
-    unique_partitions,
-)
+from repro.partition.count import count_partitions, count_partitions_min
+from repro.partition.enumerate import partitions_slice, unique_partitions
 
 CASES = [(5, 2), (8, 4), (12, 3), (16, 5), (20, 7)]
 
@@ -53,45 +45,7 @@ class TestPartitionsSlice:
             list(partitions_slice(10, 3, 3, 2))
 
 
-class TestCountSliceMaxAtMost:
-    @pytest.mark.parametrize("total,parts", CASES)
-    def test_matches_brute_force(self, total, parts):
-        full = list(unique_partitions(total, parts))
-        for stop in range(len(full) + 1):
-            for max_part in range(1, total + 2):
-                expected = sum(
-                    1 for widths in full[:stop]
-                    if max(widths) <= max_part
-                )
-                assert count_slice_max_at_most(
-                    total, parts, stop, max_part
-                ) == expected, (stop, max_part)
-
-    def test_zero_cases(self):
-        assert count_slice_max_at_most(10, 3, 0, 10) == 0
-        assert count_slice_max_at_most(10, 3, 5, 0) == 0
-
-    def test_stop_out_of_range_raises(self):
-        with pytest.raises(ConfigurationError):
-            count_slice_max_at_most(
-                10, 3, count_partitions(10, 3) + 1, 5
-            )
-
-
 class TestBoundedCounts:
-    @pytest.mark.parametrize("total,parts", CASES)
-    def test_bounded_matches_brute_force(self, total, parts):
-        full = list(unique_partitions(total, parts))
-        for lo in range(1, 4):
-            for hi in range(lo, total + 1):
-                expected = sum(
-                    1 for widths in full
-                    if min(widths) >= lo and max(widths) <= hi
-                )
-                assert count_partitions_bounded(
-                    total, parts, lo, hi
-                ) == expected, (lo, hi)
-
     def test_min_count_reduction(self):
         # parts >= m  ⟺  ordinary partitions of the reduced total
         assert count_partitions_min(12, 3, 2) == count_partitions(9, 3)

@@ -4,16 +4,18 @@ The acceptance contract of :mod:`repro.partition.shard`: for every
 shard count, prune mode, and keep-top setting, the merged result
 matches :func:`repro.partition.evaluate.partition_evaluate` on the
 *observable* fields — best time, best partition and assignment, the
-runners-up in order, and every ``PartitionStats`` counter (including
-``num_lb_pruned``, which the merge reconstructs analytically).
+runners-up in order, and every ``PartitionStats`` count that equality
+compares.  ``num_lb_pruned`` is telemetry that equality ignores: the
+merge sums the skips the shards actually made
+(:class:`TestSkipTelemetry`).
 """
 
 import pytest
 
 from repro.engine.cache import WrapperTableCache
-from repro.engine.kernel import build_dense_matrix
+from repro.engine.kernel import KernelWorkspace, build_dense_matrix
 from repro.exceptions import ConfigurationError
-from repro.partition.evaluate import partition_evaluate
+from repro.partition.evaluate import PartitionStats, partition_evaluate
 from repro.partition.shard import (
     LocalBoard,
     ShardPlan,
@@ -40,9 +42,15 @@ def assert_identical(serial, sharded, context):
 class TestDifferentialD695:
     """d695 across prune modes, keep-top, shard counts, and boards."""
 
-    @pytest.mark.parametrize("prune", [True, "lb", False])
+    # "lb" is the prune=True sweep again, checked on its lower-bound
+    # skip: both sides skip, and only partitions the abort would end.
+    @pytest.mark.parametrize("prune,check_skips", [
+        pytest.param(True, False, id="True"),
+        pytest.param(True, True, id="lb"),
+        pytest.param(False, False, id="False"),
+    ])
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_npaw_sweep(self, d695, prune, num_shards):
+    def test_npaw_sweep(self, d695, prune, check_skips, num_shards):
         tables = tables_for(d695, 24)
         counts = tuple(range(1, 11))
         serial = partition_evaluate(tables, 24, counts, prune=prune)
@@ -50,6 +58,15 @@ class TestDifferentialD695:
             tables, 24, counts, num_shards, prune=prune,
         )
         assert_identical(serial, sharded, (prune, num_shards))
+        if not prune:
+            assert serial.num_lb_pruned == sharded.num_lb_pruned == 0
+        if check_skips:
+            assert serial.num_lb_pruned > 0
+            assert sharded.num_lb_pruned > 0
+            for stats in serial.stats + sharded.stats:
+                assert stats.num_lb_pruned <= (
+                    stats.num_enumerated - stats.num_completed
+                ), stats
 
     @pytest.mark.parametrize("keep_top", [1, 3])
     @pytest.mark.parametrize("board", ["local", None])
@@ -69,14 +86,14 @@ class TestDifferentialD695:
     def test_single_count_and_initial_best(self, d695):
         tables = tables_for(d695, 20)
         serial = partition_evaluate(
-            tables, 20, 3, prune="lb", initial_best=10_000_000,
+            tables, 20, 3, prune=True, initial_best=10_000_000,
         )
         sharded = sharded_partition_evaluate(
-            tables, 20, 3, 4, prune="lb", initial_best=10_000_000,
+            tables, 20, 3, 4, prune=True, initial_best=10_000_000,
         )
         assert_identical(serial, sharded, "initial_best")
 
-    @pytest.mark.parametrize("prune", ["lb", False])
+    @pytest.mark.parametrize("prune", [True, False])
     def test_duplicate_tam_counts(self, d695, prune):
         tables = tables_for(d695, 12)
         counts = (2, 2, 3)
@@ -127,11 +144,11 @@ class TestDifferentialD695:
                 tables, 8, 2, 4, initial_best=1,
             )
 
-    @pytest.mark.parametrize("bad_prune", ["abort", "none", 2])
+    @pytest.mark.parametrize("bad_prune", ["abort", "none", 2, "lb"])
     def test_invalid_prune_rejected_like_serial(self, d695, bad_prune):
         # A job must fail or succeed identically at every shard
         # setting — including on the CLI's prune *names*, which are
-        # not engine prune values.
+        # not engine prune values, and the retired "lb" mode.
         tables = tables_for(d695, 8)
         with pytest.raises(ConfigurationError):
             partition_evaluate(tables, 8, 2, prune=bad_prune)
@@ -147,23 +164,81 @@ class TestDifferentialP93791:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_w32_b5(self, p93791, num_shards):
         tables = tables_for(p93791, 32)
-        serial = partition_evaluate(tables, 32, 5, prune="lb")
+        serial = partition_evaluate(tables, 32, 5, prune=True)
         sharded = sharded_partition_evaluate(
-            tables, 32, 5, num_shards, prune="lb",
+            tables, 32, 5, num_shards, prune=True,
         )
         assert_identical(serial, sharded, num_shards)
 
     def test_w32_npaw_lb(self, p93791):
         tables = tables_for(p93791, 32)
         counts = tuple(range(1, 11))
-        serial = partition_evaluate(tables, 32, counts, prune="lb")
+        serial = partition_evaluate(tables, 32, counts, prune=True)
         sharded = sharded_partition_evaluate(
-            tables, 32, counts, 8, prune="lb",
+            tables, 32, counts, 8, prune=True,
         )
         assert_identical(serial, sharded, "npaw")
-        # The analytic reconstruction is exercised only when the
-        # serial sweep actually lb-pruned something somewhere.
-        assert serial.num_lb_pruned == sharded.num_lb_pruned
+        # Both sweeps actually skipped partitions on the bound.
+        assert serial.num_lb_pruned > 0
+        assert sharded.num_lb_pruned > 0
+
+
+class TestSkipTelemetry:
+    """``num_lb_pruned``: counted by the shards, summed by the merge."""
+
+    def test_stats_equality_ignores_lb_pruned(self):
+        counted = PartitionStats(
+            num_tams=3, num_unique=10, num_enumerated=10,
+            num_completed=4, num_lb_pruned=5,
+        )
+        uncounted = PartitionStats(
+            num_tams=3, num_unique=10, num_enumerated=10,
+            num_completed=4,
+        )
+        assert counted == uncounted
+        assert hash(counted) == hash(uncounted)
+        assert counted != PartitionStats(
+            num_tams=3, num_unique=10, num_enumerated=10,
+            num_completed=5, num_lb_pruned=5,
+        )
+
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
+    def test_merge_sums_the_shards_own_tallies(self, d695, num_shards):
+        tables = tables_for(d695, 32)
+        counts = tuple(range(1, 11))
+        outcomes = []
+
+        def scorer(plan):
+            board = LocalBoard(plan.num_shards)
+            workspace = KernelWorkspace()
+            outcomes.extend(
+                sweep_shard(
+                    matrix, spans, index, 32,
+                    board=board, workspace=workspace,
+                )
+                for index, spans in enumerate(plan.shards)
+            )
+            return outcomes
+
+        matrix = build_dense_matrix(tables, 32)
+        merged = sharded_partition_evaluate(
+            None, 32, counts, num_shards, dense=matrix, scorer=scorer,
+        )
+        assert len(outcomes) == num_shards
+        for index, stats in enumerate(merged.stats):
+            tallied = sum(
+                skipped
+                for outcome in outcomes
+                for count_index, skipped in outcome.lb_pruned
+                if count_index == index
+            )
+            assert stats.num_lb_pruned == tallied, stats
+            # A skip under a shard's looser threshold is a partition
+            # the serial sweep would have aborted.
+            assert stats.num_lb_pruned <= (
+                stats.num_enumerated - stats.num_completed
+            ), stats
+        assert merged.num_lb_pruned > 0
 
 
 class TestMergeProtocol:
@@ -200,15 +275,15 @@ class TestMergeProtocol:
         counts = (1, 2, 3, 4)
         plan = plan_shards(16, counts, 8)
         outcomes = [
-            sweep_shard(matrix, spans, index, 16, prune="lb")
+            sweep_shard(matrix, spans, index, 16, prune=True)
             for index, spans in reversed(
                 list(enumerate(plan.shards))
             )
         ]
         merged = merge_shard_outcomes(
-            matrix, plan, outcomes, prune="lb",
+            matrix, plan, outcomes, prune=True,
         )
-        serial = partition_evaluate(tables, 16, counts, prune="lb")
+        serial = partition_evaluate(tables, 16, counts, prune=True)
         assert_identical(serial, merged, "reverse execution")
 
     def test_merge_rejects_missing_outcomes(self, d695):

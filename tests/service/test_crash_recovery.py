@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import GridSpec
+from repro.api import SPEC_SCHEMA_VERSION, GridSpec
 from repro.service.client import ServiceClient
-from repro.service.journal import JOURNAL_NAME
+from repro.service.journal import JOURNAL_NAME, JobJournal, JournalEntry
 from repro.service.server import ExplorationServer
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -126,3 +126,45 @@ def test_clean_restart_replays_nothing(tmp_path):
         assert health["journal_replays"] == 0
         # ... and the grid memo still answers the grid instantly.
         assert reborn.submit(SPEC).cached
+
+
+def test_old_schema_journal_entry_is_lost_and_degrades_health(tmp_path):
+    """A restart over a journal written by an older build: the entry
+    whose spec schema this build no longer reads is journaled as
+    lost and flips health to degraded; the current entry still
+    replays to completion."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    current = SPEC.to_dict()
+    old = json.loads(json.dumps(current))
+    old["schema"] = SPEC_SCHEMA_VERSION - 1
+    for point in old["points"]:
+        point.update(
+            schema=SPEC_SCHEMA_VERSION - 1, prune=None,
+            sweep_engine="kernel",
+        )
+    journal = JobJournal(cache_dir / JOURNAL_NAME)
+    journal.record_submitted(JournalEntry(
+        job_id="job-0041", key="old-schema-key", spec=old,
+    ))
+    journal.record_submitted(JournalEntry(
+        job_id="job-0042", key=SPEC.canonical_key(), spec=current,
+    ))
+    journal.close()
+    with ExplorationServer(
+        max_workers=1, cache_dir=cache_dir
+    ) as reborn:
+        health = reborn.info()["health"]
+        assert health["journal_unreplayable"] == 1
+        assert health["journal_replays"] == 1
+        assert health["status"] == "degraded"
+        # The reborn server numbers its jobs from one: job-0042
+        # replayed as job-0001.
+        assert reborn.wait("job-0001", timeout=300).status == "done"
+    lines = [
+        json.loads(line)
+        for line in (cache_dir / JOURNAL_NAME).read_text().splitlines()
+    ]
+    assert {
+        "kind": "terminal", "job": "job-0041", "status": "lost",
+    } in lines
