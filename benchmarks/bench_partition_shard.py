@@ -171,7 +171,7 @@ def run_pool_wall_clock(soc):
         with BatchRunner(
             max_workers=WORKERS, shard=NUM_SHARDS, persistent=True,
         ) as runner:
-            runner.run([job])  # warm the pool and the segments
+            runner.run([job])  # warm the pool and the matrices
             return _best_of(3, lambda: runner.run([job]))
 
     pooled_s, pooled_result = pooled()

@@ -263,18 +263,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     # a server, so a local batch and a remote submission of the same
     # arguments share one canonical content key.
     grid_spec = grid_spec_from_args(args)
-    runner = BatchRunner(
-        max_workers=args.jobs,
-        cache_dir=args.cache_dir,
-        share_tables=not args.no_share_tables,
-    )
+    runner = BatchRunner(max_workers=args.jobs, cache_dir=args.cache_dir)
     grid = runner.run_grid(grid_spec)
-    # Execution counters for --stats / --json: how the grid actually
-    # ran — sharded jobs, and workers that lost the shared matrix and
-    # silently paid for private tables (the slow path, now visible).
+    # Execution counters for --stats / --json: how the grid ran.
     runner_stats = {
         "jobs_sharded": runner.jobs_sharded,
-        "shm_fallbacks": runner.shm_fallbacks,
         "pools_started": runner.pools_started,
     }
     if args.cache_dir:
@@ -324,9 +317,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.stats:
         print(
             f"runner: {runner_stats['jobs_sharded']} job(s) sharded, "
-            f"{runner_stats['shm_fallbacks']} shared-table "
-            f"fallback(s), {runner_stats['pools_started']} pool(s) "
-            f"started"
+            f"{runner_stats['pools_started']} pool(s) started"
         )
     return 0
 
@@ -340,7 +331,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_workers=args.jobs,
         cache_dir=args.cache_dir,
         retries=args.retries,
-        share_tables=not args.no_share_tables,
         max_records=args.max_records,
         require_auth=args.auth,
         tokens_path=args.tokens_file,
@@ -597,13 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the grid as a JSON record")
     batch.add_argument("--stats", action="store_true",
                        help="print execution counters (sharded jobs, "
-                            "shared-table fallbacks) after the table")
+                            "pools started) after the table")
     batch.add_argument("--cache-dir", default=None,
                        help="persist wrapper time tables in this "
                             "directory (warm runs skip wrapper design)")
-    batch.add_argument("--no-share-tables", action="store_true",
-                       help="disable the shared-memory dense-matrix "
-                            "transport (workers build private tables)")
     _add_log_level_argument(batch)
     batch.set_defaults(func=_cmd_batch)
 
@@ -630,9 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="keep at most this many finished job "
                             "records in memory, evicting the oldest "
                             "(default: keep all)")
-    serve.add_argument("--no-share-tables", action="store_true",
-                       help="disable the shared-memory dense-matrix "
-                            "transport (workers build private tables)")
     serve.add_argument("--auth", action="store_true",
                        help="require bearer tokens: reject requests "
                             "whose token is not in the token file "

@@ -28,13 +28,13 @@ Two further modules make the hot path fast:
   orders, an allocation-free bit-identical ``Core_assign``
   (:func:`sweep_assign`), and the O(1) admissible partition lower
   bound behind ``partition_evaluate``'s skip;
-* :mod:`~repro.engine.shm` — shared-memory transport of those
-  matrices (and their wrapper-design staircases) to pool workers, so
-  a batch's workers read one copy instead of each building their own
-  tables, plus the :class:`~repro.engine.shm.IncumbentBoard` that
-  broadcasts incumbents between the shards of a single job's sharded
-  partition sweep (:mod:`repro.partition.shard`,
-  ``BatchRunner(shard=...)``).
+* :mod:`~repro.engine.shm` — transport of those matrices (and their
+  wrapper-design staircases) to pool workers as descriptor bytes, so
+  a batch's workers unpack one parent-built matrix instead of each
+  building their own tables, plus the shared-memory
+  :class:`~repro.engine.shm.IncumbentBoard` that broadcasts
+  incumbents between the shards of a single job's sharded partition
+  sweep (:mod:`repro.partition.shard`, ``BatchRunner(shard=...)``).
 
 The sequential sweeps in :mod:`repro.analysis.sweep` and the
 ``repro-tam batch`` CLI subcommand are both thin wrappers over this

@@ -10,10 +10,13 @@ but a naive pool would re-run ``Design_wrapper`` per point.  The
   WrapperTableCache` s, one per SOC, so a width sweep pays one
   wrapper design per (core, width) pair in total;
 * **pool mode** (``max_workers > 1`` or ``None`` = one per CPU):
-  jobs fan out over a ``concurrent.futures`` process pool.  Each
-  worker process keeps its own module-level cache per SOC, so every
-  job a worker receives after its first reuses (and at most extends)
-  tables already built in that worker.
+  jobs fan out over a ``concurrent.futures`` process pool.  The
+  parent builds each SOC's dense time matrix once and ships it, with
+  its wrapper-design staircases, in every task's
+  :class:`~repro.engine.shm.DenseDescriptor`; a worker unpacks each
+  matrix once per process and builds no wrapper tables.  A *cold*
+  grid over several SOCs builds its matrices as pool tasks instead
+  of serially in the parent.
 
 Three orthogonal options extend the engine for service use:
 
@@ -344,8 +347,9 @@ def align_point_telemetry(
 
 
 #: Per-worker-process table caches, keyed by SOC name.  Populated only
-#: inside pool workers; each worker builds tables for a SOC at most
-#: once (extending in place when a wider job arrives).
+#: inside pool workers, by cold matrix builds
+#: (:func:`_build_matrix_worker`); each worker builds tables for a SOC
+#: at most once (extending in place when a wider build arrives).
 _WORKER_CACHES: Dict[str, WrapperTableCache] = {}
 
 #: Per-worker-process runtime policy, set by :func:`_init_worker` at
@@ -413,102 +417,58 @@ def _cache_for(
     return cache
 
 
-def _dense_point(
-    job: BatchJob,
-    descriptor: Optional[DenseDescriptor],
-    point_index: Optional[int] = None,
-    faults: Optional[FaultPlan] = None,
-) -> Optional[SweepPoint]:
-    """Evaluate ``job`` over a transported dense matrix, if possible.
-
-    Returns ``None`` whenever the descriptor cannot serve this job —
-    wrong SOC content, too narrow, segment gone — so the caller falls
-    back to its private table cache.  On the happy path the worker
-    builds *no* wrapper tables at all: the sweep reads the shared
-    matrix, and the designs the final utilization accounting needs
-    come decoded from the transported staircases (or, absent those,
-    are recovered on demand per bus width).
-    """
-    if descriptor is None:
-        return None
-    if (
-        descriptor.total_width < job.total_width
-        or descriptor.num_cores != len(job.soc.cores)
-        or descriptor.fingerprint != soc_fingerprint(job.soc)
-    ):
-        return None
-    if (
-        faults is not None
-        and point_index is not None
-        and faults.take_shm_failure(point_index)
-    ):
-        return None  # injected attach failure: take the fallback path
-    matrix = attach(descriptor)
-    if matrix is None:
-        return None
-    return evaluate_point(
-        job.soc,
-        job.total_width,
-        num_tams=job.num_tams,
-        tables=dense_time_tables(
-            job.soc.cores, matrix,
-            design_steps=attach_design_steps(descriptor),
-        ),
-        dense=matrix,
-        **job.options_dict(),
-    )
-
-
-def _run_job_tracked(
+def _run_job(
     caches: Dict[str, WrapperTableCache],
     job: BatchJob,
     store: "Optional[TableStore]" = None,
     descriptor: Optional[DenseDescriptor] = None,
     point_index: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
-) -> Tuple[SweepPoint, int]:
-    """Evaluate one job; also report whether the dense path was lost.
+) -> SweepPoint:
+    """Evaluate one job, over its transported dense matrix if given.
 
-    The second element counts shared-table fallbacks: ``1`` when a
-    descriptor was provided but could not serve the job (segment
-    gone, stale content, attach failure) and the worker silently paid
-    for a full private cache instead — the slow path the runner now
-    surfaces (:attr:`BatchRunner.shm_fallbacks`) instead of hiding.
+    With a descriptor (every pool job) the worker builds *no* wrapper
+    tables: the sweep reads the unpacked matrix, and the designs the
+    final utilization accounting needs come decoded from the shipped
+    staircases (or, absent those, are recovered on demand per bus
+    width).  Without one (inline mode) the job runs on ``caches``.
     """
     if faults is not None and point_index is not None:
         delay = faults.slow_delay(point_index)
         if delay:
             _sleep(delay)  # injected stall; delay comes from the plan
-    if descriptor is not None:
-        point = _dense_point(
-            job, descriptor, point_index=point_index, faults=faults
+    if descriptor is None:
+        cache = _cache_for(caches, job.soc, store=store)
+        tables: Dict[str, Any] = cache.tables(job.total_width)
+        dense = None
+    else:
+        dense = attach(descriptor)
+        tables = dense_time_tables(
+            job.soc.cores, dense,
+            design_steps=attach_design_steps(descriptor),
         )
-        if point is not None:
-            return point, 0
-    cache = _cache_for(caches, job.soc, store=store)
-    point = evaluate_point(
+    return evaluate_point(
         job.soc,
         job.total_width,
         num_tams=job.num_tams,
-        tables=cache.tables(job.total_width),
+        tables=tables,
+        dense=dense,
         **job.options_dict(),
     )
-    return point, (0 if descriptor is None else 1)
 
 
 def _with_policy(
     job: BatchJob,
     on_error: str,
     retries: int,
-    run: Callable[[], Tuple[BatchResult, _T]],
-    empty: _T,
-) -> Tuple[BatchResult, _T]:
+    run: Callable[[], _T],
+) -> Union[_T, FailedPoint]:
     """Run one job's attempts under the runner's failure policy.
 
     ``run`` gets ``retries + 1`` attempts.  A ``BrokenProcessPool``
     is pool-level, not the job's: it passes straight up to the pool
     supervisor.  The last failure raises, or under
-    ``on_error="record"`` becomes ``(FailedPoint, empty)``.
+    ``on_error="record"`` becomes a :class:`FailedPoint`.
     """
     attempts = retries + 1
     for attempt in range(1, attempts + 1):
@@ -533,7 +493,7 @@ def _with_policy(
                     error_type=type(error).__name__,
                     error_message=str(error),
                     attempts=attempt,
-                ), empty
+                )
             raise
     raise AssertionError("unreachable")  # pragma: no cover
 
@@ -547,21 +507,20 @@ def _run_job_safe(
     descriptor: Optional[DenseDescriptor] = None,
     point_index: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
-) -> Tuple[BatchResult, int]:
+) -> BatchResult:
     """Evaluate one job under the runner's failure policy."""
     return _with_policy(
         job, on_error, retries,
-        lambda: _run_job_tracked(
+        lambda: _run_job(
             caches, job, store=store, descriptor=descriptor,
             point_index=point_index, faults=faults,
         ),
-        0,
     )
 
 
 def _pool_worker(
-    item: Tuple[BatchJob, Optional[DenseDescriptor], int]
-) -> Tuple[BatchResult, int, TaskTelemetry]:
+    item: Tuple[BatchJob, DenseDescriptor, int]
+) -> Tuple[BatchResult, TaskTelemetry]:
     """Pool entry point: evaluate one (job, descriptor, index) item.
 
     Ships the job's :class:`TaskTelemetry` (its spans plus this
@@ -570,7 +529,7 @@ def _pool_worker(
     fault-injection hooks.
     """
     job, descriptor, point_index = item
-    on_error, retries, store, _ = _WORKER_POLICY
+    on_error, retries, _, _ = _WORKER_POLICY
     faults = _WORKER_FAULTS
     if (
         faults is not None
@@ -581,28 +540,26 @@ def _pool_worker(
         # BrokenProcessPool, exercising the pool-rebuild recovery.
         os._exit(1)
     baseline = task_begin()
-    result, fallbacks = _run_job_safe(
-        _WORKER_CACHES, job, on_error, retries, store=store,
+    result = _run_job_safe(
+        {}, job, on_error, retries,
         descriptor=descriptor, point_index=point_index, faults=faults,
     )
-    return result, fallbacks, task_end(baseline)
+    return result, task_end(baseline)
 
 
 def _task_prologue(
-    kind: str,
     index: int,
     descriptor: DenseDescriptor,
-    soc: Soc,
-    total_width: int,
-) -> Tuple[MetricsSnapshot, DenseTimeMatrix, int]:
+    board_descriptor: Optional[BoardDescriptor],
+) -> Tuple[MetricsSnapshot, DenseTimeMatrix, Optional[IncumbentBoard]]:
     """The shared start of a shard or island task.
 
     Fires the task's crash, slow and shm fault hooks (keyed by its
-    ``index``), opens its telemetry window, and attaches the job's
-    shared dense matrix.  A worker that cannot attach rebuilds the
-    matrix privately from its cache — same outcome, reported as one
-    shared-table fallback.  Returns (telemetry baseline, matrix,
-    fallbacks).
+    ``index``), opens its telemetry window, unpacks the job's dense
+    matrix and attaches the fan-out's incumbent board.  An injected
+    shm fault refuses the board, so the task runs without broadcast
+    — same outcome.  Returns (telemetry baseline, matrix, board or
+    ``None``); the caller closes the board.
     """
     faults = _WORKER_FAULTS
     if faults is not None and _IN_POOL_WORKER \
@@ -613,21 +570,11 @@ def _task_prologue(
         delay = faults.slow_delay(index)
         if delay:
             _sleep(delay)  # injected stall; delay comes from the plan
-    matrix = (
-        None if faults is not None and faults.take_shm_failure(index)
-        else attach(descriptor)
-    )
-    if matrix is not None:
-        return baseline, matrix, 0
-    logger.warning(
-        "%s %d: dense segment for %s unavailable; rebuilding tables "
-        "privately", kind, index, soc.name,
-    )
-    cache = _cache_for(_WORKER_CACHES, soc, store=_WORKER_POLICY[2])
-    matrix = build_dense_matrix(
-        cache.table_list(total_width), total_width
-    )
-    return baseline, matrix, 1
+    matrix = attach(descriptor)
+    if board_descriptor is not None and faults is not None \
+            and faults.take_shm_failure(index):
+        return baseline, matrix, None  # injected board-attach failure
+    return baseline, matrix, IncumbentBoard.attach(board_descriptor)
 
 
 def _shard_worker(
@@ -636,19 +583,18 @@ def _shard_worker(
         Tuple[ShardSpan, ...], Soc, int, int, Optional[int],
         Union[bool, str],
     ]
-) -> Tuple[ShardOutcome, int, TaskTelemetry]:
+) -> Tuple[ShardOutcome, TaskTelemetry]:
     """Pool entry point: score one shard of a sharded partition sweep.
 
-    Attaches the job's shared dense matrix and the sweep's incumbent
+    Unpacks the job's dense matrix, attaches the sweep's incumbent
     board, scores the shard's rank ranges, and ships the recorded
     completions back for the parent-side deterministic merge.
     """
     (descriptor, board_descriptor, shard_index, spans, soc,
      total_width, keep_top, initial_best, prune) = item
-    baseline, matrix, fallbacks = _task_prologue(
-        "shard", shard_index, descriptor, soc, total_width
+    baseline, matrix, board = _task_prologue(
+        shard_index, descriptor, board_descriptor
     )
-    board = IncumbentBoard.attach(board_descriptor)
     try:
         with span(
             "shard_sweep", soc=soc.name, shard=shard_index
@@ -665,30 +611,29 @@ def _shard_worker(
         if board is not None:
             board.close()
     REGISTRY.counter("shard.shards_run").inc()
-    return outcome, fallbacks, task_end(baseline)
+    return outcome, task_end(baseline)
 
 
 def _search_worker(
-    item: Tuple[DenseDescriptor, Optional[BoardDescriptor], Any, Soc, int]
-) -> Tuple[Any, int, TaskTelemetry]:
+    item: Tuple[DenseDescriptor, Optional[BoardDescriptor], Any, Soc]
+) -> Tuple[Any, TaskTelemetry]:
     """Pool entry point: run one island of a ``mode="search"`` point.
 
-    Attaches the job's shared dense matrix and the search's incumbent
+    Unpacks the job's dense matrix, attaches the search's incumbent
     board, runs the island to budget exhaustion, and ships its
     :class:`~repro.search.IslandResult` back for the parent-side
     deterministic merge.  Publication to the board is write-only —
     the island never reads other islands' incumbents — so the result
     is bit-identical to inline execution.
     """
-    (descriptor, board_descriptor, plan, soc, total_width) = item
+    (descriptor, board_descriptor, plan, soc) = item
     # Imported lazily: repro.search builds on repro.engine.kernel,
     # whose package import lands back in this module.
     from repro.search.driver import run_island
 
-    baseline, matrix, fallbacks = _task_prologue(
-        "island", plan.island_index, descriptor, soc, total_width
+    baseline, matrix, board = _task_prologue(
+        plan.island_index, descriptor, board_descriptor
     )
-    board = IncumbentBoard.attach(board_descriptor)
     publish = None
     if board is not None:
         def publish(
@@ -707,12 +652,12 @@ def _search_worker(
         if board is not None:
             board.close()
     REGISTRY.counter("search.islands_run").inc()
-    return result, fallbacks, task_end(baseline)
+    return result, task_end(baseline)
 
 
 def _polish_worker(
     item: Tuple[Any, ...]
-) -> Tuple[Any, int, TaskTelemetry]:
+) -> Tuple[Any, TaskTelemetry]:
     """Pool entry point: solve one exact-polish candidate.
 
     Executes one :data:`repro.optimize.co_optimize.PolishTask` — an
@@ -728,20 +673,20 @@ def _polish_worker(
     with span("polish_candidate", widths=str(item[1].widths)):
         exact = run_polish_task(item)
     REGISTRY.counter("engine.polish_tasks_run").inc()
-    return exact, 0, task_end(baseline)
+    return exact, task_end(baseline)
 
 
 def _build_matrix_worker(
     item: Tuple[Soc, int]
-) -> Tuple[Tuple[bytes, bytes], int, TaskTelemetry]:
+) -> Tuple[Tuple[bytes, bytes], TaskTelemetry]:
     """Pool entry point: build one cold SOC's dense matrix + staircases.
 
     Runs the wrapper designs on a pool worker — through that worker's
     (store-backed) cache, so the build also warms it — and returns
     the matrix bytes and the serialized design staircases for the
-    parent to publish over shared memory.  This is how a cold
-    many-SOC grid's table builds spread across the pool instead of
-    serializing in the parent.
+    parent to publish.  This is how a cold many-SOC grid's table
+    builds spread across the pool instead of serializing in the
+    parent.
     """
     soc, total_width = item
     baseline = task_begin()
@@ -750,7 +695,7 @@ def _build_matrix_worker(
         tables = cache.table_list(total_width)
         matrix = build_dense_matrix(tables, total_width)
     blobs = (matrix.to_bytes(), design_steps_blob(tables))
-    return blobs, 0, task_end(baseline)
+    return blobs, task_end(baseline)
 
 
 def _merge_task_telemetry(
@@ -823,21 +768,6 @@ class BatchRunner:
         Keep the process pool alive across :meth:`run` calls instead
         of starting one per call.  Callers own the shutdown:
         :meth:`close`, or use the runner as a context manager.
-    share_tables:
-        Pool mode only: build each SOC's dense time matrix once in
-        the parent and ship it to the workers through
-        ``multiprocessing.shared_memory`` (:mod:`repro.engine.shm`)
-        instead of every worker building a private wrapper-table
-        copy.  Results are identical either way; segments are freed
-        when the pool goes away (end of :meth:`run` for an ephemeral
-        pool, :meth:`close` for a persistent one), and the transport
-        degrades gracefully — to pickled matrix bytes when shared
-        memory is unavailable, to per-worker caches when a worker
-        cannot attach.  The matrices of a *cold* grid over several
-        SOCs are built through the pool (one task per SOC) rather
-        than serially in the parent, and the wrapper-design
-        staircases ride along, so workers never run ``Design_wrapper``
-        at all on the happy path.
     shard:
         Intra-job sharding policy for the partition sweep
         (:mod:`repro.partition.shard`): ``"auto"`` (default) splits a
@@ -848,8 +778,8 @@ class BatchRunner:
         unsharded run either way — sharding is pure execution
         strategy, excluded from every canonical job key.  Only jobs
         on the production defaults (canonical ``unique`` enumeration,
-        kernel engine, no per-count stratification) shard; others
-        fall back to whole-job dispatch.
+        no per-count stratification) shard; others fall back to
+        whole-job dispatch.
     point_timeout:
         Per-point wall-clock deadline in seconds (pool mode only;
         inline jobs cannot be interrupted).  A point whose result
@@ -883,7 +813,6 @@ class BatchRunner:
         retries: int = 0,
         cache_dir: Union[str, Path, None] = None,
         persistent: bool = False,
-        share_tables: bool = True,
         shard: Union[int, str, None] = "auto",
         point_timeout: Union[int, float, None] = None,
         pool_restart_retries: int = 2,
@@ -916,13 +845,12 @@ class BatchRunner:
             str(cache_dir) if cache_dir is not None else None
         )
         self.persistent = persistent
-        self.share_tables = share_tables
         self.shard = shard
         #: This runner's typed instrument namespace: the engine's own
-        #: counters (``engine.pools_started``, ``engine.shm_fallbacks``,
-        #: ``engine.jobs_sharded``, ``shard.shards_planned``) plus
-        #: everything absorbed from job and worker telemetry (cache
-        #: hit/miss counts, sweep prune totals, shard/build timers).
+        #: counters (``engine.pools_started``, ``engine.jobs_sharded``,
+        #: ``shard.shards_planned``) plus everything absorbed from job
+        #: and worker telemetry (cache hit/miss counts, sweep prune
+        #: totals, shard/build timers).
         self.metrics = MetricsRegistry()
         #: The *previous* ``run_iter`` consumption's own metrics — the
         #: registry delta between that run's start and end, so a
@@ -938,10 +866,10 @@ class BatchRunner:
         self._store = _make_store(self.cache_dir)
         self._caches: Dict[str, WrapperTableCache] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
-        self._segments = SegmentRegistry()
+        self._published = SegmentRegistry()
         #: Parent-side dense matrices by SOC fingerprint — what the
         #: sharded sweep's merge and polish read; lifetime matches
-        #: the published segments.
+        #: the published descriptors.
         self._matrices: Dict[str, DenseTimeMatrix] = {}
         #: Parent-side tables by fingerprint for finishing sharded
         #: jobs: real cached tables when the parent built them,
@@ -953,13 +881,6 @@ class BatchRunner:
         """Pools started over this runner's lifetime — observable
         evidence that ``persistent=True`` reuses one pool."""
         return self.metrics.counter("engine.pools_started").value
-
-    @property
-    def shm_fallbacks(self) -> int:
-        """Jobs/shards whose shared dense matrix could not serve a
-        worker, which silently rebuilt from a private cache instead —
-        the slow path, surfaced for ``--stats``/service monitoring."""
-        return self.metrics.counter("engine.shm_fallbacks").value
 
     @property
     def jobs_sharded(self) -> int:
@@ -1006,11 +927,11 @@ class BatchRunner:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the persistent pool and free its shared segments."""
+        """Shut down the persistent pool and drop its published matrices."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self._segments.close()
+        self._published.close()
         self._matrices.clear()
         self._merge_tables.clear()
 
@@ -1023,7 +944,7 @@ class BatchRunner:
         matrix = build_dense_matrix(tables, width)
         self._matrices[fingerprint] = matrix
         self._merge_tables[fingerprint] = cache.tables(width)
-        return self._segments.publish(
+        return self._published.publish(
             fingerprint, matrix, designs=design_steps_blob(tables)
         )
 
@@ -1033,9 +954,9 @@ class BatchRunner:
         """One (possibly shared) dense descriptor per job, in order.
 
         Builds each distinct SOC's tables once — at the largest width
-        any of its jobs needs — and publishes the dense matrix plus
-        its wrapper-design staircases through the segment registry.
-        A SOC appearing in several jobs ships as one segment.
+        any of its jobs needs — and packs the dense matrix plus its
+        wrapper-design staircases into one descriptor, which the
+        registry caches.  Every job of that SOC ships the same one.
 
         SOCs whose tables the parent already holds (or that a
         persistent runner published before) build locally: warm
@@ -1061,7 +982,7 @@ class BatchRunner:
             held = self._matrices.get(fingerprint)
             cache = self._caches.get(soc.name)
             if held is not None and held.total_width >= width:
-                descriptors[fingerprint] = self._segments.publish(
+                descriptors[fingerprint] = self._published.publish(
                     fingerprint, held
                 )
             elif cache is not None and cache.soc == soc \
@@ -1094,7 +1015,7 @@ class BatchRunner:
                 soc.cores, matrix,
                 design_steps=parse_design_steps(blob),
             )
-            descriptors[fingerprint] = self._segments.publish(
+            descriptors[fingerprint] = self._published.publish(
                 fingerprint, matrix, designs=blob
             )
         return [descriptors[fingerprint] for fingerprint in prints]
@@ -1140,7 +1061,7 @@ class BatchRunner:
     ) -> int:
         """How many shards this job should split into (0 = don't)."""
         policy = override if override is not None else self.shard
-        if policy in (None, 0, 1) or not self.share_tables:
+        if policy in (None, 0, 1):
             return 0
         if not self._job_shardable(job):
             return 0
@@ -1206,11 +1127,6 @@ class BatchRunner:
                 self.metrics.snapshot().delta(run_start)
             )
 
-    def _fallbacks(self, count: int) -> None:
-        """Count shared-table fallbacks reported by a worker."""
-        if count:
-            self.metrics.counter("engine.shm_fallbacks").inc(count)
-
     def _absorb_job(
         self,
         index: int,
@@ -1256,8 +1172,7 @@ class BatchRunner:
         # spraying shard/island tasks across the pool is exactly the
         # monopolisation the cap exists to prevent.
         search_fan = [
-            requested > 1 and self.share_tables
-            and max_concurrent is None
+            requested > 1 and max_concurrent is None
             and len(jobs) < requested
             and self._job_search_mode(job)
             for job in jobs
@@ -1270,12 +1185,11 @@ class BatchRunner:
             faults = FaultPlan.from_env()
             for index, job in enumerate(jobs):
                 baseline = task_begin()
-                result, fallbacks = _run_job_safe(
+                result = _run_job_safe(
                     self._caches, job, self.on_error, self.retries,
                     store=self._store, point_index=index,
                     faults=faults,
                 )
-                self._fallbacks(fallbacks)
                 self._absorb_job(index, task_end(baseline))
                 yield result
             return
@@ -1284,9 +1198,8 @@ class BatchRunner:
         # Already-yielded results are kept — the dispatch loop
         # yields strictly in job order — the pool is rebuilt after a
         # deterministic backoff, and only jobs[emitted:] re-dispatch.
-        # The published shm segments are parent-owned and survive the
-        # dead pool, so the rebuilt workers re-attach to the same
-        # matrices.
+        # The published descriptors are parent-owned and survive the
+        # dead pool, so the rebuilt workers unpack the same matrices.
         emitted = 0
         restarts = 0
         delays = backoff_schedule(self.pool_restart_retries)
@@ -1343,19 +1256,19 @@ class BatchRunner:
         finally:
             if not self.persistent:
                 # Ephemeral pool: its workers are gone, so the
-                # published segments have no readers left — free
+                # published descriptors have no readers left — drop
                 # them (and the parent-side matrices) now.
                 pool.shutdown(wait=True)
-                self._segments.close()
+                self._published.close()
                 self._matrices.clear()
                 self._merge_tables.clear()
 
     def _await_point(
         self,
-        future: "Future[Tuple[BatchResult, int, TaskTelemetry]]",
+        future: "Future[Tuple[BatchResult, TaskTelemetry]]",
         job: BatchJob,
         point_timeout: Optional[float],
-    ) -> Tuple[BatchResult, int, Optional[TaskTelemetry]]:
+    ) -> Tuple[BatchResult, Optional[TaskTelemetry]]:
         """One submitted point's result, under the deadline policy.
 
         A point that misses its wall-clock deadline is *abandoned*
@@ -1381,7 +1294,7 @@ class BatchRunner:
                     error_type="DeadlineError",
                     error_message=message,
                     attempts=1,
-                ), 0, None
+                ), None
             raise DeadlineError(
                 f"job {job.describe()}: {message}"
             ) from None
@@ -1399,7 +1312,7 @@ class BatchRunner:
         """Dispatch ``jobs[skip:]`` over ``pool``, yielding in order.
 
         One pool's worth of work: descriptors are (re)published —
-        idempotent for segments already wide enough — and results
+        idempotent for matrices already wide enough — and results
         stream back in job order, so the caller can resume from its
         yield count if this pool breaks mid-grid.
 
@@ -1410,12 +1323,8 @@ class BatchRunner:
         pool while the points submitted ahead of it keep running.
         """
         build_baseline = task_begin()
-        descriptors: Sequence[Optional[DenseDescriptor]]
-        if self.share_tables:
-            with span("publish_tables", jobs=len(jobs)):
-                descriptors = self._dense_descriptors(jobs, pool)
-        else:
-            descriptors = [None] * len(jobs)
+        with span("publish_tables", jobs=len(jobs)):
+            descriptors = self._dense_descriptors(jobs, pool)
         build_telemetry = task_end(build_baseline)
         self.metrics.absorb(build_telemetry.metrics)
         self.last_run_spans.extend(build_telemetry.spans)
@@ -1437,22 +1346,24 @@ class BatchRunner:
                 index, future = pending.popleft()
                 tasks: Sequence[TaskTelemetry] = ()
                 if future is not None:
-                    result, fallbacks, telemetry = self._await_point(
+                    result, telemetry = self._await_point(
                         future, jobs[index], point_timeout
                     )
                 else:
                     baseline = task_begin()
-                    result, tasks = _with_policy(
+                    outcome = _with_policy(
                         jobs[index], self.on_error, self.retries,
                         lambda: self._run_fanned(
                             jobs[index], descriptors[index], pool,
                             shard_counts[index],
                         ),
-                        (),
                     )
-                    fallbacks, telemetry = 0, task_end(baseline)
+                    result, tasks = (
+                        (outcome, ()) if isinstance(outcome, FailedPoint)
+                        else outcome
+                    )
+                    telemetry = task_end(baseline)
                 fill()
-                self._fallbacks(fallbacks)
                 if telemetry is not None:
                     self._absorb_job(index, telemetry, tasks)
                 yield result
@@ -1466,7 +1377,7 @@ class BatchRunner:
     def _fan_out(
         self,
         pool: Executor,
-        worker: Callable[[Any], Tuple[Any, int, TaskTelemetry]],
+        worker: Callable[[Any], Tuple[Any, TaskTelemetry]],
         tasks: Sequence[Any],
         retry_counter: str,
         label: str,
@@ -1480,8 +1391,8 @@ class BatchRunner:
         deterministic — a task is a pure function of its inputs — so
         the merged result stays bit-identical.  A ``BrokenProcessPool``
         propagates untouched to the pool supervisor.  Each task's
-        fallbacks and metrics are absorbed into the runner's registry
-        once; the returned telemetry is for the caller's records.
+        metrics are absorbed into the runner's registry once; the
+        returned telemetry is for the caller's records.
         """
         futures = [pool.submit(worker, task) for task in tasks]
         delays = backoff_schedule(self.SHARD_RETRY_ATTEMPTS - 1)
@@ -1490,7 +1401,7 @@ class BatchRunner:
         for index, future in enumerate(futures):
             for attempt in range(self.SHARD_RETRY_ATTEMPTS):
                 try:
-                    value, fallbacks, task_telemetry = future.result()
+                    value, task_telemetry = future.result()
                     break
                 except BrokenProcessPool:
                     raise
@@ -1505,7 +1416,6 @@ class BatchRunner:
                     self.metrics.counter(retry_counter).inc()
                     _sleep(delays[attempt])
                     future = pool.submit(worker, tasks[index])
-            self._fallbacks(fallbacks)
             self.metrics.absorb(task_telemetry.metrics)
             values.append(value)
             telemetry.append(task_telemetry)
@@ -1523,9 +1433,9 @@ class BatchRunner:
         A ``mode="search"`` job fans its fixed
         :data:`repro.search.NUM_ISLANDS` islands; any other job fans
         its partition sweep as ``num_shards`` shards and its top-k
-        exact polish solves.  Shards and islands read the
-        already-shared dense matrix and broadcast incumbents through
-        a shared-memory board.  The deterministic merge, the polish
+        exact polish solves.  Shards and islands unpack the job's
+        dense matrix from its descriptor and broadcast incumbents
+        through a shared-memory board.  The deterministic merge, the polish
         reduction and the certificate/utilization accounting run here
         over the same matrix, so the point is bit-identical to
         whole-job execution.  Returns the point and its tasks'
@@ -1535,7 +1445,7 @@ class BatchRunner:
         telemetry: List[TaskTelemetry] = []
 
         def fan(
-            worker: Callable[[Any], Tuple[Any, int, TaskTelemetry]],
+            worker: Callable[[Any], Tuple[Any, TaskTelemetry]],
             tasks: Sequence[Any],
             retry_counter: str,
             kind: str,
@@ -1553,7 +1463,7 @@ class BatchRunner:
             )
             with _incumbent_board(len(plans), 1) as board:
                 return fan(_search_worker, [
-                    (descriptor, board, plan, job.soc, job.total_width)
+                    (descriptor, board, plan, job.soc)
                     for plan in plans
                 ], "engine.island_retries", "island")
 

@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a small, seeded description of *which* faults
 to inject *where* — parsed from a plan string, normally supplied via
 the ``REPRO_FAULTS`` environment variable.  Production code consults
 the plan at a handful of well-defined hook points (worker task entry,
-shm attach, the IPC event stream, store writes); with no plan active
-every hook is a ``None`` check and nothing else.
+incumbent-board attach, the IPC event stream, store writes); with no
+plan active every hook is a ``None`` check and nothing else.
 
 Plan strings are comma-separated directives::
 
@@ -18,8 +18,10 @@ directive                 fault
                           dies (``os._exit``) before scoring it —
                           surfaces as ``BrokenProcessPool`` in the
                           parent.  Requires ``state=`` (see below).
-``shm@K``                 point K's shared-memory attach is forced to
-                          fail, exercising the private-table fallback.
+``shm@K``                 shard or island K's incumbent-board attach
+                          is refused, so that task of a fanned job runs
+                          without broadcast.  Whole-point jobs have no
+                          board and ignore it.
 ``slow@K=S``              point K sleeps S seconds before scoring —
                           drives per-point deadline enforcement.
 ``ipc@K``                 the server drops an ``events`` stream after
@@ -41,16 +43,16 @@ process-wide metrics registry, so injected chaos is visible in the
 run's telemetry and the service health block.
 
 Determinism contract: a plan never changes *what* is computed — only
-when processes die, how long points take, and which transport
-fallbacks engage.  The chaos suite asserts grid results under every
-plan are bit-identical to the fault-free run.
+when processes die, how long points take, and which tasks run
+without incumbent broadcast.  The chaos suite asserts grid results
+under every plan are bit-identical to the fault-free run.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
@@ -209,7 +211,7 @@ class FaultPlan:
         return True
 
     def take_shm_failure(self, point_index: int) -> bool:
-        """True if ``point_index``'s shm attach should be refused."""
+        """True if task ``point_index``'s board attach should be refused."""
         if point_index not in self.shm_points:
             return False
         if not self._claim(f"shm-{point_index}"):

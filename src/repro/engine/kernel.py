@@ -27,10 +27,10 @@ sweep is the oracle):
   ``Core_assign`` entirely without changing any observable outcome.
 * :class:`DenseTimeTable` — a times-only :class:`~repro.wrapper.
   pareto.TimeTable` stand-in over one matrix row, for pool workers
-  that receive the matrix through shared memory
-  (:mod:`repro.engine.shm`) instead of building their own tables;
-  wrapper *designs* (needed only for final utilization accounting)
-  are recovered on demand at the staircase breakpoint.
+  that receive the matrix from the parent (:mod:`repro.engine.shm`)
+  instead of building their own tables; wrapper *designs* (needed
+  only for final utilization accounting) are recovered on demand at
+  the staircase breakpoint.
 """
 
 from __future__ import annotations
@@ -57,10 +57,9 @@ class DenseTimeMatrix:
     :class:`~repro.wrapper.pareto.TimeTable` staircase), which is what
     makes the widest-column lower bound admissible.
 
-    The backing store is any flat int sequence — an ``array('q')``
-    when built locally, a zero-copy ``memoryview`` when attached to a
-    shared-memory segment.  Hot loops never touch it directly: they
-    read the memoized per-width column tuples.
+    The backing store is any flat int sequence, normally an
+    ``array('q')``.  Hot loops never touch it directly: they read the
+    memoized per-width column tuples.
     """
 
     __slots__ = (
@@ -70,7 +69,7 @@ class DenseTimeMatrix:
 
     def __init__(
         self,
-        flat: Union["array[int]", memoryview, Sequence[int]],
+        flat: Union["array[int]", Sequence[int]],
         num_cores: int,
         total_width: int,
     ) -> None:
@@ -213,7 +212,7 @@ class DenseTimeMatrix:
         ]
 
     def to_bytes(self) -> bytes:
-        """The flat matrix as native int64 bytes (shared-memory wire form)."""
+        """The flat matrix as native int64 bytes (the pool wire form)."""
         flat = self._flat
         if isinstance(flat, array) and flat.typecode == "q":
             return flat.tobytes()
@@ -222,22 +221,14 @@ class DenseTimeMatrix:
     @classmethod
     def from_buffer(
         cls,
-        buffer: Union[bytes, bytearray, memoryview],
+        buffer: bytes,
         num_cores: int,
         total_width: int,
     ) -> "DenseTimeMatrix":
-        """Zero-copy view over a native int64 buffer (bytes or shm)."""
-        view = memoryview(buffer).cast("q")
-        return cls(view, num_cores, total_width)
-
-    def release(self) -> None:
-        """Release a buffer-backed view (before closing its segment)."""
-        if isinstance(self._flat, memoryview):
-            self._flat.release()
-        self._columns.clear()
-        self._stats.clear()
-        self._orders.clear()
-        self._contexts.clear()
+        """The matrix :meth:`to_bytes` packed, unpacked into an array."""
+        flat = array("q")
+        flat.frombytes(buffer)
+        return cls(flat, num_cores, total_width)
 
 
 def build_dense_matrix(
@@ -437,12 +428,12 @@ class DenseTimeTable:
     recovering the staircase breakpoint (leftmost width with the same
     time — where the running-minimum construction stored its design).
     Values are identical to the real table's; pool workers use these
-    over a shared-memory matrix so they never build private tables.
+    over a transported matrix so they never build private tables.
 
     ``design_steps`` — serialized wrapper-design records keyed by
-    breakpoint width, as shipped by the shared-memory staircase
-    transport (:mod:`repro.engine.shm`) — closes the last per-worker
-    rebuild gap: a breakpoint with a shipped record is *decoded*, not
+    breakpoint width, as shipped with the matrix
+    (:mod:`repro.engine.shm`) — closes the last per-worker rebuild
+    gap: a breakpoint with a shipped record is *decoded*, not
     re-designed, so the handful of designs the final utilization
     accounting needs cost zero ``Design_wrapper`` calls too.  Without
     records (or for a width outside them) the table falls back to

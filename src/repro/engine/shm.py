@@ -1,48 +1,29 @@
-"""Shared-memory transport for dense time matrices and incumbents.
+"""Dense-matrix transport for pool workers, and the incumbent board.
 
-Closes the ROADMAP item "shared-memory or copy-on-write table
-transport for the process pool": instead of every pool worker holding
-a private copy of each SOC's wrapper time tables, the parent builds
-the dense N×W matrix once (:func:`repro.engine.kernel.
-build_dense_matrix`), publishes its int64 bytes in one
-``multiprocessing.shared_memory`` segment, and ships workers a tiny
-:class:`DenseDescriptor` (segment name, shape, SOC fingerprint).
-Workers attach read-only and wrap the buffer zero-copy; the matrix —
-plus on-demand :class:`~repro.engine.kernel.DenseTimeTable` designs
-for final reporting — replaces their private table builds.
+The parent builds each SOC's dense N×W matrix once
+(:func:`repro.engine.kernel.build_dense_matrix`) and ships workers a
+:class:`DenseDescriptor` carrying the matrix's int64 bytes, its shape
+and the SOC fingerprint, plus the wrapper-design staircases
+(:func:`design_steps_blob`).  The descriptor rides the pool's pickle
+channel with each task: a whole SOC packs into tens to a couple of
+hundred kilobytes, microseconds to pickle against grid points that
+take milliseconds to seconds.  Workers unpack each matrix once per
+process (:func:`attach`) and decode its staircases once
+(:func:`attach_design_steps`), so the scoring path builds no wrapper
+tables and runs no ``Design_wrapper`` in a worker.
 
-Two further payloads ride the same machinery:
-
-* **wrapper-design staircases** — each core's Pareto breakpoints with
-  their serialized designs (:func:`design_steps_blob`), published
-  alongside the matrix and decoded lazily by
-  :class:`~repro.engine.kernel.DenseTimeTable`.  This closes the last
-  per-worker rebuild: the handful of ``Design_wrapper`` runs the
-  final utilization accounting used to pay per worker now cost a
-  dictionary lookup;
-* the **incumbent board** (:class:`IncumbentBoard`) — a tiny int64
-  array with one slot of ``keep_top`` best-times per shard of an
-  intra-job sharded sweep (:mod:`repro.partition.shard`).  Each shard
-  writes only its own slot and reads only earlier shards' slots
-  (forward-only, which is what keeps the merged result bit-identical
-  to the serial sweep), so no locking is needed; a torn read is not a
-  correctness hazard on any platform CPython supports shared memory
-  on, because slot writes are single aligned 8-byte stores.
-
-Degradation is graceful at both ends:
-
-* if creating a segment fails (no ``/dev/shm``, permissions, size
-  limits), the descriptor carries the raw matrix bytes instead and
-  rides the normal pickle channel to the workers;
-* if *attaching* fails in a worker, the worker silently falls back to
-  its private :class:`~repro.engine.cache.WrapperTableCache` — the
-  pre-transport behaviour.
-
-Segment lifetime is owned by the parent-side :class:`SegmentRegistry`:
-segments are unlinked on :meth:`SegmentRegistry.close` (wired to pool
-shutdown in :class:`~repro.engine.batch.BatchRunner`).  Attached
-workers keep their mappings alive until process exit — on POSIX an
-unlinked segment survives for exactly as long as someone maps it.
+Shared memory carries only the **incumbent board**
+(:class:`IncumbentBoard`): a tiny int64 array with one slot of
+``keep_top`` best-times per shard of an intra-job sharded sweep
+(:mod:`repro.partition.shard`) or per island of a fanned search —
+live state that tasks write while they run.  Each shard writes only
+its own slot and reads only earlier shards' slots (forward-only,
+which is what keeps the merged result bit-identical to the serial
+sweep), so no locking is needed; a torn read is not a correctness
+hazard on any platform CPython supports shared memory on, because
+slot writes are single aligned 8-byte stores.  A board that cannot
+be created or attached only costs the broadcast: tasks run with
+looser thresholds and the merged outcome is the same.
 
 Python ≤ 3.12 registers *attached* segments with the worker's
 ``resource_tracker`` too, which would tear a segment down (and warn)
@@ -52,13 +33,11 @@ unregisters them — cleanup stays the creator's job.
 
 from __future__ import annotations
 
-import atexit
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.kernel import DenseTimeMatrix
-from repro.obs import REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wrapper.pareto import TimeTable
@@ -73,58 +52,35 @@ except ImportError:  # pragma: no cover - no _posixshmem / _winapi
 class DenseDescriptor:
     """Everything a worker needs to reconstruct a dense matrix.
 
-    Exactly one of ``shm_name`` (shared-memory fast path) and
-    ``payload`` (pickled-bytes fallback) is set.  ``fingerprint`` is
-    the :func:`repro.soc.fingerprint.soc_fingerprint` of the SOC the
-    matrix was built for — workers verify it against each job's SOC
-    before trusting the matrix.
-
-    ``design_shm_name`` / ``design_payload`` optionally carry the
-    wrapper-design staircase blob (:func:`design_steps_blob`) the same
-    two ways; ``design_size`` is the blob's byte length (shared-memory
-    segments may be page-padded).  Absent designs only cost speed —
-    workers fall back to on-demand ``Design_wrapper`` recovery.
+    ``payload`` is the matrix's native int64 bytes
+    (:meth:`~repro.engine.kernel.DenseTimeMatrix.to_bytes`);
+    ``fingerprint`` is the :func:`repro.soc.fingerprint.soc_fingerprint`
+    of the SOC the matrix was built for, the key workers cache the
+    unpacked matrix under.  ``design_payload`` optionally carries the
+    wrapper-design staircase blob (:func:`design_steps_blob`).  Absent
+    designs only cost speed — workers fall back to on-demand
+    ``Design_wrapper`` recovery.
     """
 
     fingerprint: str
     num_cores: int
     total_width: int
-    shm_name: Optional[str] = None
-    payload: Optional[bytes] = None
-    design_shm_name: Optional[str] = None
+    payload: bytes
     design_payload: Optional[bytes] = None
-    design_size: int = 0
 
 
 class SegmentRegistry:
-    """Parent-side owner of published dense-matrix segments.
+    """Parent-side cache of published descriptors, by SOC fingerprint.
 
-    Keyed by SOC fingerprint; republishing for a wider width replaces
-    (and unlinks) the narrower segment.  :meth:`close` frees
-    everything — :class:`~repro.engine.batch.BatchRunner` calls it
-    when its pool goes away.
+    Packs each matrix once: a descriptor already published for a
+    fingerprint is reused while it is wide enough and not missing
+    newly available designs, and replaced otherwise.  :meth:`close`
+    forgets everything — :class:`~repro.engine.batch.BatchRunner`
+    calls it when its pool goes away.
     """
 
     def __init__(self) -> None:
-        self._segments: Dict[
-            str, Tuple[Tuple[object, ...], DenseDescriptor]
-        ] = {}
-
-    @staticmethod
-    def _new_segment(
-        data: bytes,
-    ) -> "Optional[_shared_memory.SharedMemory]":
-        """A filled shared segment for ``data``, or ``None``."""
-        if _shared_memory is None or not data:
-            return None
-        try:
-            segment = _shared_memory.SharedMemory(
-                create=True, size=len(data)
-            )
-        except OSError:
-            return None
-        segment.buf[:len(data)] = data
-        return segment
+        self._descriptors: Dict[str, DenseDescriptor] = {}
 
     def publish(
         self,
@@ -132,180 +88,56 @@ class SegmentRegistry:
         matrix: DenseTimeMatrix,
         designs: Optional[bytes] = None,
     ) -> DenseDescriptor:
-        """A descriptor for ``matrix``, creating/reusing its segments.
-
-        A segment already published for ``fingerprint`` is reused when
-        wide enough (and not missing newly-available ``designs``);
-        otherwise it is replaced.  When shared memory is unavailable
-        the descriptor falls back to carrying the matrix — and the
-        optional wrapper-design staircase blob — inline (the pickle
-        channel).
-        """
-        held = self._segments.get(fingerprint)
-        if held is not None:
-            _, descriptor = held
-            has_designs = (
-                descriptor.design_shm_name is not None
-                or descriptor.design_payload is not None
-            )
-            if descriptor.total_width >= matrix.total_width and (
-                has_designs or designs is None
-            ):
-                return descriptor
-            self._release(fingerprint)
-        data = matrix.to_bytes()
-        design_fields: Dict[str, object] = {}
-        design_segment = None
-        if designs:
-            design_segment = self._new_segment(designs)
-            if design_segment is not None:
-                design_fields = {
-                    "design_shm_name": design_segment.name,
-                    "design_size": len(designs),
-                }
-            else:
-                design_fields = {
-                    "design_payload": designs,
-                    "design_size": len(designs),
-                }
-        segment = self._new_segment(data)
-        if segment is not None:
-            REGISTRY.counter("shm.segments_published").inc()
-            descriptor = DenseDescriptor(
-                fingerprint=fingerprint,
-                num_cores=matrix.num_cores,
-                total_width=matrix.total_width,
-                shm_name=segment.name,
-                **design_fields,  # type: ignore[arg-type]
-            )
-        else:
-            # Fallback descriptors are registered too (segment-less),
-            # so repeated runs reuse the packed bytes instead of
-            # re-serializing the matrix each time.  The bytes still
-            # ride the pickle channel per job item — the remaining
-            # cost of degraded mode.
-            REGISTRY.counter("shm.publish_fallbacks").inc()
-            descriptor = DenseDescriptor(
-                fingerprint=fingerprint,
-                num_cores=matrix.num_cores,
-                total_width=matrix.total_width,
-                payload=data,
-                **design_fields,  # type: ignore[arg-type]
-            )
-        self._segments[fingerprint] = (
-            (segment, design_segment), descriptor
+        """A descriptor carrying ``matrix`` and the optional ``designs``."""
+        held = self._descriptors.get(fingerprint)
+        if held is not None and held.total_width >= matrix.total_width \
+                and (held.design_payload is not None or not designs):
+            return held
+        descriptor = DenseDescriptor(
+            fingerprint=fingerprint,
+            num_cores=matrix.num_cores,
+            total_width=matrix.total_width,
+            payload=matrix.to_bytes(),
+            design_payload=designs or None,
         )
+        self._descriptors[fingerprint] = descriptor
         return descriptor
 
-    def _release(self, fingerprint: str) -> None:
-        segments, _ = self._segments.pop(fingerprint)
-        for segment in segments:
-            if segment is None:
-                continue
-            try:
-                segment.close()  # type: ignore[attr-defined]
-                segment.unlink()  # type: ignore[attr-defined]
-            except OSError:  # pragma: no cover - already gone
-                pass
-
     def close(self) -> None:
-        """Unlink every published segment (idempotent)."""
-        for fingerprint in list(self._segments):
-            self._release(fingerprint)
+        """Forget every published descriptor (idempotent)."""
+        self._descriptors.clear()
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self._descriptors)
 
 
-#: Worker-side cache of reconstructed matrices, keyed by SOC
-#: fingerprint — one attach (or payload unpack) per matrix per worker
-#: process, its column/pick-order memos shared by every job that
-#: names it.  The value's first element identifies the exact matrix
-#: (segment name, or shape for payload fallbacks): a descriptor
-#: naming a *different* one for the same fingerprint supersedes the
-#: entry, releasing the stale mapping instead of pinning every
-#: generation of a growing matrix for the worker's lifetime.
-_ATTACHED: Dict[str, Tuple[object, DenseTimeMatrix, Optional[object]]] = {}
-_CLEANUP_REGISTERED = False
+#: Worker-side cache of unpacked matrices, keyed by SOC fingerprint —
+#: one unpack per matrix per worker process, its column/pick-order
+#: memos shared by every job that names it.  A descriptor of another
+#: width for the same SOC replaces the entry, so a growing matrix
+#: keeps one generation per worker, not all of them.
+_ATTACHED: Dict[str, DenseTimeMatrix] = {}
 
 
-def _release_entry(fingerprint: str) -> None:
-    _, matrix, segment = _ATTACHED.pop(fingerprint)
-    matrix.release()
-    if segment is not None:
-        try:
-            segment.close()  # type: ignore[attr-defined]
-        except OSError:  # pragma: no cover - already unmapped
-            pass
-
-
-def _close_attachments() -> None:  # pragma: no cover - process exit
-    for fingerprint in list(_ATTACHED):
-        _release_entry(fingerprint)
-
-
-def attach(descriptor: DenseDescriptor) -> Optional[DenseTimeMatrix]:
-    """The descriptor's matrix, or ``None`` when it cannot be had.
-
-    Matrices are reconstructed once per worker process and cached by
-    SOC fingerprint — zero-copy attach for shared segments, a single
-    unpack for bytes-fallback payloads — so repeated jobs share the
-    memoized columns either way.  Any attach failure (segment already
-    unlinked, shared memory unsupported) returns ``None`` so the
-    caller can fall back to private tables.
-    """
-    global _CLEANUP_REGISTERED
-    use_payload = descriptor.payload is not None
-    if not use_payload and (
-        descriptor.shm_name is None or _shared_memory is None
-    ):
-        REGISTRY.counter("shm.attach_failures").inc()
-        return None
-    identity: object = (
-        (descriptor.num_cores, descriptor.total_width) if use_payload
-        else descriptor.shm_name
-    )
-    held = _ATTACHED.get(descriptor.fingerprint)
-    if held is not None:
-        if held[0] == identity:
-            return held[1]
-        _release_entry(descriptor.fingerprint)
-    segment = None
-    if use_payload:
+def attach(descriptor: DenseDescriptor) -> DenseTimeMatrix:
+    """The descriptor's matrix, unpacked once per worker process."""
+    matrix = _ATTACHED.get(descriptor.fingerprint)
+    if matrix is None or matrix.total_width != descriptor.total_width:
         matrix = DenseTimeMatrix.from_buffer(
             descriptor.payload,
             descriptor.num_cores,
             descriptor.total_width,
         )
-    else:
-        try:
-            segment = _attach_untracked(descriptor.shm_name)
-        except (OSError, ValueError):
-            REGISTRY.counter("shm.attach_failures").inc()
-            return None
-        expected = descriptor.num_cores * descriptor.total_width * 8
-        if segment.size < expected:  # pragma: no cover - size mismatch
-            segment.close()
-            REGISTRY.counter("shm.attach_failures").inc()
-            return None
-        matrix = DenseTimeMatrix.from_buffer(
-            segment.buf[:expected],
-            descriptor.num_cores,
-            descriptor.total_width,
-        )
-    if not _CLEANUP_REGISTERED:
-        _CLEANUP_REGISTERED = True
-        atexit.register(_close_attachments)
-    _ATTACHED[descriptor.fingerprint] = (identity, matrix, segment)
+        _ATTACHED[descriptor.fingerprint] = matrix
     return matrix
 
 
 def design_steps_blob(tables: "Sequence[TimeTable]") -> bytes:
-    """Serialize wrapper-design staircases for the shm transport.
+    """Serialize wrapper-design staircases for the pool transport.
 
     One record per core: the Pareto breakpoints of its
     :class:`~repro.wrapper.pareto.TimeTable` with each breakpoint's
-    serialized design — a few kilobytes for the whole SOC, versus the
+    serialized design — tens of kilobytes for a whole SOC, versus the
     per-worker ``Design_wrapper`` runs they replace.  The inverse is
     :func:`parse_design_steps`.
     """
@@ -351,9 +183,9 @@ def parse_design_steps(
 
 
 #: Worker-side cache of parsed design staircases, keyed by SOC
-#: fingerprint; the first element identifies the exact blob (segment
-#: name, or blob length for payload fallbacks).
-_DESIGN_STEPS: Dict[str, Tuple[object, Optional[Dict]]] = {}
+#: fingerprint; the first element is the length of the blob they were
+#: parsed from (a wider republish ships a longer blob).
+_DESIGN_STEPS: Dict[str, Tuple[int, Optional[Dict]]] = {}
 
 
 def attach_design_steps(
@@ -361,38 +193,18 @@ def attach_design_steps(
 ) -> Optional[Dict[str, List[Tuple[int, dict]]]]:
     """The descriptor's design staircases, or ``None`` when absent.
 
-    Parsed once per worker per blob: the shared segment is read and
-    *closed* immediately (the decoded records carry no buffer
-    references), so design segments never pin worker address space.
-    Any failure — segment gone, undecodable blob — returns ``None``
-    and the caller falls back to on-demand design recovery.
+    Parsed once per worker per blob.  An undecodable blob also
+    returns ``None``, and the caller falls back to on-demand design
+    recovery.
     """
-    if descriptor.design_payload is not None:
-        identity: object = ("payload", descriptor.design_size)
-        blob = descriptor.design_payload
-    elif descriptor.design_shm_name is not None:
-        identity = descriptor.design_shm_name
-        blob = None
-    else:
+    blob = descriptor.design_payload
+    if blob is None:
         return None
     held = _DESIGN_STEPS.get(descriptor.fingerprint)
-    if held is not None and held[0] == identity:
+    if held is not None and held[0] == len(blob):
         return held[1]
-    if blob is None:
-        if _shared_memory is None:
-            return None
-        try:
-            segment = _attach_untracked(descriptor.design_shm_name)
-        except (OSError, ValueError):
-            return None
-        try:
-            if segment.size < descriptor.design_size:
-                return None  # pragma: no cover - size mismatch
-            blob = bytes(segment.buf[:descriptor.design_size])
-        finally:
-            segment.close()
     steps = parse_design_steps(blob)
-    _DESIGN_STEPS[descriptor.fingerprint] = (identity, steps)
+    _DESIGN_STEPS[descriptor.fingerprint] = (len(blob), steps)
     return steps
 
 

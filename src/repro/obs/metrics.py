@@ -2,11 +2,11 @@
 
 One :class:`MetricsRegistry` replaces the scattered integer
 attributes the engine and the service grew (``BatchRunner.
-shm_fallbacks``, ``ExplorationServer.memo_hits``, ...) with a single
+jobs_sharded``, ``ExplorationServer.memo_hits``, ...) with a single
 namespace of typed instruments:
 
 * :class:`Counter` — monotonically increasing counts (cache hits,
-  shards run, fallbacks);
+  shards run, pool restarts);
 * :class:`Gauge` — point-in-time levels (queue depth);
 * :class:`Timer` — duration accumulators (per-phase wall time),
   measured with :func:`time.monotonic` only.

@@ -36,11 +36,12 @@ The protocol rests on two facts about the serial sweep:
    a looser threshold would have aborted against the serial one.
 
 Everything here is process-free: :func:`sweep_shard` is the worker
-payload (the engine runs it on pool workers over the shared-memory
-matrix and incumbent board, :mod:`repro.engine.batch` /
-:mod:`repro.engine.shm`), and :func:`sharded_partition_evaluate` runs
-the whole protocol inline — the differential-test surface, and the
-single-process reference for the merge semantics.
+payload (the engine runs it on pool workers over the transported
+matrix and the shared-memory incumbent board,
+:mod:`repro.engine.batch` / :mod:`repro.engine.shm`), and
+:func:`sharded_partition_evaluate` runs the whole protocol inline —
+the differential-test surface, and the single-process reference for
+the merge semantics.
 """
 
 from __future__ import annotations
@@ -500,7 +501,7 @@ def sharded_partition_evaluate(
     this process over a :class:`LocalBoard` (pass ``board=None`` to
     ablate incumbent sharing — outcomes are identical, only the work
     per shard grows).  The engine passes a ``scorer`` that fans the
-    shards out to its pool workers over shared memory.
+    shards out to its pool workers with a shared-memory board.
 
     Restrictions mirror what the protocol's determinism proof needs:
     the canonical ``unique`` enumeration and no per-count

@@ -21,7 +21,7 @@ import json
 import logging
 import socket
 import time as _time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, Optional, Sequence, Union
 
 from repro.api.envelopes import PROTOCOL_VERSION, JobEvent
 from repro.api.specs import DEFAULT_MAX_TAMS, GridSpec

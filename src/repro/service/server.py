@@ -283,11 +283,6 @@ class ExplorationServer:
         runner (see :class:`repro.service.store.TableStore`).
     retries:
         Per-point retry budget for the built runner.
-    share_tables:
-        Ship each grid's dense time matrices to the pool workers over
-        shared memory (see :class:`~repro.engine.batch.BatchRunner`)
-        instead of letting every worker build a private table copy.
-        On by default; segments live until :meth:`shutdown`.
     max_records:
         Retention bound for *terminal* job records (done / failed /
         cancelled).  ``None`` (default) keeps every record for the
@@ -324,7 +319,6 @@ class ExplorationServer:
         max_workers: Optional[int] = None,
         cache_dir: Union[str, Path, None] = None,
         retries: int = 0,
-        share_tables: bool = True,
         max_records: Optional[int] = None,
         require_auth: bool = False,
         tokens_path: Union[str, Path, None] = None,
@@ -338,7 +332,6 @@ class ExplorationServer:
                 retries=retries,
                 cache_dir=cache_dir,
                 persistent=True,
-                share_tables=share_tables,
             )
         if max_records is not None and max_records < 1:
             raise ServiceError(
@@ -1093,7 +1086,6 @@ class ExplorationServer:
                 "memo_hits": self.memo_hits,
                 "pools_started": self.runner.pools_started,
                 "jobs_sharded": self.runner.jobs_sharded,
-                "shm_fallbacks": self.runner.shm_fallbacks,
                 "max_records": self.max_records,
                 "records_evicted": self.records_evicted,
                 "persistent_memo": self.grid_memo is not None,

@@ -38,7 +38,7 @@ class CueWorker:
         registry = MetricsRegistry()
         registry.counter("test.task_value").inc(task)
         telemetry = TaskTelemetry(spans=(), metrics=registry.snapshot())
-        return task * task, 0, telemetry
+        return task * task, telemetry
 
 
 def fan_out(runner, worker, tasks):

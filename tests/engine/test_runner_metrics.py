@@ -1,15 +1,13 @@
 """Per-run metrics on a persistent runner, and the telemetry channel.
 
 The regression this file pins down: ``BatchRunner`` used to keep its
-execution counters (``jobs_sharded``, ``shm_fallbacks``, ...) as
+execution counters (``jobs_sharded``, ``pools_started``, ...) as
 plain attributes that were *never reset*, so on a persistent runner
 the second ``run_grid`` call reported the first call's work too.
 Counters now live in a :class:`repro.obs.MetricsRegistry` and every
 run publishes ``last_run_metrics`` — the snapshot *delta* for that
 run alone — while the registry keeps the lifetime totals.
 """
-
-import pytest
 
 from repro.engine.batch import (
     BatchJob,
@@ -48,7 +46,6 @@ class TestPerRunSnapshots:
         # The read-only compatibility surface: lifetime totals, as
         # the CLI --stats block and existing tests expect.
         assert runner.pools_started == 0  # inline: no pool
-        assert runner.shm_fallbacks == 0
         assert runner.jobs_sharded == 0
 
     def test_snapshot_delta_is_a_metrics_snapshot(self, d695):

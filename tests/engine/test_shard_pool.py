@@ -3,7 +3,7 @@
 import pytest
 
 import repro.engine.shm as shm
-from repro.engine.batch import BatchJob, BatchRunner, _run_job_tracked
+from repro.engine.batch import BatchJob, BatchRunner, _run_job
 from repro.engine.kernel import build_dense_matrix, dense_time_tables
 from repro.engine.shm import (
     IncumbentBoard,
@@ -18,8 +18,7 @@ from repro.wrapper.pareto import build_time_tables
 
 
 def _drop(fingerprint):
-    if fingerprint in shm._ATTACHED:
-        shm._release_entry(fingerprint)
+    shm._ATTACHED.pop(fingerprint, None)
     shm._DESIGN_STEPS.pop(fingerprint, None)
 
 
@@ -131,7 +130,6 @@ class TestPooledColdBuilds:
         pooled_runner = BatchRunner(max_workers=2)
         pooled = pooled_runner.run(jobs)
         assert serial == pooled
-        assert pooled_runner.shm_fallbacks == 0
 
     def test_warm_parent_reuses_matrices_across_runs(self, tiny_soc):
         with BatchRunner(max_workers=2, persistent=True) as runner:
@@ -148,17 +146,15 @@ class TestStaircaseTransport:
         table_list = [tables[c.name] for c in tiny_soc.cores]
         matrix = build_dense_matrix(table_list, 10)
         blob = design_steps_blob(table_list)
-        registry = SegmentRegistry()
         try:
-            descriptor = registry.publish(
+            descriptor = SegmentRegistry().publish(
                 "fp-stairs", matrix, designs=blob
             )
-            assert descriptor.design_shm_name is not None
-            assert descriptor.design_size == len(blob)
+            assert descriptor.design_payload == blob
             steps = attach_design_steps(descriptor)
             assert set(steps) == {c.name for c in tiny_soc.cores}
+            assert attach_design_steps(descriptor) is steps  # parsed once
         finally:
-            registry.close()
             _drop("fp-stairs")
 
     def test_dense_tables_decode_designs_without_design_wrapper(
@@ -193,14 +189,13 @@ class TestStaircaseTransport:
         tables = build_time_tables(tiny_soc, 8)
         table_list = [tables[c.name] for c in tiny_soc.cores]
         matrix = build_dense_matrix(table_list, 8)
-        registry = SegmentRegistry()
         try:
-            descriptor = registry.publish(
+            descriptor = SegmentRegistry().publish(
                 soc_fingerprint(tiny_soc), matrix,
                 designs=design_steps_blob(table_list),
             )
             job = BatchJob(tiny_soc, 8, 2, options={"polish": False})
-            reference = _run_job_tracked({}, job)[0]
+            reference = _run_job({}, job)
 
             import repro.engine.kernel as kernel_module
             import repro.wrapper.pareto as pareto
@@ -213,13 +208,10 @@ class TestStaircaseTransport:
                 kernel_module, "design_wrapper", exploding
             )
             caches = {}
-            point = _run_job_tracked(
-                caches, job, descriptor=descriptor
-            )[0]
+            point = _run_job(caches, job, descriptor=descriptor)
             assert point == reference
             assert caches == {}
         finally:
-            registry.close()
             _drop(soc_fingerprint(tiny_soc))
 
     def test_corrupt_blob_degrades_to_none(self):
@@ -268,34 +260,6 @@ class TestIncumbentBoardShm:
 
 
 class TestFallbackCounter:
-    def test_lost_segment_fallback_is_counted(self, tiny_soc):
-        jobs = [BatchJob(tiny_soc, width, 2) for width in (6, 8)]
-        runner = BatchRunner(max_workers=1)
-        # Inline mode never ships descriptors: no fallbacks.
-        runner.run(jobs)
-        assert runner.shm_fallbacks == 0
-        # Worker-path fallback: a descriptor whose segment is gone
-        # forces the silent private rebuild — exercised in-process
-        # through the same tracked entry point the pool worker uses.
-        from repro.engine.batch import _run_job_safe
-        from repro.engine.shm import DenseDescriptor
-
-        tables = build_time_tables(tiny_soc, 8)
-        matrix = build_dense_matrix(
-            [tables[c.name] for c in tiny_soc.cores], 8
-        )
-        descriptor = DenseDescriptor(
-            fingerprint=soc_fingerprint(tiny_soc),
-            num_cores=matrix.num_cores,
-            total_width=matrix.total_width,
-            shm_name="psm_gone_repro",
-        )
-        result, fallbacks = _run_job_safe(
-            {}, jobs[0], "raise", 0, descriptor=descriptor,
-        )
-        assert fallbacks == 1
-        assert result == BatchRunner(max_workers=1).run([jobs[0]])[0]
-
     def test_counter_reported_by_server_info(self, tiny_soc):
         from repro.service.server import ExplorationServer
 
@@ -303,5 +267,4 @@ class TestFallbackCounter:
             record = server.submit([BatchJob(tiny_soc, 6, 2)])
             server.wait(record.job_id, timeout=60)
             info = server.info()
-            assert "shm_fallbacks" in info
             assert "jobs_sharded" in info

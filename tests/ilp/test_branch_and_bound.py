@@ -8,7 +8,7 @@ pytest.importorskip("scipy")
 
 from repro.exceptions import ConfigurationError
 from repro.ilp.branch_and_bound import BranchAndBound, solve_model
-from repro.ilp.model import LinExpr, Model
+from repro.ilp.model import Model
 from repro.ilp.solution import SolveStatus
 
 

@@ -2,9 +2,9 @@
 
 Every test here runs the same workload twice — once clean, once under
 a ``REPRO_FAULTS`` plan — and asserts the results are bit-identical.
-Faults may change *how* the answer is produced (pools rebuilt, shm
-fallbacks engaged, streams reconnected, store entries rebuilt), never
-*what* is produced.
+Faults may change *how* the answer is produced (pools rebuilt,
+incumbent boards refused, streams reconnected, store entries rebuilt),
+never *what* is produced.
 
 ``REPRO_CHAOS_SEED`` (CI's chaos-smoke matrix) shifts which grid
 point each fault lands on, so repeated runs exercise different
@@ -30,6 +30,11 @@ WIDTHS = (4, 5, 6, 7)
 
 def grid_jobs(soc):
     return [BatchJob(soc, width, 2) for width in WIDTHS]
+
+
+def sharded_jobs(soc):
+    """One job the runner splits into shards (``shard=4``)."""
+    return [BatchJob(soc, 10, (1, 2, 3))]
 
 
 @pytest.fixture
@@ -66,6 +71,9 @@ class TestEngineChaos:
         self, tiny_soc, tmp_path, no_ambient_faults
     ):
         healthy = BatchRunner(max_workers=2).run(grid_jobs(tiny_soc))
+        sharded_healthy = BatchRunner(max_workers=1).run(
+            sharded_jobs(tiny_soc)
+        )
         for name, text in plan_texts(tmp_path).items():
             no_ambient_faults.setenv(FAULTS_ENV, text)
             runner = BatchRunner(max_workers=2)
@@ -73,12 +81,22 @@ class TestEngineChaos:
             assert chaotic == healthy, f"plan {name!r} changed results"
             if "crash@" in text:
                 assert runner.pool_restarts >= 1
+            if name == "shm":
+                # Whole-point jobs have no incumbent board to refuse;
+                # the shm hook fires in the shards of a sharded job.
+                runner = BatchRunner(max_workers=2, shard=4)
+                chaotic = runner.run(sharded_jobs(tiny_soc))
+                assert chaotic == sharded_healthy
+                assert runner.jobs_sharded == 1
+                injected = runner.metrics.counter("faults.injected")
+                assert injected.value >= 1
 
     def test_inline_mode_survives_the_plans_too(
         self, tiny_soc, tmp_path, no_ambient_faults
     ):
-        # No pool to crash inline — but shm/slow directives still hit
-        # their hooks and must be harmless.
+        # No pool to crash and no board to refuse inline — but the
+        # slow directive still hits its hook, and none may change
+        # results.
         healthy = BatchRunner(max_workers=1).run(grid_jobs(tiny_soc))
         state = tmp_path / "tokens-inline"
         no_ambient_faults.setenv(

@@ -10,7 +10,7 @@ import socket
 
 import pytest
 
-from repro.api import GridSpec, JobEvent, PROTOCOL_VERSION
+from repro.api import GridSpec, JobEvent
 from repro.engine.batch import BatchJob, BatchRunner
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient

@@ -6,7 +6,6 @@ from repro.exceptions import ConfigurationError
 from repro.soc.complexity import test_complexity as complexity_of
 from repro.soc.generator import (
     CoreRanges,
-    SocGenerator,
     SocSpec,
     generate_soc,
     random_soc,

@@ -1,7 +1,5 @@
 """Unit tests for the cycle-accurate wrapper test simulator."""
 
-import pytest
-
 from repro.soc.core import Core
 from repro.wrapper.design import design_wrapper
 from repro.wrapper.simulate import simulate_wrapper_test
