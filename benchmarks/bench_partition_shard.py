@@ -11,7 +11,7 @@ Three claims, quantified on p93791 and archived in
 * **pruning survives sharding** — the shards' total work stays within
   a small factor of the serial sweep's (the shared incumbent keeps
   pruning power; without it the total would balloon);
-* **cold-grid builds spread** — a cold 3-SOC grid's dense matrices
+* **cold-grid builds spread** — a cold 3-SOC grid's wrapper tables
   build as pool tasks whose critical path (the longest single build)
   is well under the serial parent-side build the engine used to pay.
 
@@ -108,7 +108,7 @@ def run_single_job_rows(soc):
                 for index, spans in enumerate(plan.shards)
             ]
             merge_start = time.perf_counter()
-            merged = merge_shard_outcomes(matrix, plan, outcomes)
+            merged = merge_shard_outcomes(plan, outcomes)
             merge_s = time.perf_counter() - merge_start
             return outcomes, merged, merge_s
 

@@ -102,8 +102,8 @@ def evaluate_point(
     zero extra ``design_wrapper`` calls beyond the optimization
     itself.  Pass ``tables`` (e.g. from a
     :class:`repro.engine.WrapperTableCache`) to also share them
-    across points, and ``dense`` (e.g. unpacked from the batch
-    engine's pool transport) to hand the partition sweep a pre-built
+    across points, and ``dense`` (e.g. the one the batch engine built
+    from the same tables) to hand the partition sweep a pre-built
     matrix.  Remaining keyword arguments go to
     :func:`~repro.optimize.co_optimize.co_optimize` verbatim
     (``polish``, ``exact_time_limit``, ...).

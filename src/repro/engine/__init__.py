@@ -28,11 +28,11 @@ Two further modules make the hot path fast:
   orders, an allocation-free bit-identical ``Core_assign``
   (:func:`sweep_assign`), and the O(1) admissible partition lower
   bound behind ``partition_evaluate``'s skip;
-* :mod:`~repro.engine.shm` — transport of those matrices (and their
-  wrapper-design staircases) to pool workers as descriptor bytes, so
-  a batch's workers unpack one parent-built matrix instead of each
-  building their own tables, plus the shared-memory
-  :class:`~repro.engine.shm.IncumbentBoard` that broadcasts
+* :mod:`~repro.engine.shm` — transport of the parent's tables to
+  pool workers, pickled once per SOC into descriptor bytes, so a
+  batch's workers build their matrices from the parent's tables
+  instead of each running their own wrapper designs, plus the
+  shared-memory :class:`~repro.engine.shm.IncumbentBoard` that broadcasts
   incumbents between the shards of a single job's sharded partition
   sweep (:mod:`repro.partition.shard`, ``BatchRunner(shard=...)``).
 
@@ -44,10 +44,8 @@ engine.
 from repro.engine.cache import WrapperTableCache
 from repro.engine.kernel import (
     DenseTimeMatrix,
-    DenseTimeTable,
     KernelWorkspace,
     build_dense_matrix,
-    dense_time_tables,
     sweep_assign,
 )
 from repro.engine.batch import (
@@ -62,10 +60,8 @@ from repro.engine.batch import (
 __all__ = [
     "WrapperTableCache",
     "DenseTimeMatrix",
-    "DenseTimeTable",
     "KernelWorkspace",
     "build_dense_matrix",
-    "dense_time_tables",
     "sweep_assign",
     "BatchJob",
     "BatchRunner",

@@ -11,12 +11,12 @@ but a naive pool would re-run ``Design_wrapper`` per point.  The
   wrapper design per (core, width) pair in total;
 * **pool mode** (``max_workers > 1`` or ``None`` = one per CPU):
   jobs fan out over a ``concurrent.futures`` process pool.  The
-  parent builds each SOC's dense time matrix once and ships it, with
-  its wrapper-design staircases, in every task's
-  :class:`~repro.engine.shm.DenseDescriptor`; a worker unpacks each
-  matrix once per process and builds no wrapper tables.  A *cold*
-  grid over several SOCs builds its matrices as pool tasks instead
-  of serially in the parent.
+  parent builds each SOC's wrapper tables once and ships them,
+  pickled, in every task's :class:`~repro.engine.shm.
+  DenseDescriptor`; a worker unpickles each SOC's tables and builds
+  their dense matrix once per process, and runs no wrapper design.
+  A *cold* grid over several SOCs builds its tables as pool tasks
+  instead of serially in the parent.
 
 Three orthogonal options extend the engine for service use:
 
@@ -71,20 +71,13 @@ from repro.analysis.sweep import SweepPoint, evaluate_point
 from repro.api.specs import resolved_tam_counts
 from repro.engine.cache import WrapperTableCache
 from repro.engine.faults import FaultPlan
-from repro.engine.kernel import (
-    DenseTimeMatrix,
-    build_dense_matrix,
-    dense_time_tables,
-)
+from repro.engine.kernel import DenseTimeMatrix, build_dense_matrix
 from repro.engine.shm import (
     BoardDescriptor,
     DenseDescriptor,
     IncumbentBoard,
     SegmentRegistry,
     attach,
-    attach_design_steps,
-    design_steps_blob,
-    parse_design_steps,
 )
 from repro.exceptions import ConfigurationError, DeadlineError
 from repro.obs import (
@@ -347,8 +340,8 @@ def align_point_telemetry(
 
 
 #: Per-worker-process table caches, keyed by SOC name.  Populated only
-#: inside pool workers, by cold matrix builds
-#: (:func:`_build_matrix_worker`); each worker builds tables for a SOC
+#: inside pool workers, by cold table builds
+#: (:func:`_build_tables_worker`); each worker builds tables for a SOC
 #: at most once (extending in place when a wider build arrives).
 _WORKER_CACHES: Dict[str, WrapperTableCache] = {}
 
@@ -417,6 +410,19 @@ def _cache_for(
     return cache
 
 
+def _by_core_name(
+    soc: Soc, tables: Sequence[TimeTable]
+) -> Dict[str, TimeTable]:
+    """``tables``, in core order, keyed by ``soc``'s own core names.
+
+    Shipped and held tables are keyed by SOC fingerprint, which
+    ignores core names, so one SOC's tables also serve a structurally
+    identical SOC whose cores are named otherwise.  The fingerprint
+    is order-sensitive, so the positions match.
+    """
+    return {core.name: table for core, table in zip(soc.cores, tables)}
+
+
 def _run_job(
     caches: Dict[str, WrapperTableCache],
     job: BatchJob,
@@ -425,28 +431,24 @@ def _run_job(
     point_index: Optional[int] = None,
     faults: Optional[FaultPlan] = None,
 ) -> SweepPoint:
-    """Evaluate one job, over its transported dense matrix if given.
+    """Evaluate one job, over its transported tables if given.
 
     With a descriptor (every pool job) the worker builds *no* wrapper
-    tables: the sweep reads the unpacked matrix, and the designs the
-    final utilization accounting needs come decoded from the shipped
-    staircases (or, absent those, are recovered on demand per bus
-    width).  Without one (inline mode) the job runs on ``caches``.
+    tables: the job runs on the parent's tables and the dense matrix
+    built from them (:func:`~repro.engine.shm.attach`).  Without one
+    (inline mode) the job runs on ``caches``.
     """
     if faults is not None and point_index is not None:
         delay = faults.slow_delay(point_index)
         if delay:
             _sleep(delay)  # injected stall; delay comes from the plan
+    dense: Optional[DenseTimeMatrix] = None
     if descriptor is None:
         cache = _cache_for(caches, job.soc, store=store)
-        tables: Dict[str, Any] = cache.tables(job.total_width)
-        dense = None
+        tables = cache.tables(job.total_width)
     else:
-        dense = attach(descriptor)
-        tables = dense_time_tables(
-            job.soc.cores, dense,
-            design_steps=attach_design_steps(descriptor),
-        )
+        table_list, dense = attach(descriptor)
+        tables = _by_core_name(job.soc, table_list)
     return evaluate_point(
         job.soc,
         job.total_width,
@@ -555,8 +557,8 @@ def _task_prologue(
     """The shared start of a shard or island task.
 
     Fires the task's crash, slow and shm fault hooks (keyed by its
-    ``index``), opens its telemetry window, unpacks the job's dense
-    matrix and attaches the fan-out's incumbent board.  An injected
+    ``index``), opens its telemetry window, attaches the job's dense
+    matrix and the fan-out's incumbent board.  An injected
     shm fault refuses the board, so the task runs without broadcast
     — same outcome.  Returns (telemetry baseline, matrix, board or
     ``None``); the caller closes the board.
@@ -570,7 +572,7 @@ def _task_prologue(
         delay = faults.slow_delay(index)
         if delay:
             _sleep(delay)  # injected stall; delay comes from the plan
-    matrix = attach(descriptor)
+    _, matrix = attach(descriptor)
     if board_descriptor is not None and faults is not None \
             and faults.take_shm_failure(index):
         return baseline, matrix, None  # injected board-attach failure
@@ -586,7 +588,7 @@ def _shard_worker(
 ) -> Tuple[ShardOutcome, TaskTelemetry]:
     """Pool entry point: score one shard of a sharded partition sweep.
 
-    Unpacks the job's dense matrix, attaches the sweep's incumbent
+    Attaches the job's dense matrix and the sweep's incumbent
     board, scores the shard's rank ranges, and ships the recorded
     completions back for the parent-side deterministic merge.
     """
@@ -619,7 +621,7 @@ def _search_worker(
 ) -> Tuple[Any, TaskTelemetry]:
     """Pool entry point: run one island of a ``mode="search"`` point.
 
-    Unpacks the job's dense matrix, attaches the search's incumbent
+    Attaches the job's dense matrix and the search's incumbent
     board, runs the island to budget exhaustion, and ships its
     :class:`~repro.search.IslandResult` back for the parent-side
     deterministic merge.  Publication to the board is write-only —
@@ -676,26 +678,23 @@ def _polish_worker(
     return exact, task_end(baseline)
 
 
-def _build_matrix_worker(
+def _build_tables_worker(
     item: Tuple[Soc, int]
-) -> Tuple[Tuple[bytes, bytes], TaskTelemetry]:
-    """Pool entry point: build one cold SOC's dense matrix + staircases.
+) -> Tuple[List[TimeTable], TaskTelemetry]:
+    """Pool entry point: build one cold SOC's wrapper tables.
 
     Runs the wrapper designs on a pool worker — through that worker's
     (store-backed) cache, so the build also warms it — and returns
-    the matrix bytes and the serialized design staircases for the
-    parent to publish.  This is how a cold many-SOC grid's table
-    builds spread across the pool instead of serializing in the
-    parent.
+    the tables, in core order, for the parent to hold and publish.
+    This is how a cold many-SOC grid's table builds spread across
+    the pool instead of serializing in the parent.
     """
     soc, total_width = item
     baseline = task_begin()
     with span("build_tables", soc=soc.name, W=total_width):
         cache = _cache_for(_WORKER_CACHES, soc, store=_WORKER_POLICY[2])
         tables = cache.table_list(total_width)
-        matrix = build_dense_matrix(tables, total_width)
-    blobs = (matrix.to_bytes(), design_steps_blob(tables))
-    return blobs, task_end(baseline)
+    return tables, task_end(baseline)
 
 
 def _merge_task_telemetry(
@@ -800,7 +799,7 @@ class BatchRunner:
     """
 
     #: Attempts in all that one fanned task (a shard, an island, a
-    #: polish solve or a cold matrix build) gets before its failure
+    #: polish solve or a cold table build) gets before its failure
     #: reaches the job-level policy; re-running a task is
     #: deterministic, so the second attempt only pays off for
     #: environmental failures.
@@ -867,14 +866,14 @@ class BatchRunner:
         self._caches: Dict[str, WrapperTableCache] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._published = SegmentRegistry()
-        #: Parent-side dense matrices by SOC fingerprint — what the
-        #: sharded sweep's merge and polish read; lifetime matches
-        #: the published descriptors.
+        #: The published tables by SOC fingerprint, in core order —
+        #: what a fanned job is finished on, whichever side built
+        #: them; lifetime matches the published descriptors.
+        self._tables: Dict[str, List[TimeTable]] = {}
+        #: Parent-side dense matrices by fingerprint, built from
+        #: ``_tables`` when a fanned job first needs one
+        #: (:meth:`_matrix`).
         self._matrices: Dict[str, DenseTimeMatrix] = {}
-        #: Parent-side tables by fingerprint for finishing sharded
-        #: jobs: real cached tables when the parent built them,
-        #: staircase-backed dense tables when the pool did.
-        self._merge_tables: Dict[str, Dict[str, Any]] = {}
 
     @property
     def pools_started(self) -> int:
@@ -927,26 +926,35 @@ class BatchRunner:
         return self._executor
 
     def close(self) -> None:
-        """Shut down the persistent pool and drop its published matrices."""
+        """Shut down the persistent pool and drop its published tables."""
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        self._published.close()
-        self._matrices.clear()
-        self._merge_tables.clear()
+        self._forget_published()
 
-    def _publish_local(
-        self, fingerprint: str, soc: Soc, width: int
+    def _forget_published(self) -> None:
+        """Drop the published descriptors and what the parent holds."""
+        self._published.close()
+        self._tables.clear()
+        self._matrices.clear()
+
+    def _hold(
+        self, fingerprint: str, tables: Sequence[TimeTable], width: int
     ) -> DenseDescriptor:
-        """Build one SOC's matrix in the parent and publish it."""
-        cache = self.cache_for(soc)
-        tables = cache.table_list(width)
-        matrix = build_dense_matrix(tables, width)
-        self._matrices[fingerprint] = matrix
-        self._merge_tables[fingerprint] = cache.tables(width)
-        return self._published.publish(
-            fingerprint, matrix, designs=design_steps_blob(tables)
-        )
+        """Hold one SOC's tables here and publish them."""
+        self._tables[fingerprint] = list(tables)
+        return self._published.publish(fingerprint, tables, width)
+
+    def _matrix(self, descriptor: DenseDescriptor) -> DenseTimeMatrix:
+        """The parent's matrix for ``descriptor``, built on first need."""
+        matrix = self._matrices.get(descriptor.fingerprint)
+        if matrix is None or matrix.total_width != descriptor.total_width:
+            matrix = build_dense_matrix(
+                self._tables[descriptor.fingerprint],
+                descriptor.total_width,
+            )
+            self._matrices[descriptor.fingerprint] = matrix
+        return matrix
 
     def _dense_descriptors(
         self, jobs: Sequence[BatchJob], pool: Executor
@@ -954,14 +962,14 @@ class BatchRunner:
         """One (possibly shared) dense descriptor per job, in order.
 
         Builds each distinct SOC's tables once — at the largest width
-        any of its jobs needs — and packs the dense matrix plus its
-        wrapper-design staircases into one descriptor, which the
-        registry caches.  Every job of that SOC ships the same one.
+        any of its jobs needs — and pickles them into one descriptor,
+        which the registry caches.  Every job of that SOC ships the
+        same one.
 
         SOCs whose tables the parent already holds (or that a
         persistent runner published before) build locally: warm
         builds are cheap.  When two or more SOCs are *cold*, their
-        builds fan out as pool tasks (:func:`_build_matrix_worker`)
+        builds fan out as pool tasks (:func:`_build_tables_worker`)
         instead of serializing in the parent — the cold-grid half of
         the intra-job scaling story.
         """
@@ -979,16 +987,19 @@ class BatchRunner:
         cold: List[Tuple[str, Soc, int]] = []
         for fingerprint, width in width_by_soc.items():
             soc = soc_by_print[fingerprint]
-            held = self._matrices.get(fingerprint)
+            held = self._tables.get(fingerprint)
             cache = self._caches.get(soc.name)
-            if held is not None and held.total_width >= width:
+            if held is not None \
+                    and all(table.max_width >= width for table in held):
+                # The registry reuses its descriptor when that is wide
+                # enough, and pickles the held tables afresh otherwise.
                 descriptors[fingerprint] = self._published.publish(
-                    fingerprint, held
+                    fingerprint, held, width
                 )
             elif cache is not None and cache.soc == soc \
                     and cache.max_width > 0:
-                descriptors[fingerprint] = self._publish_local(
-                    fingerprint, soc, width
+                descriptors[fingerprint] = self._hold(
+                    fingerprint, cache.table_list(width), width
                 )
             else:
                 cold.append((fingerprint, soc, width))
@@ -996,28 +1007,18 @@ class BatchRunner:
             # One cold SOC gains nothing from a pool round-trip: the
             # parent would idle-wait on the single build anyway.
             fingerprint, soc, width = cold.pop()
-            descriptors[fingerprint] = self._publish_local(
-                fingerprint, soc, width
+            descriptors[fingerprint] = self._hold(
+                fingerprint, self.cache_for(soc).table_list(width), width
             )
         built, telemetry = self._fan_out(
-            pool, _build_matrix_worker,
+            pool, _build_tables_worker,
             [(soc, width) for _, soc, width in cold],
-            "engine.build_retries", "matrix build",
+            "engine.build_retries", "table build",
         )
         for entry in telemetry:
             self.last_run_spans.extend(entry.spans)
-        for (fingerprint, soc, width), (data, blob) in zip(cold, built):
-            matrix = DenseTimeMatrix.from_buffer(
-                data, len(soc.cores), width
-            )
-            self._matrices[fingerprint] = matrix
-            self._merge_tables[fingerprint] = dense_time_tables(
-                soc.cores, matrix,
-                design_steps=parse_design_steps(blob),
-            )
-            descriptors[fingerprint] = self._published.publish(
-                fingerprint, matrix, designs=blob
-            )
+        for (fingerprint, _, width), tables in zip(cold, built):
+            descriptors[fingerprint] = self._hold(fingerprint, tables, width)
         return [descriptors[fingerprint] for fingerprint in prints]
 
     def __enter__(self) -> "BatchRunner":
@@ -1199,7 +1200,7 @@ class BatchRunner:
         # yields strictly in job order — the pool is rebuilt after a
         # deterministic backoff, and only jobs[emitted:] re-dispatch.
         # The published descriptors are parent-owned and survive the
-        # dead pool, so the rebuilt workers unpack the same matrices.
+        # dead pool, so the rebuilt workers attach the same tables.
         emitted = 0
         restarts = 0
         delays = backoff_schedule(self.pool_restart_retries)
@@ -1257,11 +1258,9 @@ class BatchRunner:
             if not self.persistent:
                 # Ephemeral pool: its workers are gone, so the
                 # published descriptors have no readers left — drop
-                # them (and the parent-side matrices) now.
+                # them (and what the parent holds) now.
                 pool.shutdown(wait=True)
-                self._published.close()
-                self._matrices.clear()
-                self._merge_tables.clear()
+                self._forget_published()
 
     def _await_point(
         self,
@@ -1433,15 +1432,16 @@ class BatchRunner:
         A ``mode="search"`` job fans its fixed
         :data:`repro.search.NUM_ISLANDS` islands; any other job fans
         its partition sweep as ``num_shards`` shards and its top-k
-        exact polish solves.  Shards and islands unpack the job's
+        exact polish solves.  Shards and islands build the job's
         dense matrix from its descriptor and broadcast incumbents
-        through a shared-memory board.  The deterministic merge, the polish
-        reduction and the certificate/utilization accounting run here
-        over the same matrix, so the point is bit-identical to
+        through a shared-memory board.  The deterministic merge, the
+        polish reduction and the certificate/utilization accounting
+        run here over the tables the descriptor carries and the
+        matrix built from them, so the point is bit-identical to
         whole-job execution.  Returns the point and its tasks'
         telemetry.
         """
-        matrix = self._matrices[descriptor.fingerprint]
+        matrix = self._matrix(descriptor)
         telemetry: List[TaskTelemetry] = []
 
         def fan(
@@ -1530,7 +1530,9 @@ class BatchRunner:
             job.soc,
             job.total_width,
             num_tams=job.num_tams,
-            tables=self._merge_tables[descriptor.fingerprint],
+            tables=_by_core_name(
+                job.soc, self._tables[descriptor.fingerprint]
+            ),
             dense=matrix,
             **hooks,
             **job.options_dict(),

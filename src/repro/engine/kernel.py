@@ -25,12 +25,10 @@ sweep is the oracle):
   already meets the incumbent cannot complete under the Lines 18-20
   abort, so ``partition_evaluate`` (``prune=True``) skips
   ``Core_assign`` entirely without changing any observable outcome.
-* :class:`DenseTimeTable` — a times-only :class:`~repro.wrapper.
-  pareto.TimeTable` stand-in over one matrix row, for pool workers
-  that receive the matrix from the parent (:mod:`repro.engine.shm`)
-  instead of building their own tables; wrapper *designs* (needed
-  only for final utilization accounting) are recovered on demand at
-  the staircase breakpoint.
+
+Pool workers build the same matrix from the parent's own tables
+(:mod:`repro.engine.shm`), so both sides of the pool sweep identical
+columns.
 """
 
 from __future__ import annotations
@@ -42,10 +40,7 @@ from repro.assign.core_assign import reference_buses
 from repro.assign.lower_bounds import column_lower_bound
 from repro.exceptions import ConfigurationError
 from repro.obs import span as _obs_span
-from repro.soc.core import Core
 from repro.tam.assignment import AssignmentResult
-from repro.wrapper.chain import WrapperDesign
-from repro.wrapper.design import design_wrapper
 from repro.wrapper.pareto import TimeTable
 
 
@@ -210,25 +205,6 @@ class DenseTimeMatrix:
             [col[core] for col in cols]
             for core in range(self.num_cores)
         ]
-
-    def to_bytes(self) -> bytes:
-        """The flat matrix as native int64 bytes (the pool wire form)."""
-        flat = self._flat
-        if isinstance(flat, array) and flat.typecode == "q":
-            return flat.tobytes()
-        return array("q", flat).tobytes()
-
-    @classmethod
-    def from_buffer(
-        cls,
-        buffer: bytes,
-        num_cores: int,
-        total_width: int,
-    ) -> "DenseTimeMatrix":
-        """The matrix :meth:`to_bytes` packed, unpacked into an array."""
-        flat = array("q")
-        flat.frombytes(buffer)
-        return cls(flat, num_cores, total_width)
 
 
 def build_dense_matrix(
@@ -419,114 +395,3 @@ def sweep_assign(
         bus_times=bus_times,
         testing_time=max(bus_times),
     )
-
-
-class DenseTimeTable:
-    """A times-only :class:`~repro.wrapper.pareto.TimeTable` stand-in.
-
-    Answers :meth:`time` by O(1) matrix lookup and :meth:`design` by
-    recovering the staircase breakpoint (leftmost width with the same
-    time — where the running-minimum construction stored its design).
-    Values are identical to the real table's; pool workers use these
-    over a transported matrix so they never build private tables.
-
-    ``design_steps`` — serialized wrapper-design records keyed by
-    breakpoint width, as shipped with the matrix
-    (:mod:`repro.engine.shm`) — closes the last per-worker rebuild
-    gap: a breakpoint with a shipped record is *decoded*, not
-    re-designed, so the handful of designs the final utilization
-    accounting needs cost zero ``Design_wrapper`` calls too.  Without
-    records (or for a width outside them) the table falls back to
-    running ``Design_wrapper`` at the breakpoint, as before.
-    """
-
-    def __init__(
-        self,
-        core: Core,
-        matrix: DenseTimeMatrix,
-        index: int,
-        design_steps: Optional[Sequence[Tuple[int, dict]]] = None,
-    ) -> None:
-        self.core = core
-        self.max_width = matrix.total_width
-        self._matrix = matrix
-        self._index = index
-        self._designs: Dict[int, WrapperDesign] = {}
-        #: breakpoint width → serialized design record, decoded lazily.
-        self._design_steps: Dict[int, dict] = dict(design_steps or ())
-
-    def _check_width(self, width: int) -> None:
-        if not 1 <= width <= self.max_width:
-            raise ConfigurationError(
-                f"width {width} outside table range 1..{self.max_width}"
-            )
-
-    def time(self, width: int) -> int:
-        """Best testing time of the core on a bus of ``width`` wires."""
-        self._check_width(width)
-        return self._matrix.time(self._index, width)
-
-    def design(self, width: int) -> WrapperDesign:
-        """The design achieving :meth:`time` at ``width``, on demand."""
-        self._check_width(width)
-        target = self.time(width)
-        # Leftmost width attaining the same time: rows are monotone
-        # non-increasing, so equality with the target is a monotone
-        # predicate and binary search finds the breakpoint.
-        low, high = 1, width
-        while low < high:
-            mid = (low + high) // 2
-            if self.time(mid) == target:
-                high = mid
-            else:
-                low = mid + 1
-        design = self._designs.get(low)
-        if design is None:
-            record = self._design_steps.get(low)
-            if record is not None:
-                # Imported lazily: the serializer sits above this
-                # module in the layering.
-                from repro.report.serialize import (
-                    wrapper_design_from_dict,
-                )
-
-                design = wrapper_design_from_dict(record, self.core)
-            else:
-                design = design_wrapper(self.core, low)
-            self._designs[low] = design
-        return design
-
-    @property
-    def min_time(self) -> int:
-        """Testing time at the full table width (the core's floor)."""
-        return self.time(self.max_width)
-
-    def dense_row(self, max_width: int) -> List[int]:
-        """Flat width-indexed times, mirroring ``TimeTable.dense_row``."""
-        self._check_width(max_width)
-        stride = self._matrix.total_width
-        start = self._index * stride
-        return list(self._matrix._flat[start:start + max_width])
-
-
-def dense_time_tables(
-    cores: Sequence[Core],
-    matrix: DenseTimeMatrix,
-    design_steps: Optional[Dict[str, Sequence[Tuple[int, dict]]]] = None,
-) -> Dict[str, "DenseTimeTable"]:
-    """One :class:`DenseTimeTable` per core over ``matrix``'s rows.
-
-    ``design_steps`` optionally maps core names to their transported
-    staircase records (see :func:`repro.engine.shm.attach_design_steps`).
-    """
-    if len(cores) != matrix.num_cores:
-        raise ConfigurationError(
-            f"{len(cores)} cores for a {matrix.num_cores}-row matrix"
-        )
-    steps = design_steps or {}
-    return {
-        core.name: DenseTimeTable(
-            core, matrix, index, design_steps=steps.get(core.name)
-        )
-        for index, core in enumerate(cores)
-    }

@@ -1,16 +1,17 @@
-"""Dense-matrix transport for pool workers, and the incumbent board.
+"""Table transport for pool workers, and the incumbent board.
 
-The parent builds each SOC's dense N×W matrix once
-(:func:`repro.engine.kernel.build_dense_matrix`) and ships workers a
-:class:`DenseDescriptor` carrying the matrix's int64 bytes, its shape
-and the SOC fingerprint, plus the wrapper-design staircases
-(:func:`design_steps_blob`).  The descriptor rides the pool's pickle
-channel with each task: a whole SOC packs into tens to a couple of
-hundred kilobytes, microseconds to pickle against grid points that
-take milliseconds to seconds.  Workers unpack each matrix once per
-process (:func:`attach`) and decode its staircases once
-(:func:`attach_design_steps`), so the scoring path builds no wrapper
-tables and runs no ``Design_wrapper`` in a worker.
+The parent builds each SOC's wrapper tables once and ships workers a
+:class:`DenseDescriptor`: the SOC fingerprint, the sweep width, and
+the parent's own :class:`~repro.wrapper.pareto.TimeTable` list,
+pickled once per SOC by :class:`SegmentRegistry`.  The descriptor
+rides the pool's pickle channel with each task as plain bytes: a
+whole SOC packs into at most about 150 KiB (p93791 at W=64), cheap
+against grid points that take milliseconds to seconds.  Workers
+unpickle each SOC's tables once per process and build the dense
+matrix from them with :func:`~repro.engine.kernel.build_dense_matrix`,
+the same call the parent makes (:func:`attach`).  So the same tables
+serve on both sides of the pool, and a worker runs no
+``Design_wrapper``.
 
 Shared memory carries only the **incumbent board**
 (:class:`IncumbentBoard`): a tiny int64 array with one slot of
@@ -33,14 +34,12 @@ unregisters them — cleanup stays the creator's job.
 
 from __future__ import annotations
 
-import json
+import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.engine.kernel import DenseTimeMatrix
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.wrapper.pareto import TimeTable
+from repro.engine.kernel import DenseTimeMatrix, build_dense_matrix
+from repro.wrapper.pareto import TimeTable
 
 try:  # pragma: no cover - import guard for exotic builds
     from multiprocessing import shared_memory as _shared_memory
@@ -50,33 +49,30 @@ except ImportError:  # pragma: no cover - no _posixshmem / _winapi
 
 @dataclass(frozen=True)
 class DenseDescriptor:
-    """Everything a worker needs to reconstruct a dense matrix.
+    """Everything a worker needs to rebuild one SOC's tables and matrix.
 
-    ``payload`` is the matrix's native int64 bytes
-    (:meth:`~repro.engine.kernel.DenseTimeMatrix.to_bytes`);
-    ``fingerprint`` is the :func:`repro.soc.fingerprint.soc_fingerprint`
-    of the SOC the matrix was built for, the key workers cache the
-    unpacked matrix under.  ``design_payload`` optionally carries the
-    wrapper-design staircase blob (:func:`design_steps_blob`).  Absent
-    designs only cost speed — workers fall back to on-demand
-    ``Design_wrapper`` recovery.
+    ``payload`` is the parent's :class:`~repro.wrapper.pareto.
+    TimeTable` list for the SOC, in core order, pickled;
+    ``total_width`` is the width of the dense matrix the worker
+    builds from it; ``fingerprint`` is the :func:`repro.soc.
+    fingerprint.soc_fingerprint` of the SOC, the key workers cache
+    the result under.
     """
 
     fingerprint: str
-    num_cores: int
     total_width: int
     payload: bytes
-    design_payload: Optional[bytes] = None
 
 
 class SegmentRegistry:
     """Parent-side cache of published descriptors, by SOC fingerprint.
 
-    Packs each matrix once: a descriptor already published for a
-    fingerprint is reused while it is wide enough and not missing
-    newly available designs, and replaced otherwise.  :meth:`close`
-    forgets everything — :class:`~repro.engine.batch.BatchRunner`
-    calls it when its pool goes away.
+    Pickles each SOC's tables once: a descriptor already published
+    for a fingerprint is reused while it is wide enough, and replaced
+    otherwise, so every task of that SOC ships the same bytes.
+    :meth:`close` forgets everything —
+    :class:`~repro.engine.batch.BatchRunner` calls it when its pool
+    goes away.
     """
 
     def __init__(self) -> None:
@@ -85,20 +81,17 @@ class SegmentRegistry:
     def publish(
         self,
         fingerprint: str,
-        matrix: DenseTimeMatrix,
-        designs: Optional[bytes] = None,
+        tables: Iterable[TimeTable],
+        total_width: int,
     ) -> DenseDescriptor:
-        """A descriptor carrying ``matrix`` and the optional ``designs``."""
+        """A descriptor carrying ``tables`` for a ``total_width`` sweep."""
         held = self._descriptors.get(fingerprint)
-        if held is not None and held.total_width >= matrix.total_width \
-                and (held.design_payload is not None or not designs):
+        if held is not None and held.total_width >= total_width:
             return held
         descriptor = DenseDescriptor(
             fingerprint=fingerprint,
-            num_cores=matrix.num_cores,
-            total_width=matrix.total_width,
-            payload=matrix.to_bytes(),
-            design_payload=designs or None,
+            total_width=total_width,
+            payload=pickle.dumps(list(tables), pickle.HIGHEST_PROTOCOL),
         )
         self._descriptors[fingerprint] = descriptor
         return descriptor
@@ -111,101 +104,32 @@ class SegmentRegistry:
         return len(self._descriptors)
 
 
-#: Worker-side cache of unpacked matrices, keyed by SOC fingerprint —
-#: one unpack per matrix per worker process, its column/pick-order
-#: memos shared by every job that names it.  A descriptor of another
-#: width for the same SOC replaces the entry, so a growing matrix
-#: keeps one generation per worker, not all of them.
-_ATTACHED: Dict[str, DenseTimeMatrix] = {}
+#: Worker-side cache of unpickled tables and the matrix built from
+#: them, keyed by SOC fingerprint — one unpickle and one build per SOC
+#: per worker process, the matrix's column/pick-order memos shared by
+#: every job that names it.  A descriptor of another width for the
+#: same SOC replaces the entry, so a growing matrix keeps one
+#: generation per worker, not all of them.
+_ATTACHED: Dict[str, Tuple[List[TimeTable], DenseTimeMatrix]] = {}
 
 
-def attach(descriptor: DenseDescriptor) -> DenseTimeMatrix:
-    """The descriptor's matrix, unpacked once per worker process."""
-    matrix = _ATTACHED.get(descriptor.fingerprint)
-    if matrix is None or matrix.total_width != descriptor.total_width:
-        matrix = DenseTimeMatrix.from_buffer(
-            descriptor.payload,
-            descriptor.num_cores,
-            descriptor.total_width,
-        )
-        _ATTACHED[descriptor.fingerprint] = matrix
-    return matrix
-
-
-def design_steps_blob(tables: "Sequence[TimeTable]") -> bytes:
-    """Serialize wrapper-design staircases for the pool transport.
-
-    One record per core: the Pareto breakpoints of its
-    :class:`~repro.wrapper.pareto.TimeTable` with each breakpoint's
-    serialized design — tens of kilobytes for a whole SOC, versus the
-    per-worker ``Design_wrapper`` runs they replace.  The inverse is
-    :func:`parse_design_steps`.
-    """
-    # Imported lazily: the serializer sits above this module.
-    from repro.report.serialize import wrapper_design_to_dict
-
-    cores = {
-        table.core.name: [
-            [width, wrapper_design_to_dict(design)]
-            for width, _, design in table.staircase()
-        ]
-        for table in tables
-    }
-    return json.dumps(
-        {"schema": 1, "kind": "design_staircases", "cores": cores},
-        sort_keys=True, separators=(",", ":"),
-    ).encode("utf-8")
-
-
-def parse_design_steps(
-    blob: bytes,
-) -> Optional[Dict[str, List[Tuple[int, dict]]]]:
-    """Decode a :func:`design_steps_blob`; ``None`` when unusable.
-
-    Designs are an optimization, not a correctness dependency, so a
-    blob from a different build (schema mismatch, truncation) degrades
-    to on-demand recovery instead of failing the job.
-    """
-    try:
-        record = json.loads(blob.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict) or record.get("schema") != 1 \
-            or record.get("kind") != "design_staircases":
-        return None
-    cores = record.get("cores")
-    if not isinstance(cores, dict):
-        return None
-    return {
-        str(name): [(int(width), step) for width, step in steps]
-        for name, steps in cores.items()
-    }
-
-
-#: Worker-side cache of parsed design staircases, keyed by SOC
-#: fingerprint; the first element is the length of the blob they were
-#: parsed from (a wider republish ships a longer blob).
-_DESIGN_STEPS: Dict[str, Tuple[int, Optional[Dict]]] = {}
-
-
-def attach_design_steps(
+def attach(
     descriptor: DenseDescriptor,
-) -> Optional[Dict[str, List[Tuple[int, dict]]]]:
-    """The descriptor's design staircases, or ``None`` when absent.
+) -> Tuple[List[TimeTable], DenseTimeMatrix]:
+    """The descriptor's (tables in core order, matrix), once per worker.
 
-    Parsed once per worker per blob.  An undecodable blob also
-    returns ``None``, and the caller falls back to on-demand design
-    recovery.
+    The tables are positional: the fingerprint ignores core names, so
+    one descriptor serves every SOC of the same structure, and each
+    job names the tables by its own cores.  The payload is only ever
+    bytes the parent pickled for this pool, received over the pool's
+    own pickle channel.
     """
-    blob = descriptor.design_payload
-    if blob is None:
-        return None
-    held = _DESIGN_STEPS.get(descriptor.fingerprint)
-    if held is not None and held[0] == len(blob):
-        return held[1]
-    steps = parse_design_steps(blob)
-    _DESIGN_STEPS[descriptor.fingerprint] = (len(blob), steps)
-    return steps
+    held = _ATTACHED.get(descriptor.fingerprint)
+    if held is None or held[1].total_width != descriptor.total_width:
+        tables: List[TimeTable] = pickle.loads(descriptor.payload)
+        held = (tables, build_dense_matrix(tables, descriptor.total_width))
+        _ATTACHED[descriptor.fingerprint] = held
+    return held
 
 
 @dataclass(frozen=True)

@@ -165,8 +165,8 @@ def co_optimize(
         front of it; ``False`` disables pruning for ablations.
     dense:
         Optional pre-built :class:`~repro.engine.kernel.
-        DenseTimeMatrix` for the kernel sweep (e.g. unpacked from the
-        batch engine's pool transport).
+        DenseTimeMatrix` for the kernel sweep (e.g. the one the batch
+        engine built from the same ``tables``).
     sweep:
         Optional replacement for :func:`~repro.partition.evaluate.
         partition_evaluate` — called with the identical signature and

@@ -233,9 +233,9 @@ def partition_evaluate(
         heuristically best partition has the wrong number of TAMs.
     dense:
         Optional pre-built :class:`~repro.engine.kernel.
-        DenseTimeMatrix` covering ``total_width`` (e.g. unpacked from
-        the batch engine's pool transport); when ``None`` the kernel
-        assembles one from ``tables``.
+        DenseTimeMatrix` covering ``total_width`` (e.g. the one the
+        batch engine built from the same tables); when ``None`` the
+        kernel assembles one from ``tables``.
 
     Returns
     -------

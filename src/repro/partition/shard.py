@@ -36,8 +36,8 @@ The protocol rests on two facts about the serial sweep:
    a looser threshold would have aborted against the serial one.
 
 Everything here is process-free: :func:`sweep_shard` is the worker
-payload (the engine runs it on pool workers over the transported
-matrix and the shared-memory incumbent board,
+payload (the engine runs it on pool workers over the matrix built
+from the transported tables and the shared-memory incumbent board,
 :mod:`repro.engine.batch` / :mod:`repro.engine.shm`), and
 :func:`sharded_partition_evaluate` runs the whole protocol inline —
 the differential-test surface, and the single-process reference for
@@ -391,7 +391,6 @@ def sweep_shard(
 
 
 def merge_shard_outcomes(
-    matrix: DenseTimeMatrix,
     plan: ShardPlan,
     outcomes: Sequence[ShardOutcome],
     keep_top: int = 1,
@@ -406,8 +405,7 @@ def merge_shard_outcomes(
     would have kept survive (extras recorded under looser shard
     thresholds are discarded), reproducing ``num_completed``, the
     best result and the runners-up order bit-for-bit.  Each count's
-    ``num_lb_pruned`` is the sum of the shards' own skip tallies, so
-    ``matrix`` is no longer read here.
+    ``num_lb_pruned`` is the sum of the shards' own skip tallies.
     """
     start_clock = _time.monotonic()
     ordered = sorted(outcomes, key=lambda outcome: outcome.shard_index)
@@ -543,7 +541,7 @@ def sharded_partition_evaluate(
     else:
         outcomes = scorer(plan)
     return merge_shard_outcomes(
-        dense, plan, outcomes,
+        plan, outcomes,
         keep_top=keep_top, initial_best=initial_best, prune=prune,
         elapsed_seconds=_time.monotonic() - start_clock,
     )

@@ -1,6 +1,6 @@
 """The engine's one fan-out primitive, ``BatchRunner._fan_out``.
 
-Shard sweeps, search islands, polish solves and cold matrix builds all
+Shard sweeps, search islands, polish solves and cold table builds all
 run through it.  A process pool reports a dying worker as
 ``BrokenProcessPool``, which the task retry must leave to the pool
 supervisor, so the retry itself is driven here with a thread pool and

@@ -22,7 +22,6 @@ from repro.engine.kernel import (
     DenseTimeMatrix,
     KernelWorkspace,
     build_dense_matrix,
-    dense_time_tables,
     sweep_assign,
 )
 from repro.exceptions import ConfigurationError
@@ -161,15 +160,6 @@ class TestDenseMatrix:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ConfigurationError):
             DenseTimeMatrix([1, 2, 3], 2, 2)
-
-    def test_round_trips_through_bytes(self, tiny_soc):
-        tables = tables_for(tiny_soc, 9)
-        matrix = build_dense_matrix(tables, 9)
-        clone = DenseTimeMatrix.from_buffer(
-            matrix.to_bytes(), matrix.num_cores, matrix.total_width
-        )
-        for width in range(1, 10):
-            assert clone.column(width) == matrix.column(width)
 
     def test_lower_bound_is_admissible(self, tiny_soc):
         tables = tables_for(tiny_soc, 12)
@@ -314,33 +304,6 @@ class TestEnginePathDefaults:
         default = evaluate_point(tiny_soc, 8, num_tams=2)
         explicit = evaluate_point(tiny_soc, 8, num_tams=2, prune=True)
         assert default == explicit
-
-
-class TestDenseTimeTable:
-    """The times-only stand-in answers exactly like the real table."""
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_times_and_designs_match(self, seed):
-        soc = random_soc(f"adapter{seed}", 3 + seed, 30 + seed)
-        width = 12
-        real = build_time_tables(soc, width)
-        matrix = build_dense_matrix(
-            [real[c.name] for c in soc.cores], width
-        )
-        adapters = dense_time_tables(soc.cores, matrix)
-        for core in soc.cores:
-            table, adapter = real[core.name], adapters[core.name]
-            assert adapter.max_width == width
-            assert adapter.min_time == table.min_time
-            for w in range(1, width + 1):
-                assert adapter.time(w) == table.time(w)
-                assert adapter.design(w) == table.design(w)
-
-    def test_core_count_mismatch_rejected(self, tiny_soc):
-        tables = tables_for(tiny_soc, 8)
-        matrix = build_dense_matrix(tables, 8)
-        with pytest.raises(ConfigurationError):
-            dense_time_tables(tiny_soc.cores[:2], matrix)
 
 
 class TestReferenceBuses:

@@ -1,25 +1,16 @@
 """Engine-level sharding: pool execution, transports, and counters."""
 
+import dataclasses
+import multiprocessing
+import pickle
+
 import pytest
 
-import repro.engine.shm as shm
-from repro.engine.batch import BatchJob, BatchRunner, _run_job
-from repro.engine.kernel import build_dense_matrix, dense_time_tables
-from repro.engine.shm import (
-    IncumbentBoard,
-    SegmentRegistry,
-    attach_design_steps,
-    design_steps_blob,
-    parse_design_steps,
-)
+from repro.engine.batch import BatchJob, BatchRunner
+from repro.engine.shm import IncumbentBoard, SegmentRegistry
 from repro.api.specs import GridSpec
 from repro.soc.fingerprint import soc_fingerprint
 from repro.wrapper.pareto import build_time_tables
-
-
-def _drop(fingerprint):
-    shm._ATTACHED.pop(fingerprint, None)
-    shm._DESIGN_STEPS.pop(fingerprint, None)
 
 
 class TestShardedPoolIdentity:
@@ -131,92 +122,104 @@ class TestPooledColdBuilds:
         pooled = pooled_runner.run(jobs)
         assert serial == pooled
 
+    def test_sharded_cold_grid_finishes_on_pool_built_tables(
+        self, tiny_soc, d695, p21241
+    ):
+        # Two or more cold SOCs build their tables on the pool; the
+        # parent then merges, polishes and certifies each sharded job
+        # on the tables that came back.
+        jobs = [
+            BatchJob(soc, 12, (1, 2)) for soc in (tiny_soc, d695, p21241)
+        ]
+        inline = BatchRunner(max_workers=1).run(jobs)
+        runner = BatchRunner(max_workers=2, shard=2)
+        assert runner.run(jobs) == inline
+        assert runner.jobs_sharded == 3
+        assert runner._caches == {}  # the parent built no tables
+
     def test_warm_parent_reuses_matrices_across_runs(self, tiny_soc):
-        with BatchRunner(max_workers=2, persistent=True) as runner:
+        with BatchRunner(max_workers=2, persistent=True, shard=2) as runner:
             jobs = [BatchJob(tiny_soc, 10, 2)]
             first = runner.run(jobs)
-            assert runner.run(jobs) == first
             fingerprint = soc_fingerprint(tiny_soc)
-            assert fingerprint in runner._matrices
+            matrix = runner._matrices[fingerprint]
+            assert runner.run(jobs) == first
+            assert runner._matrices[fingerprint] is matrix
+
+    def test_whole_point_grid_builds_no_parent_matrix(self, tiny_soc):
+        # Only a fanned job reads a matrix in the parent; whole-point
+        # jobs ship the tables and build their matrices on the workers.
+        jobs = [BatchJob(tiny_soc, w, 2) for w in (8, 10)]
+        with BatchRunner(max_workers=2, persistent=True) as runner:
+            assert runner.run(jobs) == BatchRunner(max_workers=1).run(jobs)
+            assert runner.pools_started == 1
+            assert soc_fingerprint(tiny_soc) in runner._tables
+            assert runner._matrices == {}
+
+
+class TestRenamedCores:
+    """One descriptor serves every SOC of the same structure."""
+
+    @staticmethod
+    def renamed(soc):
+        # Same structure, so the same fingerprint, other core names.
+        return dataclasses.replace(soc, name="tiny-renamed", cores=[
+            dataclasses.replace(core, name=f"renamed_{core.name}")
+            for core in soc.cores
+        ])
+
+    @pytest.mark.parametrize("shard", [None, 2])
+    def test_pool_matches_inline_over_renamed_copy(self, tiny_soc, shard):
+        copy = self.renamed(tiny_soc)
+        assert soc_fingerprint(copy) == soc_fingerprint(tiny_soc)
+        jobs = [BatchJob(soc, w, (1, 2)) for soc in (tiny_soc, copy)
+                for w in (6, 8)]
+        inline = BatchRunner(max_workers=1).run(jobs)
+        runner = BatchRunner(max_workers=2, shard=shard)
+        assert runner.run(jobs) == inline
+        assert runner.jobs_sharded == (len(jobs) if shard else 0)
+
+    def test_persistent_runner_serves_renamed_copy_later(self, tiny_soc):
+        copy = self.renamed(tiny_soc)
+        with BatchRunner(max_workers=2, persistent=True, shard=2) as runner:
+            for soc in (tiny_soc, copy):
+                jobs = [BatchJob(soc, w, 2) for w in (6, 8)]
+                assert runner.run(jobs) == \
+                    BatchRunner(max_workers=1).run(jobs)
 
 
 class TestStaircaseTransport:
     def test_descriptor_carries_design_staircases(self, tiny_soc):
         tables = build_time_tables(tiny_soc, 10)
         table_list = [tables[c.name] for c in tiny_soc.cores]
-        matrix = build_dense_matrix(table_list, 10)
-        blob = design_steps_blob(table_list)
-        try:
-            descriptor = SegmentRegistry().publish(
-                "fp-stairs", matrix, designs=blob
-            )
-            assert descriptor.design_payload == blob
-            steps = attach_design_steps(descriptor)
-            assert set(steps) == {c.name for c in tiny_soc.cores}
-            assert attach_design_steps(descriptor) is steps  # parsed once
-        finally:
-            _drop("fp-stairs")
-
-    def test_dense_tables_decode_designs_without_design_wrapper(
-        self, tiny_soc, monkeypatch
-    ):
-        tables = build_time_tables(tiny_soc, 10)
-        table_list = [tables[c.name] for c in tiny_soc.cores]
-        matrix = build_dense_matrix(table_list, 10)
-        steps = parse_design_steps(design_steps_blob(table_list))
-        dense = dense_time_tables(
-            tiny_soc.cores, matrix, design_steps=steps
+        descriptor = SegmentRegistry().publish(
+            "fp-stairs", table_list, 10
         )
-
-        import repro.engine.kernel as kernel_module
-
-        def exploding(core, width):
-            raise AssertionError(
-                "design recovery must use the transported staircase"
-            )
-
-        monkeypatch.setattr(
-            kernel_module, "design_wrapper", exploding
-        )
-        for core in tiny_soc.cores:
-            for width in (1, 4, 10):
-                assert dense[core.name].design(width) == \
-                    tables[core.name].design(width)
+        shipped = pickle.loads(descriptor.payload)
+        assert [table.core.name for table in shipped] == \
+            [core.name for core in tiny_soc.cores]
+        for table, copy in zip(table_list, shipped):
+            assert copy.staircase() == table.staircase()
 
     def test_worker_job_pays_zero_designs_with_staircases(
         self, tiny_soc, monkeypatch
     ):
-        tables = build_time_tables(tiny_soc, 8)
-        table_list = [tables[c.name] for c in tiny_soc.cores]
-        matrix = build_dense_matrix(table_list, 8)
-        try:
-            descriptor = SegmentRegistry().publish(
-                soc_fingerprint(tiny_soc), matrix,
-                designs=design_steps_blob(table_list),
-            )
-            job = BatchJob(tiny_soc, 8, 2, options={"polish": False})
-            reference = _run_job({}, job)
+        import repro.wrapper.pareto as pareto
 
-            import repro.engine.kernel as kernel_module
-            import repro.wrapper.pareto as pareto
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers inherit the patch only when forked")
+        jobs = [BatchJob(tiny_soc, width, 2) for width in (6, 8)]
+        inline = BatchRunner(max_workers=1).run(jobs)
+        runner = BatchRunner(max_workers=2)
+        runner.cache_for(tiny_soc).ensure(8)
 
-            def exploding(core, width):
-                raise AssertionError("worker ran Design_wrapper")
+        def exploding(core, width):
+            raise AssertionError("Design_wrapper ran after the build")
 
-            monkeypatch.setattr(pareto, "design_wrapper", exploding)
-            monkeypatch.setattr(
-                kernel_module, "design_wrapper", exploding
-            )
-            caches = {}
-            point = _run_job(caches, job, descriptor=descriptor)
-            assert point == reference
-            assert caches == {}
-        finally:
-            _drop(soc_fingerprint(tiny_soc))
-
-    def test_corrupt_blob_degrades_to_none(self):
-        assert parse_design_steps(b"not json") is None
-        assert parse_design_steps(b'{"schema": 99}') is None
+        # Forked after the patch, the workers inherit it: once the
+        # parent holds the tables, neither side runs a design.
+        monkeypatch.setattr(pareto, "design_wrapper", exploding)
+        assert runner.run(jobs) == inline
 
 
 class TestIncumbentBoardShm:

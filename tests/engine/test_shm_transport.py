@@ -1,12 +1,15 @@
-"""Round-trip tests for the pool's dense-matrix transport."""
+"""Round-trip tests for the pool's table transport."""
 
 import pickle
+
+import pytest
 
 import repro.engine.shm as shm
 from repro.engine.batch import BatchJob, BatchRunner
 from repro.engine.kernel import build_dense_matrix
-from repro.engine.shm import DenseDescriptor, SegmentRegistry, attach
+from repro.engine.shm import SegmentRegistry, attach
 from repro.soc.fingerprint import soc_fingerprint
+from repro.soc.generator import random_soc
 from repro.wrapper.pareto import build_time_tables
 
 
@@ -15,22 +18,27 @@ def _drop(fingerprint):
     shm._ATTACHED.pop(fingerprint, None)
 
 
-def matrix_for(soc, width):
+def tables_for(soc, width):
     tables = build_time_tables(soc, width)
-    return build_dense_matrix(
-        [tables[core.name] for core in soc.cores], width
-    )
+    return [tables[core.name] for core in soc.cores]
+
+
+def matrix_for(soc, width):
+    return build_dense_matrix(tables_for(soc, width), width)
 
 
 class TestSegmentRoundTrip:
     def test_publish_attach_round_trip(self, tiny_soc):
         # The descriptor crosses the pool's pickle channel whole.
-        matrix = matrix_for(tiny_soc, 10)
-        descriptor = SegmentRegistry().publish("fp-roundtrip", matrix)
+        tables = tables_for(tiny_soc, 10)
+        descriptor = SegmentRegistry().publish("fp-roundtrip", tables, 10)
         try:
             shipped = pickle.loads(pickle.dumps(descriptor))
             assert shipped == descriptor
-            attached = attach(shipped)
+            attached_tables, attached = attach(shipped)
+            assert [table.core.name for table in attached_tables] == \
+                [core.name for core in tiny_soc.cores]
+            matrix = build_dense_matrix(tables, 10)
             for width in range(1, 11):
                 assert attached.column(width) == matrix.column(width)
         finally:
@@ -38,25 +46,20 @@ class TestSegmentRoundTrip:
 
     def test_publish_reuses_wide_segments(self, tiny_soc):
         registry = SegmentRegistry()
-        wide = registry.publish("fp-reuse", matrix_for(tiny_soc, 12))
-        narrow = registry.publish("fp-reuse", matrix_for(tiny_soc, 8))
+        wide = registry.publish("fp-reuse", tables_for(tiny_soc, 12), 12)
+        narrow = registry.publish("fp-reuse", tables_for(tiny_soc, 8), 8)
         assert narrow is wide  # covering descriptor served as-is
-        wider = registry.publish("fp-reuse", matrix_for(tiny_soc, 16))
+        wider = registry.publish("fp-reuse", tables_for(tiny_soc, 16), 16)
         assert wider is not wide
+        assert wider.total_width == 16
         assert len(registry) == 1  # narrow descriptor was replaced
-        # Newly available designs replace a design-less descriptor.
-        designed = registry.publish(
-            "fp-reuse", matrix_for(tiny_soc, 16), designs=b"{}"
-        )
-        assert designed is not wider
-        assert designed.design_payload == b"{}"
         registry.close()
         assert len(registry) == 0
         registry.close()  # idempotent
 
     def test_attach_caches_per_fingerprint(self, tiny_soc):
         descriptor = SegmentRegistry().publish(
-            "fp-cache", matrix_for(tiny_soc, 8)
+            "fp-cache", tables_for(tiny_soc, 8), 8
         )
         try:
             first = attach(descriptor)
@@ -68,34 +71,70 @@ class TestSegmentRoundTrip:
             _drop("fp-cache")
 
     def test_superseded_attachment_is_evicted(self, tiny_soc):
-        # A wider republish ships a wider matrix; the worker-side
-        # cache must replace the stale one instead of pinning every
+        # A wider republish ships wider tables; the worker-side cache
+        # must replace the stale entry instead of pinning every
         # generation until process exit.
         registry = SegmentRegistry()
         try:
             narrow = registry.publish(
-                "fp-evict", matrix_for(tiny_soc, 8)
+                "fp-evict", tables_for(tiny_soc, 8), 8
             )
             stale = attach(narrow)
             wide = registry.publish(
-                "fp-evict", matrix_for(tiny_soc, 12)
+                "fp-evict", tables_for(tiny_soc, 12), 12
             )
             fresh = attach(wide)
             assert fresh is not stale
             assert shm._ATTACHED["fp-evict"] is fresh
-            assert fresh.total_width == 12
+            tables, matrix = fresh
+            assert matrix.total_width == 12
+            assert all(table.max_width == 12 for table in tables)
             for width in range(1, 13):
-                assert fresh.column(width) == \
+                assert matrix.column(width) == \
                     matrix_for(tiny_soc, 12).column(width)
         finally:
             _drop("fp-evict")
+
+
+class TestTableRoundTrip:
+    """Tables that crossed a descriptor answer exactly like the parent's."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_times_and_designs_match(self, seed, monkeypatch):
+        import repro.wrapper.pareto as pareto
+
+        soc = random_soc(f"transport{seed}", 3 + seed, 30 + seed)
+        width = 10 + 2 * seed
+        real = build_time_tables(soc, width)
+        descriptor = SegmentRegistry().publish(
+            f"fp-tables{seed}", [real[c.name] for c in soc.cores], width
+        )
+
+        def exploding(core, width):
+            raise AssertionError("attached tables ran Design_wrapper")
+
+        monkeypatch.setattr(pareto, "design_wrapper", exploding)
+        try:
+            shipped, _ = attach(pickle.loads(pickle.dumps(descriptor)))
+        finally:
+            _drop(f"fp-tables{seed}")
+        assert len(shipped) == len(soc.cores)
+        for core, copy in zip(soc.cores, shipped):
+            table = real[core.name]
+            assert copy is not table
+            assert copy.core == core
+            assert copy.max_width == table.max_width == width
+            assert copy.min_time == table.min_time
+            for w in range(1, width + 1):
+                assert copy.time(w) == table.time(w)
+                assert copy.design(w) == table.design(w)
 
 
 class TestPicklingFallback:
     def test_pool_results_identical_with_fallback_forced(
         self, tiny_soc, monkeypatch
     ):
-        # No shared memory at all: matrices travel as descriptor bytes
+        # No shared memory at all: tables travel as descriptor bytes
         # either way, and the incumbent board — the one remaining user
         # of shared memory — is simply absent, so shards run without
         # broadcast.
@@ -135,39 +174,24 @@ class TestWorkerDensePath:
         import repro.wrapper.pareto as pareto
         from repro.engine.batch import _run_job
 
-        matrix = matrix_for(tiny_soc, 8)
-        descriptor = DenseDescriptor(
-            fingerprint=soc_fingerprint(tiny_soc),
-            num_cores=matrix.num_cores,
-            total_width=matrix.total_width,
-            payload=matrix.to_bytes(),
+        descriptor = SegmentRegistry().publish(
+            soc_fingerprint(tiny_soc), tables_for(tiny_soc, 8), 8
         )
-        job = BatchJob(tiny_soc, 8, 2, options={"polish": False})
+        job = BatchJob(tiny_soc, 8, 2)
         reference = _run_job({}, job)
 
         def exploding(core, width):
-            raise AssertionError(
-                "dense path must not build wrapper tables"
-            )
+            raise AssertionError("a pool job ran Design_wrapper")
 
-        # Only the handful of designs for the final report may run —
-        # count them instead of forbidding them outright.
-        calls = []
-        original = pareto.design_wrapper
-
-        def counting(core, width):
-            calls.append((core.name, width))
-            return original(core, width)
-
+        # The pool worker's whole path, polish and the final
+        # utilization accounting included, runs on the shipped tables.
         monkeypatch.setattr(pareto, "design_wrapper", exploding)
-        import repro.engine.kernel as kernel_module
-        monkeypatch.setattr(kernel_module, "design_wrapper", counting)
         caches = {}
         try:
-            point = _run_job(caches, job, descriptor=descriptor)
+            point = _run_job(
+                caches, job, descriptor=pickle.loads(pickle.dumps(descriptor))
+            )
         finally:
             _drop(descriptor.fingerprint)
         assert point == reference
         assert caches == {}  # no private WrapperTableCache created
-        # Designs ran only for the final architecture's bus widths.
-        assert len(calls) <= len(tiny_soc.cores) * len(point.partition)

@@ -120,7 +120,7 @@ class TestDifferentialD695:
         for outcome in outcomes:
             assert len(outcome.completions) <= keep_top
         merged = merge_shard_outcomes(
-            matrix, plan, outcomes, keep_top=keep_top, prune=False,
+            plan, outcomes, keep_top=keep_top, prune=False,
         )
         serial = partition_evaluate(
             tables, 20, (1, 2, 3, 4, 5),
@@ -280,9 +280,7 @@ class TestMergeProtocol:
                 list(enumerate(plan.shards))
             )
         ]
-        merged = merge_shard_outcomes(
-            matrix, plan, outcomes, prune=True,
-        )
+        merged = merge_shard_outcomes(plan, outcomes, prune=True)
         serial = partition_evaluate(tables, 16, counts, prune=True)
         assert_identical(serial, merged, "reverse execution")
 
@@ -295,7 +293,7 @@ class TestMergeProtocol:
             for index, spans in enumerate(plan.shards)
         ]
         with pytest.raises(ConfigurationError):
-            merge_shard_outcomes(matrix, plan, outcomes[:-1])
+            merge_shard_outcomes(plan, outcomes[:-1])
 
     def test_board_only_exposes_earlier_slots(self):
         board = LocalBoard(3, keep_top=2)
