@@ -1,7 +1,10 @@
-"""Lower bounds for problem P_AW, used by the exact solver's pruning.
+"""Static lower bounds for problem P_AW.
 
-All bounds take the per-core/per-bus times matrix; buses are unrelated
-machines because a core's time depends on its bus's width.
+:func:`paw_lower_bound` is the exact solver's global bound, and
+:func:`column_lower_bound` its O(1) form that the dense sweep kernel
+prunes with.  Buses are unrelated machines because a core's time
+depends on its bus's width.  The per-node bounds of the
+branch-and-bound live in :mod:`repro.assign.exact`.
 """
 
 from __future__ import annotations
@@ -41,47 +44,8 @@ def column_lower_bound(
     return max(max_time, ceil(total_time / num_buses))
 
 
-def partial_lower_bound(
-    loads: Sequence[int],
-    remaining_min_sum: int,
-) -> int:
-    """Bound for a partial assignment inside branch-and-bound.
-
-    ``loads`` are the current bus times; every still-unassigned core
-    will add at least its own minimum time (summed in
-    ``remaining_min_sum``) to the total work.
-    """
-    num_buses = len(loads)
-    area = ceil((sum(loads) + remaining_min_sum) / num_buses)
-    return max(max(loads), area)
-
-
-def placement_lower_bound(
-    loads: Sequence[int],
-    remaining: Sequence[int],
-    times: Sequence[Sequence[int]],
-) -> int:
-    """Per-core placement bound: each remaining core must land somewhere.
-
-    For every unassigned core the cheapest completed-bus time it can
-    achieve is ``min_j (loads[j] + times[core][j])``; the makespan is
-    at least the largest of these.  Tighter than the area bound when
-    one oversized core dominates (the p31108 situation).
-    """
-    bound = max(loads) if loads else 0
-    for core in remaining:
-        best = min(
-            loads[bus] + times[core][bus] for bus in range(len(loads))
-        )
-        if best > bound:
-            bound = best
-    return bound
-
-
 __all__ = [
     "column_lower_bound",
     "paw_lower_bound",
-    "partial_lower_bound",
-    "placement_lower_bound",
     "saturation_lower_bound",
 ]

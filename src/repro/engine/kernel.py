@@ -267,9 +267,9 @@ def sweep_assign(
     allocates nothing.  The abort itself may fire *earlier* than
     Lines 18-20: alongside the per-bus load check the loop maintains
     an admissible partial area bound (assigned work so far plus every
-    remaining core's floor, cf. :func:`repro.assign.lower_bounds.
-    partial_lower_bound`), which dooms most partitions steps before a
-    single bus physically crosses the incumbent.
+    remaining core's floor, cf. the area rule of the exact solver in
+    :mod:`repro.assign.exact`), which dooms most partitions steps
+    before a single bus physically crosses the incumbent.
     """
     num_buses = len(widths)
     if num_buses == 0:

@@ -1,12 +1,15 @@
 """Unit tests for the exact branch-and-bound P_AW solver."""
 
+import random
 from itertools import product
 
 import pytest
 
 from repro.assign.core_assign import core_assign
 from repro.assign.exact import exact_assign
+from repro.engine.cache import WrapperTableCache
 from repro.exceptions import ConfigurationError
+from repro.optimize.co_optimize import co_optimize
 
 
 def brute_force_makespan(times, num_buses):
@@ -30,7 +33,6 @@ class TestOptimality:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force_random(self, seed):
-        import random
         rng = random.Random(seed)
         num_cores = rng.randint(3, 7)
         num_buses = rng.randint(2, 3)
@@ -83,6 +85,28 @@ class TestSymmetryAndStructure:
         exact = exact_assign(times, [16, 8])
         assert exact.result.testing_time == 10
 
+    def test_equal_widths_with_different_columns(self):
+        # Nothing ties equal widths to equal times in the public API:
+        # the optimum puts core 1 on bus 0 and core 0 on bus 1.
+        exact = exact_assign([[38, 22], [36, 18]], [4, 4])
+        assert exact.optimal
+        assert exact.result.testing_time == 36
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_widths_arbitrary_columns(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            widths = rng.choice(([4, 4], [4, 4, 8]))
+            times = [
+                [rng.randint(1, 60) for _ in widths]
+                for _ in range(rng.randint(2, 7))
+            ]
+            exact = exact_assign(times, widths)
+            assert exact.optimal
+            assert exact.result.testing_time == brute_force_makespan(
+                times, len(widths)
+            ), (times, widths)
+
 
 class TestBudgets:
     def test_node_limit_degrades_gracefully(self, fig2_times, fig2_widths):
@@ -101,3 +125,40 @@ class TestBudgets:
             exact_assign(fig2_times, fig2_widths, node_limit=0)
         with pytest.raises(ConfigurationError):
             exact_assign(fig2_times, fig2_widths, time_limit=0)
+
+
+class TestP93791NodeBudgets:
+    """Exact-mode p93791 points prove within pinned node budgets.
+
+    Node counts do not depend on the host; seconds do.  The wall clock
+    is set far out of reach, so only the node budget decides.
+    """
+
+    @pytest.mark.parametrize("width, node_limit, partition, optimum", [
+        (32, 250_000, (5, 6, 6, 6, 9), 2_446_378),
+        (28, 500_000, (4, 4, 4, 4, 5, 7), 2_789_735),
+    ])
+    def test_exact_point_proves(
+        self, p93791, width, node_limit, partition, optimum
+    ):
+        result = co_optimize(
+            p93791, width,
+            exact_node_limit=node_limit, exact_time_limit=3600.0,
+        )
+        assert result.final_optimal
+        assert result.partition == partition
+        assert result.testing_time == optimum
+
+    def test_twin_cores_cut_the_w24_polish(self, p93791):
+        # At width 6 the memory cores mem10, mem12 and mem13 share one
+        # row, adjacent in the search order.  Without the twin-core
+        # rule this solve takes 255,491 nodes.
+        widths = (6, 6, 6, 6)
+        tables = WrapperTableCache(p93791).table_list(max(widths))
+        times = [[table.time(width) for width in widths] for table in tables]
+        rows = {core.name: row for core, row in zip(p93791.cores, times)}
+        assert rows["mem10"] == rows["mem12"] == rows["mem13"]
+        exact = exact_assign(times, widths, time_limit=3600.0)
+        assert exact.optimal
+        assert exact.result.testing_time == 3_273_510
+        assert exact.nodes_explored <= 112_563

@@ -2,11 +2,7 @@
 
 from itertools import product
 
-from repro.assign.lower_bounds import (
-    partial_lower_bound,
-    paw_lower_bound,
-    placement_lower_bound,
-)
+from repro.assign.lower_bounds import paw_lower_bound
 
 
 def test_paw_lower_bound_valid():
@@ -20,26 +16,6 @@ def test_paw_lower_bound_valid():
         for assign in product(range(2), repeat=4)
     )
     assert bound <= best
-
-
-def test_partial_bound_empty_remaining():
-    assert partial_lower_bound([10, 4], 0) == 10
-
-
-def test_partial_bound_area():
-    # loads 2+2, remaining min sum 8 -> ceil(12/2) = 6
-    assert partial_lower_bound([2, 2], 8) == 6
-
-
-def test_placement_bound_dominant_core():
-    loads = [5, 0]
-    times = [[100, 200], [1, 1]]
-    bound = placement_lower_bound(loads, [0], times)
-    assert bound == 105  # core 0 must land somewhere
-
-
-def test_placement_bound_no_remaining():
-    assert placement_lower_bound([3, 7], [], [[1, 1]]) == 7
 
 
 def test_bounds_consistent_with_exact():
