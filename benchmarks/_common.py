@@ -30,16 +30,14 @@ def run_batch_sweep(
     socs: Sequence,
     widths: Sequence[int],
     max_workers: "int | None" = None,
-    options: "Dict[str, object] | None" = None,
 ) -> List[Dict[str, object]]:
     """Sweep ``socs`` x ``widths`` through the parallel batch engine.
 
-    ``options`` are forwarded to every job's ``co_optimize`` call.
     Returns one row per grid point in job order, ready for
     :func:`rows_to_table` with ``BATCH_COLUMNS``.
     """
     runner = BatchRunner(max_workers=max_workers)
-    return grid_rows(runner.run_grid(socs, widths, options=options))
+    return grid_rows(runner.run_grid(socs, widths))
 
 
 def run_comparison_bench(
@@ -51,7 +49,6 @@ def run_comparison_bench(
     title: str,
     widths: Sequence[int] = PAPER_WIDTHS,
     delta_tolerance_pct: float = 25.0,
-    exhaustive_time_per_partition: float = 2.0,
     exhaustive_total_time: float = 180.0,
 ) -> List[Dict[str, object]]:
     """Run one fixed-B comparison table and assert the paper's shape."""
@@ -60,7 +57,6 @@ def run_comparison_bench(
         args=(soc, num_tams),
         kwargs={
             "widths": widths,
-            "exhaustive_time_per_partition": exhaustive_time_per_partition,
             "exhaustive_total_time": exhaustive_total_time,
         },
         rounds=1,

@@ -143,7 +143,7 @@ def test_ablation_core_assign_vs_exact_speed(benchmark, p93791, report):
     heuristic_per_call = (time.monotonic() - start) / 200
 
     start = time.monotonic()
-    exact = exact_assign(times, widths, time_limit=30.0)
+    exact = exact_assign(times, widths)
     exact_elapsed = time.monotonic() - start
 
     benchmark.pedantic(core_assign, args=(times, widths),

@@ -14,13 +14,6 @@ from repro.report.experiments import rows_to_table
 
 WIDTHS = (16, 24, 32)
 
-#: The exact polish is budgeted by wall clock; under pool contention
-#: the default 30s can truncate a solve the uncontended sequential
-#: run completes, which would make results load-dependent.  A budget
-#: generous enough that every solve ends by optimality proof or node
-#: exhaustion keeps parallel == sequential bit-for-bit.
-OPTIONS = {"exact_time_limit": 600.0}
-
 
 def test_batch_engine_matches_sequential(
     benchmark, report, d695, p21241, p31108, p93791
@@ -29,7 +22,7 @@ def test_batch_engine_matches_sequential(
     rows = benchmark.pedantic(
         run_batch_sweep,
         args=(socs, WIDTHS),
-        kwargs={"max_workers": 4, "options": OPTIONS},
+        kwargs={"max_workers": 4},
         rounds=1,
         iterations=1,
     )
@@ -45,7 +38,7 @@ def test_batch_engine_matches_sequential(
     by_key = {(row["soc"], row["W"]): row for row in rows}
     for soc in socs:
         for width in WIDTHS:
-            sequential = co_optimize(soc, width, **OPTIONS)
+            sequential = co_optimize(soc, width)
             row = by_key[(soc.name, width)]
             assert row["T"] == sequential.testing_time, (soc.name, width)
             assert row["partition"] == "+".join(

@@ -2,10 +2,10 @@
 
 Solves the three partitions that perfbench's polish-bound inputs
 polish (W=16, 24 and 48) and three W=32 B=4 candidates of the search
-tier's polish, each with a wall-clock budget far out of reach, so the
-node budget alone decides where a search stops.  The polish solves
-are timed only: ``tests/assign/test_exact_differential.py`` already
-pins their assignments and node ceilings.  Each candidate must end
+tier's polish; the node budget alone decides where a search stops.
+The polish solves are timed only:
+``tests/assign/test_exact_differential.py`` already pins their
+assignments and node ceilings.  Each candidate must end
 proved at its pinned optimum, in no more nodes than the branch-and-
 bound explored before its rectangle, bus-class and twin-core rules
 (the last column of ``CANDIDATES``).  Node counts hold on any runner;
@@ -45,15 +45,12 @@ CANDIDATES = (
     ("W=32 candidate", (11, 7, 7, 7), 2_475_989, 1_513_449),
 )
 
-#: Far beyond any solve above: the node budget decides, not the clock.
-NO_CLOCK = 3600.0
-
 
 def solve_row(tables, label, widths):
     """Time one solve; the row and the solver's result."""
     times = [[table.time(width) for width in widths] for table in tables]
     start = time.perf_counter()
-    exact = exact_assign(times, widths, time_limit=NO_CLOCK)
+    exact = exact_assign(times, widths)
     seconds = time.perf_counter() - start
     return {
         "solve": label,
@@ -98,7 +95,7 @@ def test_exact_solver_nodes_and_seconds(benchmark, report, p93791):
     )
     append_history(BENCH_JSON, bench_record(
         "bench_exact_solver",
-        config={"soc": "p93791", "time_limit": NO_CLOCK},
+        config={"soc": "p93791"},
         samples=rows,
     ))
     print(f"[appended to {BENCH_JSON}]")

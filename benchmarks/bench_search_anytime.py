@@ -55,7 +55,7 @@ def _search(soc, tables, eval_budget):
     point = evaluate_point(
         soc, WIDTH, num_tams=TAM_COUNTS, tables=tables,
         mode="search", search_strategy=STRATEGY, seed=SEED,
-        eval_budget=eval_budget, time_budget=600.0,
+        eval_budget=eval_budget,
     )
     return time.perf_counter() - start, point
 

@@ -28,8 +28,7 @@ def test_table7_p21241_npaw(benchmark, p21241, report):
         if row["W"] < 24:
             continue
         exhaustive_b2 = exhaustive_optimize(
-            p21241, row["W"], 2,
-            time_limit_per_partition=2.0, total_time_limit=120.0,
+            p21241, row["W"], 2, total_time_limit=120.0,
         )
         improvements.append(
             (exhaustive_b2.testing_time - row["T_new"])

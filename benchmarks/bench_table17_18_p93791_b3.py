@@ -20,7 +20,6 @@ def test_tables17_18_p93791_b3(benchmark, p93791, report):
         result_name="table17_18_p93791_b3",
         title="Tables 17/18. p93791 stand-in, B=3: exhaustive [8] vs "
               "new co-optimization method.",
-        exhaustive_time_per_partition=0.6,
         exhaustive_total_time=120.0,
     )
     # The new method must hold a clear aggregate CPU advantage on

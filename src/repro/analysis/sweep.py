@@ -106,7 +106,7 @@ def evaluate_point(
     from the same tables) to hand the partition sweep a pre-built
     matrix.  Remaining keyword arguments go to
     :func:`~repro.optimize.co_optimize.co_optimize` verbatim
-    (``polish``, ``exact_time_limit``, ...).
+    (``polish``, ``exact_node_limit``, ...).
 
     ``mode="search"`` dispatches to the anytime metaheuristic tier
     instead (:func:`repro.search.search_optimize`); the exact-tier
@@ -179,8 +179,7 @@ def evaluate_point(
 #: seams.
 _SEARCH_IGNORED_OPTIONS = (
     "enumerator", "polish", "polish_top_k", "polish_per_tam_count",
-    "exact_node_limit", "exact_time_limit", "prune", "sweep",
-    "polish_runner",
+    "exact_node_limit", "prune", "sweep", "polish_runner",
 )
 
 
@@ -206,7 +205,6 @@ def _evaluate_search_point(
 
     strategy = options.pop("search_strategy", "sa")
     seed = options.pop("seed", 0)
-    time_budget = options.pop("time_budget", 5.0)
     eval_budget = options.pop("eval_budget", 20000)
     target_gap = options.pop("target_gap", 0.0)
     islands_runner = options.pop("search_islands", None)
@@ -233,7 +231,6 @@ def _evaluate_search_point(
                 num_tams=num_tams,
                 strategy=strategy,
                 seed=seed,
-                time_budget=time_budget,
                 eval_budget=eval_budget,
                 target_gap=target_gap,
                 matrix=dense,

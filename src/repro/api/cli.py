@@ -148,10 +148,6 @@ def add_search_arguments(parser: argparse.ArgumentParser) -> None:
              "(default 0)",
     )
     parser.add_argument(
-        "--time-budget", type=float, default=5.0,
-        help="wall-clock budget in seconds (default 5.0)",
-    )
-    parser.add_argument(
         "--eval-budget", type=int, default=20000,
         help="candidate-evaluation budget, split across islands "
              "(default 20000)",
@@ -173,7 +169,6 @@ def search_spec_from_args(
         mode="search",
         search_strategy=args.strategy,
         seed=args.seed,
-        time_budget=args.time_budget,
         eval_budget=args.eval_budget,
         target_gap=args.target_gap,
     )

@@ -35,7 +35,6 @@ rejecting a whole submission.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -69,8 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: options (``search_strategy``/``seed``/``time_budget``/
 #: ``eval_budget``/``target_gap``); 3 — one sweep engine (its
 #: selector option removed) and ``prune`` a plain bool defaulting to
-#: ``True`` on every surface.
-SPEC_SCHEMA_VERSION = 3
+#: ``True`` on every surface; 4 — no wall clock decides an answer:
+#: ``exact_time_limit`` and ``time_budget`` removed, so node and
+#: evaluation budgets alone define every result.
+SPEC_SCHEMA_VERSION = 4
 
 #: Valid ``mode`` values: the paper's exact sweep+polish pipeline,
 #: and the anytime metaheuristic tier of :mod:`repro.search`.
@@ -91,7 +92,6 @@ OPTION_DEFAULTS: Dict[str, Any] = {
     "polish_top_k": 1,
     "polish_per_tam_count": False,
     "exact_node_limit": 2_000_000,
-    "exact_time_limit": 30.0,
     "prune": True,
     # -- the heuristic search tier (mode="search") ------------------
     # The seed is a *result-defining* input (a search outcome is a
@@ -101,7 +101,6 @@ OPTION_DEFAULTS: Dict[str, Any] = {
     "mode": "exact",
     "search_strategy": "sa",
     "seed": 0,
-    "time_budget": 5.0,
     "eval_budget": 20000,
     "target_gap": 0.0,
 }
@@ -111,8 +110,7 @@ OPTION_DEFAULTS: Dict[str, Any] = {
 #: ``"exact"`` is rejected at construction (the knob would silently
 #: do nothing).
 SEARCH_ONLY_OPTIONS: Tuple[str, ...] = (
-    "search_strategy", "seed", "time_budget", "eval_budget",
-    "target_gap",
+    "search_strategy", "seed", "eval_budget", "target_gap",
 )
 
 
@@ -161,7 +159,7 @@ def _canonical_counts(
 def _normalized_option(key: str, value: Any) -> Any:
     """Coerce ``value`` to the numeric type of ``key``'s default.
 
-    Makes ``{"exact_time_limit": 30}`` and ``30.0`` hash identically
+    Makes ``{"target_gap": 0}`` and ``0.0`` hash identically
     without touching bools, strings, or unknown keys.
     """
     default = OPTION_DEFAULTS.get(key)
@@ -248,12 +246,10 @@ class OptimizeSpec:
     polish_top_k: int = 1
     polish_per_tam_count: bool = False
     exact_node_limit: int = 2_000_000
-    exact_time_limit: float = 30.0
     prune: bool = True
     mode: str = "exact"
     search_strategy: str = "sa"
     seed: int = 0
-    time_budget: float = 5.0
     eval_budget: int = 20000
     target_gap: float = 0.0
 
@@ -294,15 +290,6 @@ class OptimizeSpec:
                 f"exact_node_limit must be >= 1, got "
                 f"{self.exact_node_limit!r}"
             )
-        if not isinstance(self.exact_time_limit, (int, float)) \
-                or self.exact_time_limit <= 0:
-            raise ConfigurationError(
-                f"exact_time_limit must be > 0, got "
-                f"{self.exact_time_limit!r}"
-            )
-        object.__setattr__(
-            self, "exact_time_limit", float(self.exact_time_limit)
-        )
         if not isinstance(self.enumerator, str):
             raise ConfigurationError(
                 f"enumerator must be a string, got {self.enumerator!r}"
@@ -328,13 +315,6 @@ class OptimizeSpec:
             raise ConfigurationError(
                 f"seed must be an int >= 0, got {self.seed!r}"
             )
-        if not isinstance(self.time_budget, (int, float)) \
-                or isinstance(self.time_budget, bool) \
-                or self.time_budget <= 0:
-            raise ConfigurationError(
-                f"time_budget must be > 0, got {self.time_budget!r}"
-            )
-        object.__setattr__(self, "time_budget", float(self.time_budget))
         if not isinstance(self.eval_budget, int) \
                 or isinstance(self.eval_budget, bool) \
                 or self.eval_budget < 1:
@@ -396,10 +376,6 @@ class OptimizeSpec:
             for key, default in OPTION_DEFAULTS.items()
             if getattr(self, key) != default
         }
-
-    def with_width(self, total_width: int) -> "OptimizeSpec":
-        """This spec at a different TAM budget (all knobs shared)."""
-        return dataclasses.replace(self, total_width=total_width)
 
     def to_dict(self) -> Dict[str, Any]:
         """Schema-versioned plain-data form (JSON-ready)."""

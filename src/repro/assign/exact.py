@@ -43,9 +43,10 @@ at a strictly better leaf, so it always moves to the first improving
 leaf of the one DFS order, whatever subset of the rules runs: every
 proved answer is the same assignment, node counts only fall, and a
 node-capped search stops further along the order, on an incumbent no
-worse.  Budgets (node and wall-clock) end the search with the
-incumbent and ``optimal=False`` — the paper notes some p21241 models
-were "particularly intractable".
+worse.  Only the node budget ends a search early: it returns the
+incumbent with ``optimal=False`` — the paper notes some p21241 models
+were "particularly intractable" — so a fixed input gives the same
+answer on any host under any load.
 """
 
 from __future__ import annotations
@@ -60,10 +61,13 @@ from repro.assign.lower_bounds import paw_lower_bound
 from repro.exceptions import ConfigurationError
 from repro.tam.assignment import AssignmentResult, evaluate_assignment
 
-#: Default search budgets; generous for the paper's instance sizes
+#: Default search budget; generous for the paper's instance sizes
 #: (N <= 32, B <= 10) yet bounded so no single partition stalls a sweep.
 DEFAULT_NODE_LIMIT = 2_000_000
-DEFAULT_TIME_LIMIT = 30.0
+#: Nothing in ``src/`` reads this: the solver has no clock.
+#: ``perfbench/instrument.py`` still imports the name; the next
+#: benchmark change drops that import, and this line with it.
+DEFAULT_TIME_LIMIT = None
 
 
 @dataclass(frozen=True)
@@ -84,13 +88,11 @@ class _Search:
         times: Sequence[Sequence[int]],
         widths: Sequence[int],
         node_limit: int,
-        time_limit: float,
     ) -> None:
         self.widths = widths
         self.num_cores = num_cores = len(times)
         self.num_buses = num_buses = len(widths)
         self.node_limit = node_limit
-        self.deadline = _time.monotonic() + time_limit
         self.nodes = 0
         self.exhausted = False
 
@@ -176,9 +178,6 @@ class _Search:
         if self.nodes >= self.node_limit:
             self.exhausted = True
             return
-        if self.nodes % 4096 == 0 and _time.monotonic() > self.deadline:
-            self.exhausted = True
-            return
 
         if depth == self.num_cores:
             if top < self.best_time:
@@ -231,9 +230,8 @@ def exact_assign(
     widths: Sequence[int],
     incumbent: Optional[AssignmentResult] = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    time_limit: float = DEFAULT_TIME_LIMIT,
 ) -> ExactResult:
-    """Solve P_AW exactly (within budgets) for fixed bus widths.
+    """Solve P_AW exactly (within the node budget) for fixed bus widths.
 
     Parameters
     ----------
@@ -243,8 +241,8 @@ def exact_assign(
         Optional warm-start assignment (e.g. from the heuristic); the
         solver also always runs ``Core_assign`` itself, so passing one
         only helps when it beats the heuristic.
-    node_limit / time_limit:
-        Search budgets.  On exhaustion the best-found assignment is
+    node_limit:
+        Search budget.  On exhaustion the best-found assignment is
         returned with ``optimal=False``.
 
     Returns
@@ -254,14 +252,12 @@ def exact_assign(
     """
     if node_limit < 1:
         raise ConfigurationError(f"node_limit must be >= 1: {node_limit}")
-    if time_limit <= 0:
-        raise ConfigurationError(f"time_limit must be > 0: {time_limit}")
 
     start = _time.monotonic()
     # Runs first: it validates the input the search's tables index.
     heuristic = core_assign(times, widths)
     assert heuristic.result is not None  # no best_known => completes
-    search = _Search(times, widths, node_limit, time_limit)
+    search = _Search(times, widths, node_limit)
     search.seed(heuristic.result.assignment, heuristic.testing_time)
     if incumbent is not None:
         search.seed(incumbent.assignment, incumbent.testing_time)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import logging
 import os
+import threading
 from collections import deque
 from concurrent.futures import Executor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
@@ -132,11 +133,7 @@ class BatchJob:
 
     ``options`` holds extra keyword arguments forwarded to
     ``co_optimize`` (e.g. ``polish``, ``polish_top_k``,
-    ``exact_time_limit``); a mapping is frozen to sorted items.  Note
-    that ``exact_time_limit`` is a *wall-clock* budget: a solve that
-    hits it under CPU contention returns its incumbent, so strictly
-    load-independent results require budgets generous enough that
-    solves finish by node exhaustion or optimality proof.
+    ``exact_node_limit``); a mapping is frozen to sorted items.
     """
 
     soc: Soc
@@ -266,9 +263,13 @@ def normalize_point_timeout(
 ) -> Optional[float]:
     """Validate a per-point deadline (runner default, CLI, or hint).
 
-    Accepts ``None`` (no deadline) or a positive number of seconds;
-    anything else — including the untrusted ``runner`` mapping of a
-    submitted :class:`~repro.api.specs.GridSpec` — raises
+    Accepts ``None`` (no deadline) or a number of seconds in
+    ``(0, threading.TIMEOUT_MAX]`` — the longest wait
+    ``Future.result`` can take; a larger one, or ``inf`` (which JSON
+    hints can carry), would abort the whole grid with
+    ``OverflowError`` mid-run.  Anything else — including the
+    untrusted ``runner`` mapping of a submitted
+    :class:`~repro.api.specs.GridSpec` — raises
     :class:`~repro.exceptions.ConfigurationError`.  Like ``shard``,
     the deadline is pure execution strategy: excluded from every
     canonical job key.
@@ -278,12 +279,12 @@ def normalize_point_timeout(
     if (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and value > 0
+        and 0 < value <= threading.TIMEOUT_MAX
     ):
         return float(value)
     raise ConfigurationError(
-        "point_timeout must be a positive number of seconds or "
-        f"None; got {value!r}"
+        "point_timeout must be a positive number of seconds up to "
+        f"{threading.TIMEOUT_MAX:.0f}, or None; got {value!r}"
     )
 
 
@@ -758,7 +759,7 @@ class BatchRunner:
         Extra attempts per job before its failure is raised or
         recorded.  The pipeline is deterministic, so retries pay off
         only for environmental failures (a worker killed under
-        memory pressure, a wall-clock-truncated exact solve).
+        memory pressure).
     cache_dir:
         When set, every table cache — the runner's own in inline
         mode, each worker's in pool mode — is backed by a persistent

@@ -38,15 +38,6 @@ class InfeasibleError(ReproError):
     """A model has no feasible solution (e.g. contradictory constraints)."""
 
 
-class SolverLimitError(ReproError):
-    """An exact solver exhausted its node or time budget.
-
-    Solvers in this package normally degrade gracefully (returning the
-    incumbent with ``optimal=False``); this exception is reserved for
-    callers that explicitly request hard-failure semantics.
-    """
-
-
 class ConfigurationError(ReproError):
     """An algorithm was configured with invalid options."""
 

@@ -62,11 +62,9 @@ __all__ = [
 
 #: One exact-polish solve, fully described and picklable: the
 #: candidate's per-core times at its widths, the candidate itself
-#: (widths + warm-start assignment), and the solve budgets.  The unit
-#: a ``polish_runner`` dispatches to pool workers.
-PolishTask = Tuple[
-    List[List[int]], AssignmentResult, int, float
-]
+#: (widths + warm-start assignment), and the solve's node budget.  The
+#: unit a ``polish_runner`` dispatches to pool workers.
+PolishTask = Tuple[List[List[int]], AssignmentResult, int]
 
 #: The polish fan-out seam: called with every candidate's task, must
 #: return their :class:`~repro.assign.exact.ExactResult` s *in task
@@ -79,13 +77,9 @@ PolishRunner = Callable[[Sequence[PolishTask]], List[ExactResult]]
 
 def run_polish_task(task: PolishTask) -> ExactResult:
     """Execute one polish task — the worker side of the seam."""
-    times, candidate, node_limit, time_limit = task
+    times, candidate, node_limit = task
     return exact_assign(
-        times,
-        candidate.widths,
-        incumbent=candidate,
-        node_limit=node_limit,
-        time_limit=time_limit,
+        times, candidate.widths, incumbent=candidate, node_limit=node_limit
     )
 
 
@@ -98,7 +92,6 @@ def co_optimize(
     polish_top_k: int = 1,
     polish_per_tam_count: bool = False,
     exact_node_limit: int = 2_000_000,
-    exact_time_limit: float = 30.0,
     tables: Optional[Dict[str, TimeTable]] = None,
     prune: bool = True,
     dense: "Optional[DenseTimeMatrix]" = None,
@@ -148,8 +141,8 @@ def co_optimize(
         anomaly's usual form — the heuristic picking the wrong number
         of TAMs — at the cost of weaker cross-B pruning during the
         sweep.  Composable with ``polish_top_k`` (top-k per B).
-    exact_node_limit / exact_time_limit:
-        Budgets for each exact solve.
+    exact_node_limit:
+        Node budget for each exact solve.
     tables:
         Pre-built wrapper time tables (core name → table covering
         widths up to at least ``total_width``), e.g. from a
@@ -206,7 +199,6 @@ def co_optimize(
             polish_top_k=polish_top_k,
             polish_per_tam_count=polish_per_tam_count,
             exact_node_limit=exact_node_limit,
-            exact_time_limit=exact_time_limit,
             prune=prune,
         )
     elif total_width is not None:
@@ -254,7 +246,6 @@ def co_optimize(
                 ],
                 candidate,
                 spec.exact_node_limit,
-                spec.exact_time_limit,
             )
             for candidate in candidates
         ]

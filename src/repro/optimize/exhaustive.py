@@ -29,8 +29,6 @@ def exhaustive_optimize(
     soc: Soc,
     total_width: int,
     num_tams: Union[int, Iterable[int]],
-    node_limit_per_partition: int = 2_000_000,
-    time_limit_per_partition: float = 10.0,
     total_time_limit: float = 600.0,
     tables: Optional[Dict[str, TimeTable]] = None,
 ) -> ExhaustiveResult:
@@ -42,12 +40,12 @@ def exhaustive_optimize(
         The instance, as for :func:`~repro.optimize.co_optimize.co_optimize`.
     num_tams:
         TAM count(s) to cover.
-    node_limit_per_partition / time_limit_per_partition:
-        Budgets for each exact solve; ``all_exact`` in the result
-        reports whether every solve proved optimality.
     total_time_limit:
         Wall-clock budget for the whole enumeration (the "two days"
-        guard).  On expiry the sweep stops with ``complete=False``.
+        guard), checked between exact solves.  On expiry the sweep
+        stops with ``complete=False``.  Each solve runs to the exact
+        solver's default node budget; ``all_exact`` in the result
+        reports whether every solve proved optimality.
     tables:
         Pre-built wrapper time tables covering widths up to
         ``total_width`` (e.g. from a
@@ -99,12 +97,7 @@ def exhaustive_optimize(
                 [table.time(width) for width in widths]
                 for table in table_list
             ]
-            exact = exact_assign(
-                times,
-                widths,
-                node_limit=node_limit_per_partition,
-                time_limit=time_limit_per_partition,
-            )
+            exact = exact_assign(times, widths)
             evaluated += 1
             all_exact = all_exact and exact.optimal
             if best is None or exact.result.testing_time < best.testing_time:

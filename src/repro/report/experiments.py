@@ -113,7 +113,6 @@ def run_paw_comparison(
     soc: Soc,
     num_tams: int,
     widths: Sequence[int] = PAPER_WIDTHS,
-    exhaustive_time_per_partition: float = 5.0,
     exhaustive_total_time: float = 300.0,
 ) -> List[Dict[str, object]]:
     """Exhaustive-[8] vs new-method rows for a fixed TAM count.
@@ -134,7 +133,6 @@ def run_paw_comparison(
             soc,
             width,
             num_tams,
-            time_limit_per_partition=exhaustive_time_per_partition,
             total_time_limit=exhaustive_total_time,
             tables=tables,
         )

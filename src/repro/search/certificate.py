@@ -29,7 +29,7 @@ from repro.exceptions import ConfigurationError, ValidationError
 
 #: Values ``terminated_by`` may take — which clause of the anytime
 #: budget contract ended the run.
-TERMINATIONS = ("target_gap", "eval_budget", "time_budget")
+TERMINATIONS = ("target_gap", "eval_budget")
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class SearchCertificate:
     elapsed_seconds:
         Wall-clock spent (reporting only; never compared by tests).
     terminated_by:
-        Which budget clause fired: ``"target_gap"``,
-        ``"eval_budget"`` or ``"time_budget"``.
+        Which budget clause fired: ``"target_gap"`` or
+        ``"eval_budget"``.
     """
 
     testing_time: int

@@ -15,11 +15,9 @@ makes a fixed-seed run bit-identical across 1..N workers.
 
 Budget contract (the anytime guarantee): an island stops the moment
 its incumbent meets ``target_gap`` against the admissible range
-bound, or its share of ``eval_budget`` is spent, or ``time_budget``
-expires.  The first two are deterministic terminators; the wall
-clock is a safety guard with the same caveat as ``exact_time_limit``
-— bit-identity holds when the budgets are generous enough that a gap
-or eval termination fires first (the defaults are).
+bound, or its share of ``eval_budget`` is spent.  Both are counts,
+not clocks, so a fixed-seed search returns the same answer on any
+host under any load.
 
 The merge is pure arithmetic: best island by
 ``(testing_time, island_index)``, trajectories interleaved by
@@ -68,14 +66,8 @@ NUM_ISLANDS = 4
 #: not always the exactly best one), so the polish needs diversity.
 KEEP_TOP = 8
 
-#: Budgets for the final exact polish (per candidate).  Time is a
-#: wall guard with the ``exact_time_limit`` caveat: bit-identity
-#: assumes the node limit or completion fires first.
+#: Node budget for the final exact polish (per candidate).
 POLISH_NODE_LIMIT = 2_000_000
-POLISH_TIME_LIMIT = 10.0
-
-#: How often (in evals) the wall-clock guard is consulted.
-_CLOCK_STRIDE = 64
 
 
 def island_seed(seed: int, island_index: int) -> int:
@@ -98,7 +90,6 @@ class IslandPlan:
     total_width: int
     tam_counts: Tuple[int, ...]
     eval_budget: int
-    time_budget: float
     target_gap: float
     bound: int
 
@@ -107,11 +98,6 @@ class IslandPlan:
             raise ConfigurationError(
                 f"island eval_budget must be >= 1, got "
                 f"{self.eval_budget}"
-            )
-        if self.time_budget <= 0:
-            raise ConfigurationError(
-                f"island time_budget must be > 0, got "
-                f"{self.time_budget}"
             )
 
 
@@ -186,12 +172,10 @@ class _IslandEvaluator:
         self,
         matrix: DenseTimeMatrix,
         plan: IslandPlan,
-        deadline: float,
         publish: Optional[Callable[[int], None]],
     ) -> None:
         self._matrix = matrix
         self._plan = plan
-        self._deadline = deadline
         self._publish = publish
         self._workspace = KernelWorkspace()
         # Incumbent meeting this time has gap <= target_gap.
@@ -246,12 +230,6 @@ class _IslandEvaluator:
         if self.evals >= self._plan.eval_budget:
             self.terminated_by = "eval_budget"
             raise _Terminated()
-        if (
-            self.evals % _CLOCK_STRIDE == 0
-            and _time.monotonic() > self._deadline
-        ):
-            self.terminated_by = "time_budget"
-            raise _Terminated()
         return time
 
 
@@ -275,9 +253,7 @@ def run_island(
         ) from None
     start = _time.monotonic()
     rng = random.Random(island_seed(plan.seed, plan.island_index))
-    evaluator = _IslandEvaluator(
-        matrix, plan, start + plan.time_budget, publish
-    )
+    evaluator = _IslandEvaluator(matrix, plan, publish)
     try:
         strategy(rng, evaluator, plan.total_width, plan.tam_counts)
     except _Terminated:
@@ -335,7 +311,6 @@ def polish_candidates(
             candidate.widths,
             incumbent=candidate,
             node_limit=POLISH_NODE_LIMIT,
-            time_limit=POLISH_TIME_LIMIT,
         )
         if exact.result.testing_time < best.testing_time:
             best = exact.result
@@ -375,16 +350,11 @@ def merge_islands(
         if incumbent is None or time < incumbent:
             incumbent = time
             merged.append((eval_index, island_index, time))
-    if any(
-        result.terminated_by == "target_gap" for result in ordered
-    ):
-        terminated_by = "target_gap"
-    elif all(
-        result.terminated_by == "eval_budget" for result in ordered
-    ):
-        terminated_by = "eval_budget"
-    else:
-        terminated_by = "time_budget"
+    terminated_by = (
+        "target_gap"
+        if any(result.terminated_by == "target_gap" for result in ordered)
+        else "eval_budget"
+    )
     return best_island.best, tuple(merged), terminated_by
 
 
@@ -394,10 +364,8 @@ def island_plans(
     strategy: str,
     seed: int,
     eval_budget: int,
-    time_budget: float,
     target_gap: float,
     bound: int,
-    num_islands: int = NUM_ISLANDS,
 ) -> Tuple[IslandPlan, ...]:
     """The fixed island decomposition of one search run.
 
@@ -405,11 +373,7 @@ def island_plans(
     evaluation); the remainder goes to the lowest-indexed islands so
     the split is deterministic and exhaustive.
     """
-    if num_islands < 1:
-        raise ConfigurationError(
-            f"num_islands must be >= 1, got {num_islands}"
-        )
-    share, remainder = divmod(eval_budget, num_islands)
+    share, remainder = divmod(eval_budget, NUM_ISLANDS)
     return tuple(
         IslandPlan(
             island_index=index,
@@ -418,11 +382,10 @@ def island_plans(
             total_width=total_width,
             tam_counts=tuple(tam_counts),
             eval_budget=max(1, share + (1 if index < remainder else 0)),
-            time_budget=time_budget,
             target_gap=target_gap,
             bound=bound,
         )
-        for index in range(num_islands)
+        for index in range(NUM_ISLANDS)
     )
 
 
@@ -438,12 +401,10 @@ def search_optimize(
     num_tams: Union[int, Sequence[int], None] = None,
     strategy: str = "sa",
     seed: int = 0,
-    time_budget: float = 5.0,
     eval_budget: int = 20000,
     target_gap: float = 0.0,
     matrix: Optional[DenseTimeMatrix] = None,
     floor_bound: int = 0,
-    num_islands: int = NUM_ISLANDS,
     islands_runner: Optional[IslandsRunner] = None,
     core_order: Optional[Sequence[str]] = None,
 ) -> SearchResult:
@@ -487,8 +448,8 @@ def search_optimize(
         matrix, total_width, feasible, floor=floor_bound
     )
     plans = island_plans(
-        total_width, feasible, strategy, seed, eval_budget,
-        time_budget, target_gap, bound, num_islands=num_islands,
+        total_width, feasible, strategy, seed, eval_budget, target_gap,
+        bound,
     )
     if islands_runner is not None:
         islands = islands_runner(plans)

@@ -22,7 +22,7 @@ class TestCurrentSchema:
 
     def test_carries_every_version_constant(self):
         schema = current_schema()
-        assert schema["spec_schema_version"] == 3
+        assert schema["spec_schema_version"] == 4
         assert schema["protocol_version"] == 3
         assert schema["supported_protocol_versions"] == [1, 2, 3]
 

@@ -35,7 +35,7 @@ class TestOptimizeSpecValidation:
         with pytest.raises(ConfigurationError):
             OptimizeSpec(total_width=8, polish_top_k=0)
         with pytest.raises(ConfigurationError):
-            OptimizeSpec(total_width=8, exact_time_limit=0)
+            OptimizeSpec(total_width=8, exact_node_limit=0)
         with pytest.raises(ConfigurationError):
             OptimizeSpec(total_width=8, prune=3.5)
 
@@ -210,7 +210,7 @@ class TestSearchMode:
     def search_spec(self, **overrides):
         options = dict(
             mode="search", search_strategy="ga", seed=11,
-            time_budget=2.5, eval_budget=500, target_gap=0.05,
+            eval_budget=500, target_gap=0.05,
         )
         options.update(overrides)
         return OptimizeSpec(total_width=16, **options)
@@ -226,7 +226,6 @@ class TestSearchMode:
     @pytest.mark.parametrize("option, value", [
         ("search_strategy", "ga"),
         ("seed", 3),
-        ("time_budget", 1.0),
         ("eval_budget", 100),
         ("target_gap", 0.1),
     ])
@@ -239,8 +238,6 @@ class TestSearchMode:
             self.search_spec(seed=-1)
         with pytest.raises(ConfigurationError, match="eval_budget"):
             self.search_spec(eval_budget=0)
-        with pytest.raises(ConfigurationError, match="time_budget"):
-            self.search_spec(time_budget=0)
         with pytest.raises(ConfigurationError, match="target_gap"):
             self.search_spec(target_gap=-0.5)
 

@@ -123,15 +123,13 @@ class TestBudgets:
     def test_invalid_budgets(self, fig2_times, fig2_widths):
         with pytest.raises(ConfigurationError):
             exact_assign(fig2_times, fig2_widths, node_limit=0)
-        with pytest.raises(ConfigurationError):
-            exact_assign(fig2_times, fig2_widths, time_limit=0)
 
 
 class TestP93791NodeBudgets:
     """Exact-mode p93791 points prove within pinned node budgets.
 
-    Node counts do not depend on the host; seconds do.  The wall clock
-    is set far out of reach, so only the node budget decides.
+    Node counts do not depend on the host; seconds do.  Only the node
+    budget decides.
     """
 
     @pytest.mark.parametrize("width, node_limit, partition, optimum", [
@@ -141,10 +139,7 @@ class TestP93791NodeBudgets:
     def test_exact_point_proves(
         self, p93791, width, node_limit, partition, optimum
     ):
-        result = co_optimize(
-            p93791, width,
-            exact_node_limit=node_limit, exact_time_limit=3600.0,
-        )
+        result = co_optimize(p93791, width, exact_node_limit=node_limit)
         assert result.final_optimal
         assert result.partition == partition
         assert result.testing_time == optimum
@@ -158,7 +153,7 @@ class TestP93791NodeBudgets:
         times = [[table.time(width) for width in widths] for table in tables]
         rows = {core.name: row for core, row in zip(p93791.cores, times)}
         assert rows["mem10"] == rows["mem12"] == rows["mem13"]
-        exact = exact_assign(times, widths, time_limit=3600.0)
+        exact = exact_assign(times, widths)
         assert exact.optimal
         assert exact.result.testing_time == 3_273_510
         assert exact.nodes_explored <= 112_563

@@ -29,8 +29,8 @@ from repro.assign.exact import exact_assign
 from repro.assign.lower_bounds import paw_lower_bound
 from repro.engine.cache import WrapperTableCache
 
-#: Wall-clock budget for both solvers: generous, so that only the
-#: node budget decides where a search stops.
+#: The frozen oracle's wall-clock budget: generous, so that only the
+#: node budget decides where its search stops (the solver has no clock).
 NO_CLOCK = 3600.0
 
 
@@ -230,9 +230,7 @@ def test_matches_oracle_on_random_instances(seed):
         times, widths = random_instance(rng)
         node_limit = rng.choice((rng.randint(1, 80), 2_000_000))
         oracle = oracle_assign(times, widths, node_limit)
-        exact = exact_assign(
-            times, widths, node_limit=node_limit, time_limit=NO_CLOCK
-        )
+        exact = exact_assign(times, widths, node_limit=node_limit)
         case = (times, widths, node_limit)
         assert exact.nodes_explored <= oracle.nodes, case
         if oracle.exhausted:
@@ -275,9 +273,7 @@ def polish_times(tables, widths):
 @pytest.mark.parametrize("name", sorted(P93791_POLISH))
 def test_p93791_polish_partitions(name, p93791_tables):
     widths, oracle_nodes, assignment = P93791_POLISH[name]
-    exact = exact_assign(
-        polish_times(p93791_tables, widths), widths, time_limit=NO_CLOCK
-    )
+    exact = exact_assign(polish_times(p93791_tables, widths), widths)
     assert exact.optimal
     assert list(exact.result.assignment) == assignment
     assert exact.nodes_explored <= oracle_nodes

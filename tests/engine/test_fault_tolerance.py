@@ -1,5 +1,7 @@
 """Job-level fault tolerance of the batch engine."""
 
+import threading
+
 import pytest
 
 import repro.engine.batch as batch
@@ -201,10 +203,15 @@ class TestBrokenPoolRecovery:
     def test_rejects_bad_supervision_knobs(self):
         with pytest.raises(ConfigurationError):
             BatchRunner(pool_restart_retries=-1)
-        with pytest.raises(ConfigurationError):
-            BatchRunner(point_timeout=0)
-        with pytest.raises(ConfigurationError):
-            BatchRunner(point_timeout="soon")
+        # Past threading.TIMEOUT_MAX, Future.result raises
+        # OverflowError mid-grid; JSON hints can carry Infinity.
+        for timeout in (0, "soon", float("inf"), float("nan"), 1e12):
+            with pytest.raises(ConfigurationError, match="point_timeout"):
+                BatchRunner(point_timeout=timeout)
+
+    def test_longest_waitable_point_timeout_is_accepted(self):
+        assert batch.normalize_point_timeout(threading.TIMEOUT_MAX) \
+            == threading.TIMEOUT_MAX
 
 
 class TestPointDeadlines:

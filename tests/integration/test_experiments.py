@@ -49,7 +49,6 @@ class TestPawComparison:
     def test_small_configuration(self, tiny_soc):
         rows = run_paw_comparison(
             tiny_soc, num_tams=2, widths=(8, 12),
-            exhaustive_time_per_partition=2.0,
             exhaustive_total_time=30.0,
         )
         assert len(rows) == 2

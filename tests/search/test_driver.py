@@ -39,9 +39,7 @@ class TestSeeding:
         ]
 
     def test_plans_split_the_eval_budget_exactly(self):
-        plans = island_plans(
-            16, (1, 2, 3), "sa", 7, 1001, 5.0, 0.0, 100,
-        )
+        plans = island_plans(16, (1, 2, 3), "sa", 7, 1001, 0.0, 100)
         assert len(plans) == NUM_ISLANDS
         assert sum(plan.eval_budget for plan in plans) == 1001
         # The remainder lands on the lowest island indices, so the
@@ -130,7 +128,7 @@ class TestMerge:
 
 class TestRunIsland:
     def test_one_island_alone_is_reproducible(self, d695, d695_tables):
-        plans = island_plans(16, (1, 2, 3), "ga", 5, 400, 5.0, 0.0, 1)
+        plans = island_plans(16, (1, 2, 3), "ga", 5, 400, 0.0, 1)
         from repro.engine.kernel import build_dense_matrix
 
         matrix = build_dense_matrix(

@@ -17,7 +17,6 @@ SEARCH_OPTIONS = {
     "search_strategy": "ga",
     "seed": 7,
     "eval_budget": 1200,
-    "time_budget": 30.0,
 }
 
 

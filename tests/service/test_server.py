@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.api.specs import GridSpec
 from repro.engine.batch import BatchJob, BatchRunner, FailedPoint
-from repro.exceptions import ServiceError
+from repro.exceptions import ConfigurationError, ServiceError
 from repro.service.server import ExplorationServer
 
 
@@ -108,6 +109,18 @@ class TestFaultSurfacing:
         snapshot = server.status(record.job_id)
         assert snapshot["num_failures"] == 1
         assert snapshot["num_points"] == 1
+
+
+class TestRunnerHintAdmission:
+    def test_unwaitable_point_timeout_is_rejected_at_submit(self, server):
+        spec = GridSpec.from_axes(
+            ["d695"], [8], num_tams=2, runner={"point_timeout": 1e12}
+        )
+        with pytest.raises(ConfigurationError, match="point_timeout"):
+            server.submit(spec)
+        info = server.info()
+        assert info["jobs"] == 0
+        assert info["queue_depth"] == 0
 
 
 class TestCancellation:

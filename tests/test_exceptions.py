@@ -7,14 +7,13 @@ from repro.exceptions import (
     InfeasibleError,
     ParseError,
     ReproError,
-    SolverLimitError,
     ValidationError,
 )
 
 
 def test_all_derive_from_repro_error():
     for exc_type in (ValidationError, ParseError, InfeasibleError,
-                     SolverLimitError, ConfigurationError):
+                     ConfigurationError):
         assert issubclass(exc_type, ReproError)
 
 
