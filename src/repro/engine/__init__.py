@@ -34,7 +34,8 @@ Two further modules make the hot path fast:
   instead of each running their own wrapper designs, plus the
   shared-memory :class:`~repro.engine.shm.IncumbentBoard` that broadcasts
   incumbents between the shards of a single job's sharded partition
-  sweep (:mod:`repro.partition.shard`, ``BatchRunner(shard=...)``).
+  sweep (:mod:`repro.partition.shard`, ``BatchRunner(shard=...)``) —
+  the only shared memory the engine asks for.
 
 The sequential sweeps in :mod:`repro.analysis.sweep` and the
 ``repro-tam batch`` CLI subcommand are both thin wrappers over this

@@ -551,18 +551,13 @@ def _pool_worker(
 
 
 def _task_prologue(
-    index: int,
-    descriptor: DenseDescriptor,
-    board_descriptor: Optional[BoardDescriptor],
-) -> Tuple[MetricsSnapshot, DenseTimeMatrix, Optional[IncumbentBoard]]:
+    index: int, descriptor: DenseDescriptor
+) -> Tuple[MetricsSnapshot, DenseTimeMatrix]:
     """The shared start of a shard or island task.
 
-    Fires the task's crash, slow and shm fault hooks (keyed by its
-    ``index``), opens its telemetry window, attaches the job's dense
-    matrix and the fan-out's incumbent board.  An injected
-    shm fault refuses the board, so the task runs without broadcast
-    — same outcome.  Returns (telemetry baseline, matrix, board or
-    ``None``); the caller closes the board.
+    Fires the task's crash and slow fault hooks (keyed by its
+    ``index``), opens its telemetry window and attaches the job's
+    dense matrix.  Returns (telemetry baseline, matrix).
     """
     faults = _WORKER_FAULTS
     if faults is not None and _IN_POOL_WORKER \
@@ -574,38 +569,39 @@ def _task_prologue(
         if delay:
             _sleep(delay)  # injected stall; delay comes from the plan
     _, matrix = attach(descriptor)
-    if board_descriptor is not None and faults is not None \
-            and faults.take_shm_failure(index):
-        return baseline, matrix, None  # injected board-attach failure
-    return baseline, matrix, IncumbentBoard.attach(board_descriptor)
+    return baseline, matrix
 
 
 def _shard_worker(
     item: Tuple[
         DenseDescriptor, Optional[BoardDescriptor], int,
-        Tuple[ShardSpan, ...], Soc, int, int, Optional[int],
-        Union[bool, str],
+        Tuple[ShardSpan, ...], Soc, int, int, Union[bool, str],
     ]
 ) -> Tuple[ShardOutcome, TaskTelemetry]:
     """Pool entry point: score one shard of a sharded partition sweep.
 
     Attaches the job's dense matrix and the sweep's incumbent
     board, scores the shard's rank ranges, and ships the recorded
-    completions back for the parent-side deterministic merge.
+    completions back for the parent-side deterministic merge.  An
+    injected shm fault refuses the board, so the shard runs without
+    broadcast — same outcome.
     """
     (descriptor, board_descriptor, shard_index, spans, soc,
-     total_width, keep_top, initial_best, prune) = item
-    baseline, matrix, board = _task_prologue(
-        shard_index, descriptor, board_descriptor
-    )
+     total_width, keep_top, prune) = item
+    baseline, matrix = _task_prologue(shard_index, descriptor)
+    faults = _WORKER_FAULTS
+    if board_descriptor is not None and faults is not None \
+            and faults.take_shm_failure(shard_index):
+        board = None  # injected board-attach failure
+    else:
+        board = IncumbentBoard.attach(board_descriptor)
     try:
         with span(
             "shard_sweep", soc=soc.name, shard=shard_index
         ) as shard_span:
             outcome = sweep_shard(
                 matrix, spans, shard_index, total_width,
-                keep_top=keep_top, initial_best=initial_best,
-                prune=prune, board=board,
+                keep_top=keep_top, prune=prune, board=board,
             )
             shard_span.annotate(
                 completions=len(outcome.completions)
@@ -618,42 +614,28 @@ def _shard_worker(
 
 
 def _search_worker(
-    item: Tuple[DenseDescriptor, Optional[BoardDescriptor], Any, Soc]
+    item: Tuple[DenseDescriptor, Any, Soc]
 ) -> Tuple[Any, TaskTelemetry]:
     """Pool entry point: run one island of a ``mode="search"`` point.
 
-    Attaches the job's dense matrix and the search's incumbent
-    board, runs the island to budget exhaustion, and ships its
-    :class:`~repro.search.IslandResult` back for the parent-side
-    deterministic merge.  Publication to the board is write-only —
-    the island never reads other islands' incumbents — so the result
-    is bit-identical to inline execution.
+    Attaches the job's dense matrix, runs the island to budget
+    exhaustion, and ships its :class:`~repro.search.IslandResult`
+    back for the parent-side deterministic merge.  Islands share
+    nothing while they run, so the result is bit-identical to inline
+    execution.
     """
-    (descriptor, board_descriptor, plan, soc) = item
+    (descriptor, plan, soc) = item
     # Imported lazily: repro.search builds on repro.engine.kernel,
     # whose package import lands back in this module.
     from repro.search.driver import run_island
 
-    baseline, matrix, board = _task_prologue(
-        plan.island_index, descriptor, board_descriptor
-    )
-    publish = None
-    if board is not None:
-        def publish(
-            time: int, _board: IncumbentBoard = board,
-            _slot: int = plan.island_index,
-        ) -> None:
-            _board.publish(_slot, (time,))
-    try:
-        with span(
-            "search_island", soc=soc.name, island=plan.island_index,
-            strategy=plan.strategy,
-        ) as island_span:
-            result = run_island(matrix, plan, publish=publish)
-            island_span.annotate(evals=result.evals)
-    finally:
-        if board is not None:
-            board.close()
+    baseline, matrix = _task_prologue(plan.island_index, descriptor)
+    with span(
+        "search_island", soc=soc.name, island=plan.island_index,
+        strategy=plan.strategy,
+    ) as island_span:
+        result = run_island(matrix, plan)
+        island_span.annotate(evals=result.evals)
     REGISTRY.counter("search.islands_run").inc()
     return result, task_end(baseline)
 
@@ -726,7 +708,7 @@ def _merge_task_telemetry(
 def _incumbent_board(
     slots: int, keep_top: int
 ) -> Iterator[Optional[BoardDescriptor]]:
-    """A fresh incumbent board for one fan-out, closed on exit.
+    """A fresh incumbent board for one sharded sweep, closed on exit.
 
     Yields the descriptor the tasks attach by, or ``None`` when
     shared memory is unavailable (tasks then run without broadcast:
@@ -1434,13 +1416,13 @@ class BatchRunner:
         :data:`repro.search.NUM_ISLANDS` islands; any other job fans
         its partition sweep as ``num_shards`` shards and its top-k
         exact polish solves.  Shards and islands build the job's
-        dense matrix from its descriptor and broadcast incumbents
-        through a shared-memory board.  The deterministic merge, the
-        polish reduction and the certificate/utilization accounting
-        run here over the tables the descriptor carries and the
-        matrix built from them, so the point is bit-identical to
-        whole-job execution.  Returns the point and its tasks'
-        telemetry.
+        dense matrix from its descriptor; shards also broadcast
+        incumbents through a shared-memory board, while islands share
+        nothing.  The deterministic merge, the polish reduction and
+        the certificate/utilization accounting run here over the
+        tables the descriptor carries and the matrix built from them,
+        so the point is bit-identical to whole-job execution.
+        Returns the point and its tasks' telemetry.
         """
         matrix = self._matrix(descriptor)
         telemetry: List[TaskTelemetry] = []
@@ -1462,18 +1444,15 @@ class BatchRunner:
             self.metrics.counter("search.islands_planned").inc(
                 len(plans)
             )
-            with _incumbent_board(len(plans), 1) as board:
-                return fan(_search_worker, [
-                    (descriptor, board, plan, job.soc)
-                    for plan in plans
-                ], "engine.island_retries", "island")
+            return fan(_search_worker, [
+                (descriptor, plan, job.soc) for plan in plans
+            ], "engine.island_retries", "island")
 
         def sweep(
             table_list: Sequence[TimeTable],
             total_width: int,
             tam_counts: Union[int, Iterable[int]], *,
             prune: bool = True,
-            initial_best: Optional[int] = None,
             keep_top: int = 1,
             **options: Any,
         ) -> PartitionSearchResult:
@@ -1483,8 +1462,7 @@ class BatchRunner:
                 # determinism argument run serially.
                 return partition_evaluate(
                     table_list, total_width, tam_counts, prune=prune,
-                    initial_best=initial_best, keep_top=keep_top,
-                    **options,
+                    keep_top=keep_top, **options,
                 )
 
             def scorer(plan: ShardPlan) -> List[ShardOutcome]:
@@ -1499,16 +1477,15 @@ class BatchRunner:
                     return fan(_shard_worker, [
                         (
                             descriptor, board, index, shard_spans,
-                            job.soc, total_width, keep_top,
-                            initial_best, prune,
+                            job.soc, total_width, keep_top, prune,
                         )
                         for index, shard_spans in enumerate(plan.shards)
                     ], "engine.shard_retries", "shard")
 
             return sharded_partition_evaluate(
                 None, total_width, tam_counts, num_shards,
-                prune=prune, initial_best=initial_best,
-                keep_top=keep_top, dense=matrix, scorer=scorer,
+                prune=prune, keep_top=keep_top, dense=matrix,
+                scorer=scorer,
             )
 
         def polish_runner(tasks: Sequence[Any]) -> List[Any]:

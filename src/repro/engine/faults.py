@@ -18,10 +18,10 @@ directive                 fault
                           dies (``os._exit``) before scoring it —
                           surfaces as ``BrokenProcessPool`` in the
                           parent.  Requires ``state=`` (see below).
-``shm@K``                 shard or island K's incumbent-board attach
-                          is refused, so that task of a fanned job runs
-                          without broadcast.  Whole-point jobs have no
-                          board and ignore it.
+``shm@K``                 shard K's incumbent-board attach is
+                          refused, so that shard of a sharded job runs
+                          without broadcast.  Whole-point jobs and
+                          search islands have no board and ignore it.
 ``slow@K=S``              point K sleeps S seconds before scoring —
                           drives per-point deadline enforcement.
 ``ipc@K``                 the server drops an ``events`` stream after
@@ -43,7 +43,7 @@ process-wide metrics registry, so injected chaos is visible in the
 run's telemetry and the service health block.
 
 Determinism contract: a plan never changes *what* is computed — only
-when processes die, how long points take, and which tasks run
+when processes die, how long points take, and which shards run
 without incumbent broadcast.  The chaos suite asserts grid results
 under every plan are bit-identical to the fault-free run.
 """
@@ -211,7 +211,7 @@ class FaultPlan:
         return True
 
     def take_shm_failure(self, point_index: int) -> bool:
-        """True if task ``point_index``'s board attach should be refused."""
+        """True if shard ``point_index``'s board attach should be refused."""
         if point_index not in self.shm_points:
             return False
         if not self._claim(f"shm-{point_index}"):

@@ -16,15 +16,16 @@ serve on both sides of the pool, and a worker runs no
 Shared memory carries only the **incumbent board**
 (:class:`IncumbentBoard`): a tiny int64 array with one slot of
 ``keep_top`` best-times per shard of an intra-job sharded sweep
-(:mod:`repro.partition.shard`) or per island of a fanned search —
-live state that tasks write while they run.  Each shard writes only
-its own slot and reads only earlier shards' slots (forward-only,
-which is what keeps the merged result bit-identical to the serial
-sweep), so no locking is needed; a torn read is not a correctness
-hazard on any platform CPython supports shared memory on, because
-slot writes are single aligned 8-byte stores.  A board that cannot
-be created or attached only costs the broadcast: tasks run with
-looser thresholds and the merged outcome is the same.
+(:mod:`repro.partition.shard`) — live state that shards write while
+they run.  Each shard writes only its own slot and reads only
+earlier shards' slots (forward-only, which is what keeps the merged
+result bit-identical to the serial sweep), so no locking is needed;
+a torn read is not a correctness hazard on any platform CPython
+supports shared memory on, because slot writes are single aligned
+8-byte stores.  A board that cannot be created or attached only
+costs the broadcast: shards run with looser thresholds and the
+merged outcome is the same.  Nothing else asks for shared memory:
+the islands of a fanned search share nothing while they run.
 
 Python ≤ 3.12 registers *attached* segments with the worker's
 ``resource_tracker`` too, which would tear a segment down (and warn)

@@ -155,21 +155,15 @@ class _TopK:
     best-known-time abort.
     """
 
-    def __init__(self, capacity: int, initial_best: Optional[int]) -> None:
+    def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self.initial_best = initial_best
         self.entries: List[AssignmentResult] = []  # sorted by time asc
 
     def threshold(self) -> Optional[int]:
         """Current abort threshold for ``Core_assign``."""
-        kth: Optional[int] = None
         if len(self.entries) == self.capacity:
-            kth = self.entries[-1].testing_time
-        if self.initial_best is None:
-            return kth
-        if kth is None:
-            return self.initial_best
-        return min(kth, self.initial_best)
+            return self.entries[-1].testing_time
+        return None
 
     def offer(self, result: AssignmentResult) -> None:
         """Insert ``result`` if it improves the kept set."""
@@ -191,7 +185,6 @@ def partition_evaluate(
     num_tams: Union[int, Iterable[int]],
     enumerator: str = "unique",
     prune: bool = True,
-    initial_best: Optional[int] = None,
     keep_top: int = 1,
     stratify_by_tam_count: bool = False,
     dense: "Optional[DenseTimeMatrix]" = None,
@@ -218,8 +211,6 @@ def partition_evaluate(
         (outcome-identical, faster); ``False`` — ``Core_assign``
         always runs to completion (disables pruning level 2 for the
         ablation study).
-    initial_best:
-        Optional starting incumbent (cycles).
     keep_top:
         How many best *distinct* partitions to retain.  1 reproduces
         the paper exactly; larger values loosen the abort threshold to
@@ -303,13 +294,13 @@ def partition_evaluate(
         matrix = build_dense_matrix(tables, total_width)
     workspace = KernelWorkspace()
 
-    global_top = _TopK(keep_top, initial_best)
+    global_top = _TopK(keep_top)
     trackers: List[_TopK] = []
     all_stats: List[PartitionStats] = []
 
     for count in tam_counts:
         tracker = (
-            _TopK(keep_top, initial_best) if stratify_by_tam_count
+            _TopK(keep_top) if stratify_by_tam_count
             else global_top
         )
         trackers.append(tracker)
@@ -373,8 +364,8 @@ def partition_evaluate(
 
     if not entries:
         raise ConfigurationError(
-            "no partition improved on initial_best="
-            f"{initial_best}; nothing to return"
+            f"no partition to return: every TAM count in {tam_counts} "
+            f"exceeds total_width={total_width}"
         )
     return PartitionSearchResult(
         total_width=total_width,

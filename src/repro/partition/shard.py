@@ -262,10 +262,10 @@ def _shared_threshold(
 
     The k-th smallest over the shard's own kept times plus every time
     published by *earlier* shards, capped by the tracker's own
-    threshold (which already folds in ``initial_best``).  Every value
-    entering the min is the true heuristic time of a partition that
-    precedes this shard's range in serial order, so the result is
-    always >= the serial threshold at any rank this shard scores.
+    threshold.  Every value entering the min is the true heuristic
+    time of a partition that precedes this shard's range in serial
+    order, so the result is always >= the serial threshold at any
+    rank this shard scores.
     """
     local = tracker.threshold()
     if board is None:
@@ -290,7 +290,6 @@ def sweep_shard(
     shard_index: int,
     total_width: int,
     keep_top: int = 1,
-    initial_best: Optional[int] = None,
     prune: bool = True,
     board: Optional[Board] = None,
     workspace: Optional[KernelWorkspace] = None,
@@ -302,17 +301,19 @@ def sweep_shard(
     broadcasts, see :func:`_shared_threshold`), records every
     completion with its exact result and every lower-bound skip in
     its per-span tally, and publishes its own kept times after each
-    completion.  Under ``prune=False`` every partition completes, so
-    recording them all would ship the whole partition space back to
-    the parent; instead only the shard's *final* top-k is reported —
-    lossless, because an entry evicted from (or never
+    completion.  ``board=None`` scores blind — the pool's path when
+    shared memory is missing — which records more completions for
+    the same merged outcome.  Under ``prune=False`` every partition
+    completes, so recording them all would ship the whole partition
+    space back to the parent; instead only the shard's *final* top-k
+    is reported — lossless, because an entry evicted from (or never
     admitted to) a shard's top-k is rejected by the serial tracker at
     the same offer, the shard's entries being a subset of the serial
     tracker's at every rank — and the merge restores the per-count
     completion totals analytically (everything completes).
     """
     start_clock = _time.monotonic()
-    tracker = _TopK(keep_top, initial_best)
+    tracker = _TopK(keep_top)
     workspace = workspace or KernelWorkspace()
     completions: List[ShardCompletion] = []
     lb_pruned: List[Tuple[int, int]] = []
@@ -394,7 +395,6 @@ def merge_shard_outcomes(
     plan: ShardPlan,
     outcomes: Sequence[ShardOutcome],
     keep_top: int = 1,
-    initial_best: Optional[int] = None,
     prune: bool = True,
     elapsed_seconds: Optional[float] = None,
 ) -> PartitionSearchResult:
@@ -424,7 +424,7 @@ def merge_shard_outcomes(
             lb_pruned[count_index] += skipped
     sizes = plan.count_sizes()
 
-    tracker = _TopK(keep_top, initial_best)
+    tracker = _TopK(keep_top)
     stats: List[PartitionStats] = []
     for index, count in enumerate(plan.tam_counts):
         size = sizes[index]
@@ -462,8 +462,9 @@ def merge_shard_outcomes(
     entries = list(tracker.entries)
     if not entries:
         raise ConfigurationError(
-            "no partition improved on initial_best="
-            f"{initial_best}; nothing to return"
+            "no partition to return: every TAM count in "
+            f"{list(plan.tam_counts)} exceeds total_width="
+            f"{plan.total_width}"
         )
     if elapsed_seconds is None:
         elapsed_seconds = _time.monotonic() - start_clock
@@ -487,19 +488,16 @@ def sharded_partition_evaluate(
     num_tams: Union[int, Sequence[int]],
     num_shards: int,
     prune: bool = True,
-    initial_best: Optional[int] = None,
     keep_top: int = 1,
     dense: Optional[DenseTimeMatrix] = None,
     scorer: Optional[ShardScorer] = None,
-    board: object = "local",
 ) -> PartitionSearchResult:
     """The sharded sweep end to end, equal to the serial one.
 
     With the default inline ``scorer`` the shards run sequentially in
-    this process over a :class:`LocalBoard` (pass ``board=None`` to
-    ablate incumbent sharing — outcomes are identical, only the work
-    per shard grows).  The engine passes a ``scorer`` that fans the
-    shards out to its pool workers with a shared-memory board.
+    this process over a :class:`LocalBoard`.  The engine passes a
+    ``scorer`` that fans the shards out to its pool workers with a
+    shared-memory board.
 
     Restrictions mirror what the protocol's determinism proof needs:
     the canonical ``unique`` enumeration and no per-count
@@ -527,13 +525,11 @@ def sharded_partition_evaluate(
     )
     plan = plan_shards(total_width, counts, num_shards)
     if scorer is None:
-        if board == "local":
-            board = LocalBoard(plan.num_shards, keep_top)
+        board = LocalBoard(plan.num_shards, keep_top)
         workspace = KernelWorkspace()
         outcomes: Sequence[ShardOutcome] = [
             sweep_shard(
-                dense, spans, index, total_width,
-                keep_top=keep_top, initial_best=initial_best,
+                dense, spans, index, total_width, keep_top=keep_top,
                 prune=prune, board=board, workspace=workspace,
             )
             for index, spans in enumerate(plan.shards)
@@ -541,7 +537,6 @@ def sharded_partition_evaluate(
     else:
         outcomes = scorer(plan)
     return merge_shard_outcomes(
-        plan, outcomes,
-        keep_top=keep_top, initial_best=initial_best, prune=prune,
+        plan, outcomes, keep_top=keep_top, prune=prune,
         elapsed_seconds=_time.monotonic() - start_clock,
     )

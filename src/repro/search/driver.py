@@ -4,14 +4,14 @@ One search run is a fixed number of *islands* (:data:`NUM_ISLANDS`,
 independent of how many pool workers execute them — the determinism
 anchor), each an isolated strategy run over its own
 ``random.Random(island_seed(seed, index))``.  Islands score
-candidates on the dense time matrix, record every strict incumbent
-drop in a local trajectory, and optionally publish improvements to a
-shared :class:`~repro.engine.shm.IncumbentBoard` slot so the parent
-can observe live convergence.  Publication is **write-only**: unlike
-the sharded exact sweep (whose forward-only reads are outcome-
-neutral), SA acceptance and GA replacement are threshold-sensitive,
-so an island never reads another island's incumbent — that is what
-makes a fixed-seed run bit-identical across 1..N workers.
+candidates on the dense time matrix and record every strict
+incumbent drop in a local trajectory.  Islands share nothing while
+they run: unlike the sharded exact sweep (whose forward-only reads
+are outcome-neutral), SA acceptance and GA replacement are
+threshold-sensitive, so an island never sees another island's
+incumbent — that is what makes a fixed-seed run bit-identical across
+1..N workers.  The service's ``incumbent`` events come from the
+merged trajectory once the point has finished.
 
 Budget contract (the anytime guarantee): an island stops the moment
 its incumbent meets ``target_gap`` against the admissible range
@@ -168,15 +168,9 @@ class _IslandEvaluator:
     clause fired.
     """
 
-    def __init__(
-        self,
-        matrix: DenseTimeMatrix,
-        plan: IslandPlan,
-        publish: Optional[Callable[[int], None]],
-    ) -> None:
+    def __init__(self, matrix: DenseTimeMatrix, plan: IslandPlan) -> None:
         self._matrix = matrix
         self._plan = plan
-        self._publish = publish
         self._workspace = KernelWorkspace()
         # Incumbent meeting this time has gap <= target_gap.
         self._target_time = plan.bound * (1.0 + plan.target_gap)
@@ -222,8 +216,6 @@ class _IslandEvaluator:
         if self.best is None or time < self.best.testing_time:
             self.best = result
             self.trajectory.append((self.evals, time))
-            if self._publish is not None:
-                self._publish(time)
         if self.best.testing_time <= self._target_time:
             self.terminated_by = "target_gap"
             raise _Terminated()
@@ -233,17 +225,8 @@ class _IslandEvaluator:
         return time
 
 
-def run_island(
-    matrix: DenseTimeMatrix,
-    plan: IslandPlan,
-    publish: Optional[Callable[[int], None]] = None,
-) -> IslandResult:
-    """Execute one island to budget exhaustion; pure in (plan, seed).
-
-    ``publish`` (when given) receives each strict improvement's
-    testing time — the :class:`~repro.engine.shm.IncumbentBoard`
-    hook.  It must not feed anything back; see the module docstring.
-    """
+def run_island(matrix: DenseTimeMatrix, plan: IslandPlan) -> IslandResult:
+    """Execute one island to budget exhaustion; pure in (plan, seed)."""
     try:
         strategy = STRATEGIES[plan.strategy]
     except KeyError:
@@ -253,7 +236,7 @@ def run_island(
         ) from None
     start = _time.monotonic()
     rng = random.Random(island_seed(plan.seed, plan.island_index))
-    evaluator = _IslandEvaluator(matrix, plan, publish)
+    evaluator = _IslandEvaluator(matrix, plan)
     try:
         strategy(rng, evaluator, plan.total_width, plan.tam_counts)
     except _Terminated:

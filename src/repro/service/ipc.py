@@ -27,9 +27,11 @@ Operations (``op`` field):
     "widths":[16,24],...}`` — sources are benchmark names or ``.soc``
     paths (resolved server-side by :func:`repro.soc.loader.
     load_source`); optional ``num_tams`` (int or list), ``bmax``
-    (P_NPAW cap, default 10) and ``options`` (forwarded to
-    ``co_optimize``).  Both forms reduce to the same canonical
-    content key, so they share one memo.  Answers
+    (P_NPAW cap, default 10) and ``options`` (``co_optimize``
+    knobs).  The server folds a v1 request into the same typed spec
+    (:func:`spec_from_request`), so both forms are validated alike,
+    share one memo and replay from the journal after a restart.
+    Answers
     ``{"ok":true,"job":"job-0001","cached":false,...}``.
 ``status`` / ``wait``
     Poll or block (``timeout`` seconds, optional) on a job ID.
@@ -63,20 +65,18 @@ import logging
 import socket
 import socketserver
 import threading
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from repro.api.envelopes import JobRequest
-from repro.api.specs import DEFAULT_MAX_TAMS
-from repro.engine.batch import BatchJob
+from repro.api.specs import DEFAULT_MAX_TAMS, GridSpec
 from repro.engine.faults import FaultPlan
 from repro.exceptions import (
     ReproError,
     ServiceRejectionError,
     UnauthorizedError,
 )
-from repro.service.server import ExplorationServer, grid_payload
+from repro.service.server import ExplorationServer
 from repro.service.tenancy import ClientIdentity
-from repro.soc.loader import load_source
 
 logger = logging.getLogger(__name__)
 
@@ -94,13 +94,16 @@ DEFAULT_MAX_REQUEST_BYTES = 1 << 20
 DEFAULT_READ_TIMEOUT = 600.0
 
 
-def jobs_from_request(request: Dict[str, Any]) -> List[BatchJob]:
-    """Build the grid a ``submit`` request describes.
+def spec_from_request(request: Dict[str, Any]) -> GridSpec:
+    """The typed grid a v1 ``submit`` request describes.
 
-    Mirrors the ``repro-tam batch`` subcommand exactly — same source
-    resolution, same widths-fastest job order, same ``bmax``-derived
-    P_NPAW default — so a grid submitted over IPC memoizes and
-    reproduces identically to one run locally.
+    Folds the axes into a :class:`repro.api.GridSpec` exactly like
+    :meth:`repro.service.client.ServiceClient.submit` and the
+    ``repro-tam batch`` subcommand do — same widths-fastest job
+    order, same ``bmax``-derived P_NPAW default — so a v1 grid is
+    validated at the boundary, memoized, journaled and replayed after
+    a restart exactly like a v2 one.  Sources resolve when the spec's
+    jobs are built (:meth:`repro.api.GridSpec.jobs`).
     """
     sources = request.get("socs")
     widths = request.get("widths")
@@ -119,25 +122,9 @@ def jobs_from_request(request: Dict[str, Any]) -> List[BatchJob]:
     options = request.get("options") or {}
     if not isinstance(options, dict):
         raise ReproError("'options' must be an object")
-    socs = [load_source(str(source)) for source in sources]
-    return [
-        BatchJob(
-            soc=soc,
-            total_width=int(width),
-            num_tams=num_tams,
-            options=options,
-        )
-        for soc in socs
-        for width in widths
-    ]
-
-
-def result_payload(
-    jobs: Tuple[BatchJob, ...], results: List[Any]
-) -> Dict[str, Any]:
-    """Serialize a finished grid — alias of :func:`~repro.service.
-    server.grid_payload`, kept at its historical import site."""
-    return grid_payload(jobs, results)
+    return GridSpec.from_axes(
+        sources, widths, num_tams=num_tams, options=options
+    )
 
 
 class _InjectedDisconnect(Exception):
@@ -264,7 +251,7 @@ def handle_request(
                 )
             else:
                 record = exploration.submit(
-                    jobs_from_request(envelope.extra_dict()),
+                    spec_from_request(envelope.extra_dict()),
                     client=client,
                     priority=envelope.priority,
                 )

@@ -52,7 +52,6 @@ from repro.engine.batch import (
     FailedPoint,
     align_point_telemetry,
     normalize_point_timeout,
-    split_results,
 )
 from repro.exceptions import (
     OverloadedError,
@@ -194,11 +193,12 @@ class JobRecord:
     """One submitted grid and everything known about it.
 
     Mutable by design — the dispatcher thread advances ``status`` and
-    fills in ``results``/``events``/``error`` under the server's
+    fills in ``payload``/``events``/``error`` under the server's
     lock.  ``key`` is the grid's canonical content hash (the memo
-    key); ``payload`` is set instead of ``results`` when the record
-    was answered from the *persisted* memo of an earlier server
-    process, where only the serialized form survives.
+    key); ``payload`` is the finished grid's serialized form
+    (:func:`grid_payload`), the one copy every reader gets — whether
+    the grid ran here, memo-hit in process, or was answered from the
+    *persisted* memo of an earlier server process.
     """
 
     job_id: str
@@ -225,7 +225,6 @@ class JobRecord:
     submitted_at: float = field(default_factory=time.time)
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
-    results: Optional[List[BatchResult]] = None
     payload: Optional[Dict[str, Any]] = None
     events: List[JobEvent] = field(default_factory=list)
     error: Optional[str] = None
@@ -251,11 +250,7 @@ class JobRecord:
             "client": self.client_id,
             "priority": self.priority,
         }
-        if self.results is not None:
-            points, failures = split_results(self.results)
-            info["num_points"] = len(points)
-            info["num_failures"] = len(failures)
-        elif self.payload is not None:
+        if self.payload is not None:
             info["num_points"] = len(self.payload["points"])
             info["num_failures"] = len(self.payload["failures"])
         if self.error is not None:
@@ -437,7 +432,7 @@ class ExplorationServer:
         A grid whose :func:`~repro.api.specs.jobs_canonical_key`
         matches a previously *completed* clean submission is answered
         from memo — first the in-process memo (sharing the finished
-        result objects), then, when a ``cache_dir`` is configured,
+        payload), then, when a ``cache_dir`` is configured,
         the memo persisted by *any* earlier server process on that
         directory.  Either way the returned record is already
         ``done``, flagged ``cached``, and the queue and the pool are
@@ -485,35 +480,23 @@ class ExplorationServer:
             self._counter += 1
             job_id = f"job-{self._counter:04d}"
             memo_id = self._memo.get(key)
-            if memo_id is not None and memo_id in self._records:
-                source = self._records[memo_id]
-                record = JobRecord(
-                    job_id=job_id,
-                    jobs=job_tuple,
-                    status="done",
-                    cached=True,
-                    key=key,
-                    client_id=identity.client_id,
-                    priority=effective,
-                    started_at=source.started_at,
-                    finished_at=source.finished_at,
-                    results=source.results,
-                    payload=source.payload,
-                    metrics=source.metrics,
-                )
-                self._records[job_id] = record
-                self.memo_hits += 1
-                account.submitted += 1
-                account.done += 1
-                self.runner.metrics.counter("service.memo_hits").inc()
-                self._evict_locked(keep=job_id)
-                self._journal_closed(record, spec_dict)
-                return record
-            payload = (
-                self.grid_memo.load(key)
-                if self.grid_memo is not None else None
+            source = (
+                self._records.get(memo_id) if memo_id is not None
+                else None
             )
+            if source is not None:
+                payload = source.payload
+            elif self.grid_memo is not None:
+                payload = self.grid_memo.load(key)
+            else:
+                payload = None
             if payload is not None:
+                # The memo matches SOCs by content, not by name: the
+                # points carry this submission's own SOC names.
+                payload = dict(payload, points=[
+                    dict(point, soc=job.soc.name)
+                    for point, job in zip(payload["points"], job_tuple)
+                ])
                 record = JobRecord(
                     job_id=job_id,
                     jobs=job_tuple,
@@ -522,11 +505,16 @@ class ExplorationServer:
                     key=key,
                     client_id=identity.client_id,
                     priority=effective,
-                    finished_at=time.time(),
                     payload=payload,
                 )
+                if source is not None:
+                    record.started_at = source.started_at
+                    record.finished_at = source.finished_at
+                    record.metrics = source.metrics
+                else:
+                    record.finished_at = time.time()
+                    self._memo[key] = job_id
                 self._records[job_id] = record
-                self._memo[key] = job_id
                 self.memo_hits += 1
                 account.submitted += 1
                 account.done += 1
@@ -872,47 +860,21 @@ class ExplorationServer:
         """Plain-data status snapshot of ``job_id``."""
         return self.record(job_id).snapshot()
 
-    def results(self, job_id: str) -> List[BatchResult]:
-        """The finished results of ``job_id``, as live objects.
-
-        Raises :class:`~repro.exceptions.ServiceError` unless the job
-        is ``done`` — poll :meth:`status` or block on :meth:`wait`
-        first.  A record answered from the *persisted* memo of an
-        earlier server process only has the serialized form — use
-        :meth:`result_payload` for those (the IPC layer always does).
-        """
-        record = self.record(job_id)
-        if record.status != "done" or record.results is None:
-            if record.status == "done" and record.payload is not None:
-                raise ServiceError(
-                    f"job {job_id} was answered from the persisted "
-                    f"memo; only the serialized payload is available "
-                    f"(use result_payload)"
-                )
-            raise ServiceError(
-                f"job {job_id} has no results (status: {record.status})"
-            )
-        return record.results
-
     def result_payload(self, job_id: str) -> Dict[str, Any]:
         """The finished grid of ``job_id`` in serialized form.
 
         ``{"points": [...], "failures": [...]}`` — identical whether
         the grid ran here, memo-hit in process, or was restored from
-        the persisted memo after a restart.
+        the persisted memo after a restart.  Raises
+        :class:`~repro.exceptions.ServiceError` unless the job is
+        ``done`` — poll :meth:`status` or block on :meth:`wait` first.
         """
         record = self.record(job_id)
-        if record.status != "done":
+        if record.status != "done" or record.payload is None:
             raise ServiceError(
                 f"job {job_id} has no results (status: {record.status})"
             )
-        if record.payload is not None:
-            return record.payload
-        if record.results is None:
-            raise ServiceError(
-                f"job {job_id} has no results (status: {record.status})"
-            )
-        return grid_payload(record.jobs, record.results)
+        return record.payload
 
     def events(
         self,
@@ -966,11 +928,6 @@ class ExplorationServer:
     def _synthetic_events(self, record: JobRecord) -> List[JobEvent]:
         """Per-point events reconstructed from a finished record."""
         events: List[JobEvent] = []
-        if record.results is not None:
-            total = len(record.jobs)
-            for index, result in enumerate(record.results):
-                events.append(_point_event(record, index, total, result))
-            return events
         if record.payload is None:
             return events
         entries = (
@@ -1251,14 +1208,11 @@ class ExplorationServer:
             # useless as a retry path.  Persisting happens *before*
             # the record turns terminal, so a client that observed
             # `done` can rely on the memo surviving a restart.
-            clean = not split_results(results)[1]
+            payload = grid_payload(record.jobs, results)
+            clean = not payload["failures"]
             if clean and record.key is not None \
                     and self.grid_memo is not None:
-                self.grid_memo.save(
-                    record.key,
-                    grid_payload(record.jobs, results),
-                    num_jobs=total,
-                )
+                self.grid_memo.save(record.key, payload, num_jobs=total)
             run_metrics = (
                 self.runner.last_run_metrics.to_dict()
                 if self.runner.last_run_metrics is not None else None
@@ -1270,7 +1224,7 @@ class ExplorationServer:
                 try:
                     self.warehouse.record_grid(
                         record.key,
-                        grid_payload(record.jobs, results),
+                        payload,
                         job_id=job_id,
                         source="service",
                         client=record.client_id,
@@ -1286,7 +1240,7 @@ class ExplorationServer:
                         job_id, error,
                     )
             with self._done:
-                record.results = results
+                record.payload = payload
                 record.metrics = run_metrics
                 record.status = "done"
                 record.finished_at = time.time()

@@ -66,12 +66,12 @@ def oracle_partition_evaluate(
     top-k tracking as :func:`partition_evaluate`.
     """
     counts = [num_tams] if isinstance(num_tams, int) else list(num_tams)
-    global_top = _TopK(keep_top, None)
+    global_top = _TopK(keep_top)
     trackers = []
     stats = []
     for count in counts:
         tracker = (
-            _TopK(keep_top, None) if stratify_by_tam_count
+            _TopK(keep_top) if stratify_by_tam_count
             else global_top
         )
         trackers.append(tracker)

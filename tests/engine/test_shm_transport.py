@@ -8,6 +8,7 @@ import repro.engine.shm as shm
 from repro.engine.batch import BatchJob, BatchRunner
 from repro.engine.kernel import build_dense_matrix
 from repro.engine.shm import SegmentRegistry, attach
+from repro.report.serialize import sweep_point_to_dict
 from repro.soc.fingerprint import soc_fingerprint
 from repro.soc.generator import random_soc
 from repro.wrapper.pareto import build_time_tables
@@ -135,9 +136,9 @@ class TestPicklingFallback:
         self, tiny_soc, monkeypatch
     ):
         # No shared memory at all: tables travel as descriptor bytes
-        # either way, and the incumbent board — the one remaining user
-        # of shared memory — is simply absent, so shards run without
-        # broadcast.
+        # either way, and the shard incumbent board — the one remaining
+        # user of shared memory — is simply absent, so shards run
+        # without broadcast.
         requests = []
 
         class Exploding:
@@ -152,11 +153,25 @@ class TestPicklingFallback:
         )
         pooled = BatchRunner(max_workers=2, shard=None).run(jobs)
         assert pooled == inline
-        assert requests == []  # whole-point jobs never ask for a segment
+        # One search job fans its islands over the pool; islands share
+        # nothing while they run.
+        search = [BatchJob(tiny_soc, 8, (1, 2), options={
+            "mode": "search", "seed": 3, "eval_budget": 200,
+        })]
+        search_runner = BatchRunner(max_workers=2)
+        [fanned] = search_runner.run(search)
+        [reference] = BatchRunner(max_workers=1).run(search)
+        assert sweep_point_to_dict(fanned) == \
+            sweep_point_to_dict(reference)
+        assert search_runner.metrics.snapshot().counter(
+            "engine.jobs_search_fanned"
+        ) == 1
+        # Neither whole-point jobs nor islands ask for a segment.
+        assert requests == []
         sharded_runner = BatchRunner(max_workers=2, shard=4)
         assert sharded_runner.run(jobs) == inline
         assert sharded_runner.jobs_sharded == len(jobs)
-        # Only the boards asked, and only to create.
+        # Only the shard boards asked, and only to create.
         assert requests
         assert all(request.get("create") for request in requests)
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.engine.cache import WrapperTableCache
 from repro.engine.kernel import KernelWorkspace, build_dense_matrix
+from repro.engine.shm import IncumbentBoard
 from repro.exceptions import ConfigurationError
 from repro.partition.evaluate import PartitionStats, partition_evaluate
 from repro.partition.shard import (
@@ -77,21 +78,29 @@ class TestDifferentialD695:
         serial = partition_evaluate(
             tables, 16, (1, 2, 3, 4), keep_top=keep_top,
         )
-        sharded = sharded_partition_evaluate(
-            tables, 16, (1, 2, 3, 4), 8,
-            keep_top=keep_top, board=board,
-        )
+        if board == "local":
+            sharded = sharded_partition_evaluate(
+                tables, 16, (1, 2, 3, 4), 8, keep_top=keep_top,
+            )
+        else:
+            matrix = build_dense_matrix(tables, 16)
+            plan = plan_shards(16, (1, 2, 3, 4), 8)
+            sharded = merge_shard_outcomes(plan, [
+                sweep_shard(
+                    matrix, spans, index, 16,
+                    keep_top=keep_top, board=None,
+                )
+                for index, spans in enumerate(plan.shards)
+            ], keep_top=keep_top)
         assert_identical(serial, sharded, (keep_top, board))
 
     def test_single_count_and_initial_best(self, d695):
         tables = tables_for(d695, 20)
-        serial = partition_evaluate(
-            tables, 20, 3, prune=True, initial_best=10_000_000,
-        )
+        serial = partition_evaluate(tables, 20, 3, prune=True)
         sharded = sharded_partition_evaluate(
-            tables, 20, 3, 4, prune=True, initial_best=10_000_000,
+            tables, 20, 3, 4, prune=True,
         )
-        assert_identical(serial, sharded, "initial_best")
+        assert_identical(serial, sharded, "single count")
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_duplicate_tam_counts(self, d695, prune):
@@ -136,13 +145,13 @@ class TestDifferentialD695:
         assert_identical(serial, sharded, "count > width")
 
     def test_unbeatable_initial_best_raises_like_serial(self, d695):
+        # Every count exceeds W: neither sweep has a partition to
+        # return.
         tables = tables_for(d695, 8)
-        with pytest.raises(ConfigurationError):
-            partition_evaluate(tables, 8, 2, initial_best=1)
-        with pytest.raises(ConfigurationError):
-            sharded_partition_evaluate(
-                tables, 8, 2, 4, initial_best=1,
-            )
+        with pytest.raises(ConfigurationError, match="exceeds"):
+            partition_evaluate(tables, 8, (9, 10))
+        with pytest.raises(ConfigurationError, match="exceeds"):
+            sharded_partition_evaluate(tables, 8, (9, 10), 4)
 
     @pytest.mark.parametrize("bad_prune", ["abort", "none", 2, "lb"])
     def test_invalid_prune_rejected_like_serial(self, d695, bad_prune):
@@ -239,6 +248,47 @@ class TestSkipTelemetry:
                 stats.num_enumerated - stats.num_completed
             ), stats
         assert merged.num_lb_pruned > 0
+
+
+class TestBoardIsRead:
+    """The broadcast is read, not just written.
+
+    No answer depends on the board, so only work can show it: shards
+    scored in order over a working board complete exactly the serial
+    sweep's partitions, and blind shards complete more.
+    """
+
+    @pytest.mark.parametrize("kind", ["local", "shm", None])
+    def test_in_order_shards_do_serial_work(self, d695, kind):
+        tables = tables_for(d695, 32)
+        counts = tuple(range(1, 11))
+        serial = partition_evaluate(tables, 32, counts)
+        serial_completed = sum(
+            stats.num_completed for stats in serial.stats
+        )
+        assert serial_completed == 17
+        board = (
+            LocalBoard(8) if kind == "local"
+            else IncumbentBoard.create(8) if kind == "shm" else None
+        )
+        if kind == "shm" and board is None:
+            pytest.skip("shared memory is unavailable")
+        matrix = build_dense_matrix(tables, 32)
+        plan = plan_shards(32, counts, 8)
+        try:
+            recorded = sum(
+                len(sweep_shard(
+                    matrix, spans, index, 32, board=board,
+                ).completions)
+                for index, spans in enumerate(plan.shards)
+            )
+        finally:
+            if kind == "shm":
+                board.close()
+        if kind is None:
+            assert recorded > serial_completed
+        else:
+            assert recorded == serial_completed
 
 
 class TestMergeProtocol:

@@ -22,36 +22,29 @@ def _result(widths, times):
 
 class TestTopK:
     def test_keeps_capacity(self):
-        top = _TopK(2, None)
+        top = _TopK(2)
         for widths, time in (((3,), 30), ((4,), 10), ((5,), 20)):
             top.offer(_result(widths, [time]))
         kept = [entry.testing_time for entry in top.entries]
         assert kept == [10, 20]
 
     def test_threshold_none_until_full(self):
-        top = _TopK(2, None)
+        top = _TopK(2)
         assert top.threshold() is None
         top.offer(_result((4,), [10]))
         assert top.threshold() is None
         top.offer(_result((5,), [20]))
         assert top.threshold() == 20
 
-    def test_threshold_with_initial_best(self):
-        top = _TopK(2, 15)
-        assert top.threshold() == 15
-        top.offer(_result((4,), [10]))
-        top.offer(_result((5,), [12]))
-        assert top.threshold() == 12
-
     def test_duplicate_partition_replaced_not_duplicated(self):
-        top = _TopK(3, None)
+        top = _TopK(3)
         top.offer(_result((4, 8), [10, 10]))
         top.offer(_result((8, 4), [5, 4]))   # same canonical partition
         assert len(top.entries) == 1
         assert top.entries[0].testing_time == 9
 
     def test_duplicate_worse_ignored(self):
-        top = _TopK(3, None)
+        top = _TopK(3)
         top.offer(_result((4, 8), [2, 2]))
         top.offer(_result((4, 8), [9, 9]))
         assert len(top.entries) == 1

@@ -7,7 +7,7 @@ import pytest
 from repro.engine.batch import BatchJob, BatchRunner
 from repro.exceptions import ReproError, ServiceError
 from repro.service.client import ServiceClient, run_grid_remotely
-from repro.service.ipc import IPCServer, handle_request, jobs_from_request
+from repro.service.ipc import IPCServer, handle_request, spec_from_request
 from repro.service.server import ExplorationServer
 
 
@@ -32,30 +32,32 @@ def client(ipc):
 
 
 class TestJobsFromRequest:
+    """The jobs of the spec a v1 ``submit`` request folds into."""
+
     def test_mirrors_batch_cli_grid(self):
-        jobs = jobs_from_request({
+        jobs = spec_from_request({
             "socs": ["d695"], "widths": [8, 12], "num_tams": 2,
-        })
+        }).jobs()
         assert [(j.soc.name, j.total_width, j.num_tams) for j in jobs] \
             == [("d695", 8, 2), ("d695", 12, 2)]
 
     def test_bmax_expands_to_npaw_counts(self):
-        jobs = jobs_from_request({
+        jobs = spec_from_request({
             "socs": ["d695"], "widths": [8], "bmax": 3,
-        })
+        }).jobs()
         assert jobs[0].num_tams == (1, 2, 3)
 
     def test_count_list_is_frozen(self):
-        jobs = jobs_from_request({
+        jobs = spec_from_request({
             "socs": ["d695"], "widths": [8], "num_tams": [1, 2],
-        })
+        }).jobs()
         assert jobs[0].num_tams == (1, 2)
 
     def test_options_are_forwarded(self):
-        jobs = jobs_from_request({
+        jobs = spec_from_request({
             "socs": ["d695"], "widths": [8], "num_tams": 2,
             "options": {"polish": False},
-        })
+        }).jobs()
         assert jobs[0].options_dict() == {"polish": False}
 
     @pytest.mark.parametrize("request_body", [
@@ -68,7 +70,7 @@ class TestJobsFromRequest:
     ])
     def test_bad_requests_raise(self, request_body):
         with pytest.raises(ReproError):
-            jobs_from_request(request_body)
+            spec_from_request(request_body).jobs()
 
 
 class TestDispatch:

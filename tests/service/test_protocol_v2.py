@@ -15,6 +15,7 @@ from repro.engine.batch import BatchJob, BatchRunner
 from repro.exceptions import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.ipc import IPCServer, handle_request
+from repro.service.journal import JOURNAL_NAME
 from repro.service.server import ExplorationServer
 
 
@@ -148,6 +149,57 @@ class TestV1Compat:
             "v": 2, "op": "submit", "spec": grid.to_dict(),
         }))
         assert v2["ok"] and v2["cached"] and v2["v"] == 2
+
+    @pytest.mark.parametrize("options", [
+        pytest.param({"sweep_engine": "kernel"}, id="unknown-key"),
+        pytest.param({"prune": "lb"}, id="wrong-type"),
+    ])
+    def test_v1_bad_options_are_rejected_at_the_boundary(
+        self, exploration, options
+    ):
+        response, _ = handle_request(exploration, {
+            "op": "submit", "socs": ["d695"], "widths": [8],
+            "num_tams": 2, "options": options,
+        })
+        assert not response["ok"] and "v" not in response
+        assert exploration.info()["jobs"] == 0
+
+    def test_v1_submit_is_journaled_and_replays(self, tmp_path):
+        """A v1 grid survives a restart like a v2 one: its journal
+        entry carries a spec, and a server restarted with the entry
+        still open runs it again instead of marking it lost."""
+        first_dir = tmp_path / "first"
+        with ExplorationServer(
+            max_workers=1, cache_dir=first_dir
+        ) as server:
+            submit, _ = handle_request(server, {
+                "op": "submit", "socs": ["d695"], "widths": [8],
+                "num_tams": 2,
+            })
+            assert submit["ok"] and "v" not in submit
+            server.wait(submit["job"], timeout=300)
+            expected = server.result_payload(submit["job"])
+        [submitted] = [
+            line for line in (
+                first_dir / JOURNAL_NAME
+            ).read_text().splitlines()
+            if json.loads(line)["kind"] == "submitted"
+        ]
+        assert json.loads(submitted)["spec"] is not None
+        # The crash: a fresh cache directory (no grid memo) whose
+        # journal holds only the accepted, never-finished entry.
+        reborn_dir = tmp_path / "reborn"
+        reborn_dir.mkdir()
+        (reborn_dir / JOURNAL_NAME).write_text(submitted + "\n")
+        with ExplorationServer(
+            max_workers=1, cache_dir=reborn_dir
+        ) as reborn:
+            health = reborn.info()["health"]
+            assert health["journal_unreplayable"] == 0
+            assert health["journal_replays"] == 1
+            record = reborn.wait("job-0001", timeout=300)
+            assert record.status == "done" and not record.cached
+            assert reborn.result_payload("job-0001") == expected
 
 
 class TestEventStreaming:

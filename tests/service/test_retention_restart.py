@@ -7,6 +7,7 @@ from repro.engine.batch import BatchJob, BatchRunner
 from repro.exceptions import ServiceError
 from repro.service.server import ExplorationServer
 from repro.service.store import GridMemo
+from repro.soc.soc import Soc
 
 
 def grid(widths=(8,), num_tams=2):
@@ -119,21 +120,37 @@ class TestPersistedMemo:
             replay = reborn.submit([BatchJob(d695, 8, 2)])
             assert replay.cached
 
-    def test_results_object_api_explains_payload_only_records(
-        self, tmp_path
+    def test_memo_hits_carry_the_submitted_soc_names(
+        self, tmp_path, d695
     ):
+        """The memo matches SOCs by content; a structurally identical
+        SOC under another name gets its own name back, from the
+        in-process memo and from the persisted one alike."""
         cache_dir = tmp_path / "cache"
+        twin = Soc(name="twin", cores=d695.cores)
         with ExplorationServer(
             max_workers=1, cache_dir=cache_dir
         ) as server:
-            record = server.submit(grid())
+            record = server.submit([BatchJob(d695, 8, 2)])
             server.wait(record.job_id, timeout=300)
+            original = server.result_payload(record.job_id)
+            hit = server.submit([BatchJob(twin, 8, 2)])
+            assert hit.cached
+            in_process = server.result_payload(hit.job_id)
         with ExplorationServer(
             max_workers=1, cache_dir=cache_dir
         ) as reborn:
-            replay = reborn.submit(grid())
-            with pytest.raises(ServiceError, match="persisted memo"):
-                reborn.results(replay.job_id)
+            hit = reborn.submit([BatchJob(twin, 8, 2)])
+            assert hit.cached
+            persisted = reborn.result_payload(hit.job_id)
+            [event] = reborn.events(hit.job_id, timeout=30)
+        expected = [
+            dict(point, soc="twin") for point in original["points"]
+        ]
+        assert in_process["points"] == persisted["points"] == expected
+        assert event.payload["soc"] == "twin"
+        # The source record keeps its own name.
+        assert [point["soc"] for point in original["points"]] == ["d695"]
 
     def test_corrupt_memo_record_is_a_miss(self, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.api.specs import GridSpec
-from repro.engine.batch import BatchJob, BatchRunner, FailedPoint
+from repro.engine.batch import BatchJob, BatchRunner
 from repro.exceptions import ConfigurationError, ServiceError
-from repro.service.server import ExplorationServer
+from repro.service.server import ExplorationServer, grid_payload
 
 
 @pytest.fixture
@@ -25,7 +25,8 @@ class TestJobLifecycle:
         done = server.wait(record.job_id, timeout=120)
         assert done.status == "done"
         reference = BatchRunner(max_workers=1).run(grid(tiny_soc))
-        assert server.results(record.job_id) == reference
+        assert server.result_payload(record.job_id) == \
+            grid_payload(grid(tiny_soc), reference)
 
     def test_status_snapshot_counts(self, tiny_soc, server):
         record = server.submit(grid(tiny_soc))
@@ -40,14 +41,14 @@ class TestJobLifecycle:
         with pytest.raises(ServiceError):
             server.status("job-9999")
         with pytest.raises(ServiceError):
-            server.results("job-9999")
+            server.result_payload("job-9999")
 
     def test_results_before_done_raise(self, tiny_soc, server):
         record = server.submit(grid(tiny_soc))
         server.wait(record.job_id, timeout=120)
         # A fresh, never-run id fails cleanly even when others are done.
         with pytest.raises(ServiceError):
-            server.results("job-0042")
+            server.result_payload("job-0042")
 
     def test_empty_submission_rejected(self, server):
         with pytest.raises(ServiceError):
@@ -72,8 +73,8 @@ class TestMemoization:
         assert second.status == "done"
         assert second.job_id != first.job_id
         assert runs == []  # the runner was never touched
-        assert server.results(second.job_id) == \
-            server.results(first.job_id)
+        assert server.result_payload(second.job_id) == \
+            server.result_payload(first.job_id)
         assert server.info()["memo_hits"] == 1
 
     def test_different_grid_is_not_memoized(self, tiny_soc, server):
@@ -102,10 +103,11 @@ class TestFaultSurfacing:
         record = server.submit(bad + good)
         done = server.wait(record.job_id, timeout=120)
         assert done.status == "done"
-        results = server.results(record.job_id)
-        assert isinstance(results[0], FailedPoint)
-        assert results[0].error_type == "ConfigurationError"
-        assert not isinstance(results[1], FailedPoint)
+        payload = server.result_payload(record.job_id)
+        [failure] = payload["failures"]
+        assert failure["error_type"] == "ConfigurationError"
+        assert [point["total_width"] for point in payload["points"]] \
+            == [6]
         snapshot = server.status(record.job_id)
         assert snapshot["num_failures"] == 1
         assert snapshot["num_points"] == 1

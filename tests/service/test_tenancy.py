@@ -26,7 +26,7 @@ from repro.exceptions import (
 from repro.service.client import ServiceClient
 from repro.service.ipc import IPCServer
 from repro.service.journal import JOURNAL_NAME, JobJournal, JournalEntry
-from repro.service.server import ExplorationServer
+from repro.service.server import ExplorationServer, grid_payload
 from repro.service.tenancy import (
     ANONYMOUS_CLIENT,
     AdmissionQueue,
@@ -244,8 +244,8 @@ class TestPerClientAccounting:
             assert clients[name]["running"] == 0
             assert clients[name]["done"] == 1
         # Results stay per-job: each client reads back its own grid.
-        assert server.results(a_job.job_id) != \
-            server.results(b_job.job_id)
+        assert server.result_payload(a_job.job_id) != \
+            server.result_payload(b_job.job_id)
 
     def test_queued_jobs_quota_exhaustion(self, tiny_soc, gated):
         server, gate = gated
@@ -382,7 +382,8 @@ class TestBitIdentity:
             assert server.wait(
                 record.job_id, timeout=300
             ).status == "done"
-            assert server.results(record.job_id) == reference
+            assert server.result_payload(record.job_id) == \
+                grid_payload(jobs, reference)
             assert record.max_concurrent == 1
 
 
