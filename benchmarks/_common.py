@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.engine import BatchRunner, grid_rows
-from repro.engine.batch import BATCH_COLUMNS
+from repro.engine import BatchJob, BatchRunner
+from repro.obs.report import BATCH_COLUMNS, grid_table_rows
 from repro.report.experiments import (
     PAPER_WIDTHS,
     run_npaw,
@@ -33,11 +33,22 @@ def run_batch_sweep(
 ) -> List[Dict[str, object]]:
     """Sweep ``socs`` x ``widths`` through the parallel batch engine.
 
-    Returns one row per grid point in job order, ready for
-    :func:`rows_to_table` with ``BATCH_COLUMNS``.
+    Returns one row per grid point in job order, keyed by
+    ``BATCH_COLUMNS`` and formatted like every grid table, ready for
+    :func:`rows_to_table`.
     """
-    runner = BatchRunner(max_workers=max_workers)
-    return grid_rows(runner.run_grid(socs, widths))
+    from repro.service.server import grid_payload
+
+    jobs = [
+        BatchJob(soc=soc, total_width=width)
+        for soc in socs
+        for width in widths
+    ]
+    results = BatchRunner(max_workers=max_workers).run(jobs)
+    return [
+        dict(zip(BATCH_COLUMNS, cells))
+        for cells in grid_table_rows(grid_payload(jobs, results)["points"])
+    ]
 
 
 def run_comparison_bench(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -45,18 +46,19 @@ from repro.analysis.utilization import (
     ArchitectureUtilization,
     analyze_utilization,
 )
-from repro.api.specs import OPTION_DEFAULTS, SEARCH_ONLY_OPTIONS
+from repro.api.specs import OptimizeSpec
 from repro.exceptions import ConfigurationError
 from repro.obs import REGISTRY
 from repro.obs import span as _obs_span
-from repro.optimize.co_optimize import co_optimize
+from repro.optimize.co_optimize import PolishRunner, co_optimize
+from repro.partition.evaluate import PartitionSearchResult
 from repro.soc.soc import Soc
 from repro.wrapper.pareto import TimeTable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.engine.batch import BatchRunner
     from repro.engine.kernel import DenseTimeMatrix
-    from repro.search.driver import SearchResult
+    from repro.search.driver import IslandsRunner, SearchResult
 
 
 @dataclass(frozen=True)
@@ -93,54 +95,50 @@ def evaluate_point(
     num_tams: Union[int, Iterable[int], None] = None,
     tables: Optional[Dict[str, TimeTable]] = None,
     dense: "Optional[DenseTimeMatrix]" = None,
-    **co_optimize_options: Any,
+    *,
+    sweep: Optional[Callable[..., PartitionSearchResult]] = None,
+    polish_runner: Optional[PolishRunner] = None,
+    search_islands: "Optional[IslandsRunner]" = None,
+    **options: Any,
 ) -> SweepPoint:
     """Optimize one (W, B) design point and annotate it.
 
-    The certificate and utilization are computed from the *same*
-    tables the optimizer used (``result.tables``), so the point costs
-    zero extra ``design_wrapper`` calls beyond the optimization
-    itself.  Pass ``tables`` (e.g. from a
-    :class:`repro.engine.WrapperTableCache`) to also share them
-    across points, and ``dense`` (e.g. the one the batch engine built
-    from the same tables) to hand the partition sweep a pre-built
-    matrix.  Remaining keyword arguments go to
-    :func:`~repro.optimize.co_optimize.co_optimize` verbatim
-    (``polish``, ``exact_node_limit``, ...).
+    ``options`` are option fields of :class:`~repro.api.specs.
+    OptimizeSpec`, which documents each; they are checked once, by
+    :meth:`~repro.api.specs.OptimizeSpec.from_options`, so an unknown
+    or mistyped option raises :class:`~repro.exceptions.
+    ConfigurationError` naming it in either mode.  The spec's
+    ``mode`` picks the tier: ``"exact"`` runs
+    :func:`~repro.optimize.co_optimize.co_optimize`, ``"search"`` the
+    anytime metaheuristic tier (:func:`repro.search.search_optimize`),
+    for which the exact-tier options (``polish``, ``prune``, ...) are
+    inert.
 
-    ``mode="search"`` dispatches to the anytime metaheuristic tier
-    instead (:func:`repro.search.search_optimize`); the exact-tier
-    knobs (``polish``, ``prune``, ...) are inert there, and the
-    search-only knobs (``seed``, ``eval_budget``, ...) are rejected
-    here under ``mode="exact"`` — mirroring the spec-layer
-    validation for callers that bypass :class:`~repro.api.specs.
-    OptimizeSpec`.
+    The certificate and utilization are computed from the *same*
+    tables the optimizer used, so the point costs zero extra
+    ``design_wrapper`` calls beyond the optimization itself.  Pass
+    ``tables`` (e.g. from a :class:`repro.engine.WrapperTableCache`)
+    to also share them across points, and ``dense`` (e.g. the one the
+    batch engine built from the same tables) to hand the sweep a
+    pre-built matrix.
+
+    ``sweep`` and ``polish_runner`` (exact tier, see ``co_optimize``)
+    and ``search_islands`` (search tier, ``search_optimize``'s
+    ``islands_runner``) are the batch engine's pool seams: execution
+    strategy, with results bit-identical to running without them.
     """
-    mode = co_optimize_options.pop("mode", "exact")
-    if mode == "search":
+    spec = OptimizeSpec.from_options(total_width, num_tams, options)
+    if spec.mode == "search":
         return _evaluate_search_point(
-            soc, total_width, num_tams, tables, dense,
-            co_optimize_options,
+            soc, spec, tables, dense, search_islands
         )
-    if mode != "exact":
-        raise ConfigurationError(
-            f'mode must be "exact" or "search", got {mode!r}'
-        )
-    for key in SEARCH_ONLY_OPTIONS:
-        if key in co_optimize_options:
-            value = co_optimize_options.pop(key)
-            if value != OPTION_DEFAULTS[key]:
-                raise ConfigurationError(
-                    f'option {key}={value!r} only applies to '
-                    f'mode="search"'
-                )
     with _obs_span(
         "evaluate_point", soc=soc.name, W=total_width
     ) as point_span:
         with _obs_span("co_optimize"):
             result = co_optimize(
-                soc, total_width, num_tams=num_tams, tables=tables,
-                dense=dense, **co_optimize_options,
+                soc, spec=spec, tables=tables, dense=dense,
+                sweep=sweep, polish_runner=polish_runner,
             )
         tables = result.tables
         with _obs_span("certify"):
@@ -173,23 +171,12 @@ def evaluate_point(
     )
 
 
-#: Exact-tier knobs a ``mode="search"`` point silently ignores (they
-#: configure the sweep/polish pipeline the search tier replaces);
-#: ``sweep``/``polish_runner`` are the batch engine's injected pool
-#: seams.
-_SEARCH_IGNORED_OPTIONS = (
-    "enumerator", "polish", "polish_top_k", "polish_per_tam_count",
-    "exact_node_limit", "prune", "sweep", "polish_runner",
-)
-
-
 def _evaluate_search_point(
     soc: Soc,
-    total_width: int,
-    num_tams: Union[int, Iterable[int], None],
+    spec: OptimizeSpec,
     tables: Optional[Dict[str, TimeTable]],
     dense: "Optional[DenseTimeMatrix]",
-    options: Dict[str, Any],
+    search_islands: "Optional[IslandsRunner]",
 ) -> SweepPoint:
     """One ``mode="search"`` design point through the anytime tier.
 
@@ -203,18 +190,7 @@ def _evaluate_search_point(
     # builds on this module.
     from repro.search import search_optimize
 
-    strategy = options.pop("search_strategy", "sa")
-    seed = options.pop("seed", 0)
-    eval_budget = options.pop("eval_budget", 20000)
-    target_gap = options.pop("target_gap", 0.0)
-    islands_runner = options.pop("search_islands", None)
-    for key in _SEARCH_IGNORED_OPTIONS:
-        options.pop(key, None)
-    if options:
-        raise ConfigurationError(
-            f"unknown option(s) for mode=\"search\": "
-            f"{', '.join(sorted(options))}"
-        )
+    total_width = spec.total_width
     with _obs_span(
         "evaluate_point", soc=soc.name, W=total_width, mode="search"
     ) as point_span:
@@ -223,19 +199,20 @@ def _evaluate_search_point(
             tables = build_time_tables(soc, total_width)
         floor = global_lower_bound(soc, tables, total_width)
         with _obs_span(
-            "search_optimize", strategy=strategy, seed=seed
+            "search_optimize", strategy=spec.search_strategy,
+            seed=spec.seed,
         ):
             result = search_optimize(
                 tables,
                 total_width,
-                num_tams=num_tams,
-                strategy=strategy,
-                seed=seed,
-                eval_budget=eval_budget,
-                target_gap=target_gap,
+                num_tams=spec.num_tams,
+                strategy=spec.search_strategy,
+                seed=spec.seed,
+                eval_budget=spec.eval_budget,
+                target_gap=spec.target_gap,
                 matrix=dense,
                 floor_bound=floor,
-                islands_runner=islands_runner,
+                islands_runner=search_islands,
                 core_order=[core.name for core in soc.cores],
             )
         with _obs_span("certify"):
@@ -265,7 +242,7 @@ def _evaluate_search_point(
         certificate=certificate,
         utilization=utilization,
         mode="search",
-        seed=seed,
+        seed=spec.seed,
         search=result,
     )
 

@@ -28,9 +28,14 @@ from __future__ import annotations
 import argparse
 from typing import Any, Dict, Tuple, Union
 
-from repro.api.specs import DEFAULT_MAX_TAMS, GridSpec, OptimizeSpec
+from repro.api.specs import (
+    DEFAULT_MAX_TAMS,
+    OPTION_DEFAULTS,
+    GridSpec,
+    OptimizeSpec,
+)
 
-#: ``--prune`` choice → ``co_optimize(prune=...)`` value.
+#: ``--prune`` choice → the spec's ``prune`` value.
 PRUNE_MODES: Dict[str, bool] = {
     "abort": True,
     "none": False,
@@ -133,30 +138,31 @@ def add_spec_arguments(
 def add_search_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the anytime-search knobs (``repro-tam search``).
 
-    Defaults mirror :data:`repro.api.specs.OPTION_DEFAULTS` so the
+    Defaults come from :data:`repro.api.specs.OPTION_DEFAULTS` so the
     CLI, the typed spec, and the engine resolve a search identically.
     """
     parser.add_argument(
-        "--strategy", choices=("sa", "ga"), default="sa",
+        "--strategy", choices=("sa", "ga"),
+        default=OPTION_DEFAULTS["search_strategy"],
         help="metaheuristic: simulated annealing or the "
-             "steady-state genetic algorithm (default sa)",
+             "steady-state genetic algorithm (default %(default)s)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0,
+        "--seed", type=int, default=OPTION_DEFAULTS["seed"],
         help="RNG seed — the sole source of randomness; a fixed "
              "seed is bit-identical at any worker count "
-             "(default 0)",
+             "(default %(default)s)",
     )
     parser.add_argument(
-        "--eval-budget", type=int, default=20000,
+        "--eval-budget", type=int, default=OPTION_DEFAULTS["eval_budget"],
         help="candidate-evaluation budget, split across islands "
-             "(default 20000)",
+             "(default %(default)s)",
     )
     parser.add_argument(
-        "--target-gap", type=float, default=0.0,
+        "--target-gap", type=float, default=OPTION_DEFAULTS["target_gap"],
         help="stop early once the incumbent is within this "
-             "relative gap of the lower bound (default 0.0: only "
-             "a proven optimum stops early)",
+             "relative gap of the lower bound (default %(default)s: "
+             "only a proven optimum stops early)",
     )
 
 

@@ -9,7 +9,12 @@ collapses them onto two frozen dataclasses:
 
 * :class:`OptimizeSpec` — everything one ``co_optimize`` call takes
   beyond the SOC itself: the TAM budget, the TAM count(s), and the
-  enumerator/polish/prune knobs;
+  options (enumerator, polish, prune, mode and the search knobs).
+  Its fields are the one definition of the options — names,
+  defaults, documentation and types; :data:`OPTION_DEFAULTS` is
+  computed from them, and every surface that takes options as
+  keywords or a mapping checks them through
+  :meth:`OptimizeSpec.from_options`;
 * :class:`GridSpec` — a whole submission: SOC *sources* (benchmark
   names or ``.soc`` paths, resolved by :func:`repro.soc.loader.
   load_source`) crossed with per-point :class:`OptimizeSpec` s, plus
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -82,37 +87,6 @@ MODES: Tuple[str, ...] = ("exact", "search")
 #: (Re-exported by :mod:`repro.optimize.co_optimize` for backward
 #: compatibility.)
 DEFAULT_MAX_TAMS = 10
-
-#: Option fields of :class:`OptimizeSpec` (everything except the TAM
-#: budget and counts) with their defaults — the single source of
-#: truth the canonicalization fills absent options from.
-OPTION_DEFAULTS: Dict[str, Any] = {
-    "enumerator": "unique",
-    "polish": True,
-    "polish_top_k": 1,
-    "polish_per_tam_count": False,
-    "exact_node_limit": 2_000_000,
-    "prune": True,
-    # -- the heuristic search tier (mode="search") ------------------
-    # The seed is a *result-defining* input (a search outcome is a
-    # pure function of spec + seed), so it lives in the canonical key
-    # like every other option; runs with different seeds are
-    # different grid points, never memo aliases.
-    "mode": "exact",
-    "search_strategy": "sa",
-    "seed": 0,
-    "eval_budget": 20000,
-    "target_gap": 0.0,
-}
-
-#: The option fields only meaningful under ``mode="search"``; a spec
-#: that sets any of them away from its default while ``mode`` stays
-#: ``"exact"`` is rejected at construction (the knob would silently
-#: do nothing).
-SEARCH_ONLY_OPTIONS: Tuple[str, ...] = (
-    "search_strategy", "seed", "eval_budget", "target_gap",
-)
-
 
 def _frozen_counts(
     num_tams: Union[int, Iterable[int], None]
@@ -232,39 +206,79 @@ def jobs_canonical_key(jobs: Sequence["BatchJob"]) -> str:
 class OptimizeSpec:
     """Everything one ``co_optimize`` call takes beyond the SOC.
 
-    Immutable, hashable, and picklable.  ``num_tams`` follows
-    :func:`~repro.optimize.co_optimize.co_optimize`: a single count
-    (P_PAW), a tuple of counts, or ``None`` for the paper's per-width
-    P_NPAW default ``range(1, min(10, W) + 1)``.  See the module
-    docstring for what is (and is not) validated here.
+    The one definition of the job options: every field after
+    ``num_tams`` is an option, and its declaration below is its name,
+    default, documentation and type.  :data:`OPTION_DEFAULTS` and
+    :data:`SEARCH_ONLY_OPTIONS` are computed from these fields, and
+    construction checks the TAM budget and each option against its
+    annotation (a bool option takes only a bool, an int field never
+    a bool) and its ``min``/``choices`` metadata.  See the module
+    docstring for what is (and is not) validated here.  Immutable,
+    hashable, and picklable.
     """
 
-    total_width: int
+    #: Total TAM width ``W`` available at the SOC pins.
+    total_width: int = field(metadata={"min": 1})
+    #: A single TAM count (problem P_PAW), a tuple of counts, or
+    #: ``None`` for the paper's per-width P_NPAW default
+    #: ``range(1, min(10, W) + 1)``.
     num_tams: Union[int, Tuple[int, ...], None] = None
+    #: ``Partition_evaluate``'s enumerator: ``"unique"`` or
+    #: ``"increment"``.
     enumerator: str = "unique"
+    #: When False, skip the exact final step and return the heuristic
+    #: assignment (measures the polish's contribution).
     polish: bool = True
-    polish_top_k: int = 1
+    #: How many of the sweep's best distinct partitions to polish
+    #: exactly.  1 is the paper's method.  Larger values mitigate the
+    #: anomaly the paper documents in its conclusion: the
+    #: heuristically best partition is not always the best after exact
+    #: optimization, so polishing the runners-up and keeping the
+    #: overall winner can only improve the result (at k times the
+    #: polish cost and a slightly slower sweep).
+    polish_top_k: int = field(default=1, metadata={"min": 1})
+    #: When True, the sweep keeps the best partition of *every* TAM
+    #: count and the polish visits each of them.  This targets the
+    #: anomaly's usual form, the heuristic picking the wrong number of
+    #: TAMs, at the cost of weaker cross-B pruning during the sweep.
+    #: Composes with ``polish_top_k`` (top-k per B).
     polish_per_tam_count: bool = False
-    exact_node_limit: int = 2_000_000
+    #: Node budget of each exact solve.
+    exact_node_limit: int = field(default=2_000_000, metadata={"min": 1})
+    #: Partition-sweep pruning: ``True`` is the paper's
+    #: best-known-time abort, with the dense kernel's
+    #: outcome-identical lower-bound skip in front of it; ``False``
+    #: disables pruning for ablations.
     prune: bool = True
-    mode: str = "exact"
-    search_strategy: str = "sa"
-    seed: int = 0
-    eval_budget: int = 20000
-    target_gap: float = 0.0
+    #: The tier: ``"exact"`` is the paper's sweep + polish pipeline,
+    #: ``"search"`` the anytime metaheuristic tier of
+    #: :mod:`repro.search`, for which the exact-tier options above are
+    #: inert.  Structural (it gates which other options are legal), so
+    #: unlike ``enumerator`` it is checked here.
+    mode: str = field(default="exact", metadata={"choices": MODES})
+    # -- the search tier: away from their defaults only under
+    # mode="search" ---------------------------------------------------
+    #: The metaheuristic: ``"sa"`` (simulated annealing) or ``"ga"``
+    #: (the steady-state genetic algorithm).
+    search_strategy: str = field(
+        default="sa", metadata={"search_only": True}
+    )
+    #: The RNG seed, the search's sole source of randomness.  A search
+    #: outcome is a pure function of spec + seed, so the seed is part
+    #: of the canonical key: runs with different seeds are different
+    #: grid points, never memo aliases.
+    seed: int = field(default=0, metadata={"search_only": True, "min": 0})
+    #: Candidate-evaluation budget, split across the islands.
+    eval_budget: int = field(
+        default=20000, metadata={"search_only": True, "min": 1}
+    )
+    #: Stop early once the incumbent is within this relative gap of
+    #: the lower bound; ``0.0`` stops early only at a proven optimum.
+    target_gap: float = field(
+        default=0.0, metadata={"search_only": True, "min": 0}
+    )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.total_width, int) or isinstance(
-            self.total_width, bool
-        ):
-            raise ConfigurationError(
-                f"total_width must be an int, got "
-                f"{type(self.total_width).__name__}"
-            )
-        if self.total_width < 1:
-            raise ConfigurationError(
-                f"total_width must be >= 1, got {self.total_width}"
-            )
         object.__setattr__(
             self, "num_tams", _frozen_counts(self.num_tams)
         )
@@ -280,54 +294,23 @@ class OptimizeSpec:
             raise ConfigurationError(
                 f"num_tams must be >= 1, got {self.num_tams}"
             )
-        if not isinstance(self.polish_top_k, int) or self.polish_top_k < 1:
-            raise ConfigurationError(
-                f"polish_top_k must be >= 1, got {self.polish_top_k}"
-            )
-        if not isinstance(self.exact_node_limit, int) \
-                or self.exact_node_limit < 1:
-            raise ConfigurationError(
-                f"exact_node_limit must be >= 1, got "
-                f"{self.exact_node_limit!r}"
-            )
-        if not isinstance(self.enumerator, str):
-            raise ConfigurationError(
-                f"enumerator must be a string, got {self.enumerator!r}"
-            )
-        if not isinstance(self.prune, bool):
-            raise ConfigurationError(
-                f"prune must be a bool, got {self.prune!r}"
-            )
-        # The mode axis is structural: it gates which *other* fields
-        # are legal, so unlike enumerator it is checked here rather
-        # than per grid point.
-        if self.mode not in MODES:
-            raise ConfigurationError(
-                f"mode must be one of {MODES}, got {self.mode!r}"
-            )
-        if not isinstance(self.search_strategy, str):
-            raise ConfigurationError(
-                f"search_strategy must be a string, got "
-                f"{self.search_strategy!r}"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) \
-                or self.seed < 0:
-            raise ConfigurationError(
-                f"seed must be an int >= 0, got {self.seed!r}"
-            )
-        if not isinstance(self.eval_budget, int) \
-                or isinstance(self.eval_budget, bool) \
-                or self.eval_budget < 1:
-            raise ConfigurationError(
-                f"eval_budget must be an int >= 1, got "
-                f"{self.eval_budget!r}"
-            )
-        if not isinstance(self.target_gap, (int, float)) \
-                or isinstance(self.target_gap, bool) \
-                or self.target_gap < 0:
-            raise ConfigurationError(
-                f"target_gap must be >= 0, got {self.target_gap!r}"
-            )
+        for name, annotation, minimum, choices in _FIELD_CHECKS:
+            value = getattr(self, name)
+            kinds, noun = _FIELD_TYPES[annotation]
+            if not isinstance(value, kinds) or (
+                bool not in kinds and isinstance(value, bool)
+            ):
+                raise ConfigurationError(
+                    f"{name} must be {noun}, got {value!r}"
+                )
+            if minimum is not None and value < minimum:
+                raise ConfigurationError(
+                    f"{name} must be >= {minimum}, got {value!r}"
+                )
+            if choices and value not in choices:
+                raise ConfigurationError(
+                    f"{name} must be one of {choices}, got {value!r}"
+                )
         object.__setattr__(self, "target_gap", float(self.target_gap))
         if self.mode != "search":
             stray = [
@@ -350,16 +333,17 @@ class OptimizeSpec:
     ) -> "OptimizeSpec":
         """Build a spec from a sparse engine-style options mapping.
 
-        The inverse of :meth:`engine_options`.  Unknown option keys
-        raise :class:`~repro.exceptions.ConfigurationError` — this is
-        the drift guard that used to be a runtime ``TypeError`` deep
-        inside a pool worker.
+        The inverse of :meth:`engine_options`, and the one check every
+        options surface goes through (``co_optimize``,
+        ``evaluate_point``, engine jobs, service submissions, the
+        CLI): an unknown option key, like a mistyped value, raises
+        :class:`~repro.exceptions.ConfigurationError` naming it.
         """
         options = dict(options or {})
-        unknown = sorted(set(options) - set(OPTION_DEFAULTS))
+        unknown = sorted(map(str, set(options) - set(OPTION_DEFAULTS)))
         if unknown:
             raise ConfigurationError(
-                f"unknown co_optimize option(s): {', '.join(unknown)} "
+                f"unknown option(s): {', '.join(unknown)} "
                 f"(valid: {', '.join(sorted(OPTION_DEFAULTS))})"
             )
         return cls(total_width=total_width, num_tams=num_tams, **options)
@@ -439,6 +423,52 @@ class OptimizeSpec:
             "spec": SPEC_SCHEMA_VERSION,
             "jobs": [self.canonical_payload(fingerprint)],
         })
+
+
+#: The option fields of :class:`OptimizeSpec` (every field but the TAM
+#: budget and counts), in declaration order.
+_OPTION_FIELDS = tuple(
+    spec_field for spec_field in fields(OptimizeSpec)
+    if spec_field.name not in ("total_width", "num_tams")
+)
+
+#: Each option with its default, computed from the spec's fields: the
+#: defaults the canonicalization fills absent options from.
+OPTION_DEFAULTS: Dict[str, Any] = {
+    spec_field.name: spec_field.default for spec_field in _OPTION_FIELDS
+}
+
+#: The options only meaningful under ``mode="search"`` (their fields'
+#: ``search_only`` metadata); a spec that sets any of them away from
+#: its default while ``mode`` stays ``"exact"`` is rejected at
+#: construction (the knob would silently do nothing).
+SEARCH_ONLY_OPTIONS: Tuple[str, ...] = tuple(
+    spec_field.name for spec_field in _OPTION_FIELDS
+    if spec_field.metadata.get("search_only")
+)
+
+#: A field annotation's accepted value types and their name in an
+#: error message.
+_FIELD_TYPES: Dict[str, Tuple[Tuple[type, ...], str]] = {
+    "bool": ((bool,), "a bool"),
+    "int": ((int,), "an int"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+#: What ``OptimizeSpec.__post_init__`` checks per field (the TAM
+#: budget and every option): its name, its annotation, and its
+#: ``min`` and ``choices`` metadata.
+_FIELD_CHECKS: Tuple[Tuple[str, str, Any, Tuple[Any, ...]], ...] = tuple(
+    (
+        spec_field.name,
+        str(spec_field.type),
+        spec_field.metadata.get("min"),
+        tuple(spec_field.metadata.get("choices", ())),
+    )
+    for spec_field in fields(OptimizeSpec)
+    if spec_field.name != "num_tams"
+)
 
 
 @dataclass(frozen=True)

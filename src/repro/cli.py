@@ -102,8 +102,8 @@ from repro.api.cli import (
     grid_spec_from_args,
     spec_from_args,
 )
-from repro.engine import BatchRunner, grid_rows
-from repro.engine.batch import BATCH_COLUMNS, align_point_telemetry
+from repro.engine import BatchRunner
+from repro.engine.batch import align_point_telemetry
 from repro.exceptions import ReproError
 from repro.optimize.co_optimize import co_optimize
 from repro.optimize.exhaustive import exhaustive_optimize
@@ -259,12 +259,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
+    from repro.obs.report import grid_table
+    from repro.service.server import grid_payload
+
     # One canonical GridSpec — the identical object `submit` sends to
     # a server, so a local batch and a remote submission of the same
     # arguments share one canonical content key.
     grid_spec = grid_spec_from_args(args)
     runner = BatchRunner(max_workers=args.jobs, cache_dir=args.cache_dir)
     grid = runner.run_grid(grid_spec)
+    jobs = [job for job, _ in grid]
+    results = [result for _, result in grid]
+    # The one payload form of a grid's results: what a server answers
+    # `submit` with, what the warehouse records, and what the table
+    # and --json below render.
+    payload = grid_payload(jobs, results)
     # Execution counters for --stats / --json: how the grid ran.
     runner_stats = {
         "jobs_sharded": runner.jobs_sharded,
@@ -276,15 +285,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         # store, under the same canonical key the service memo uses.
         from repro.api.specs import jobs_canonical_key
         from repro.obs.warehouse import warehouse_for
-        from repro.service.server import grid_payload
 
-        jobs = [job for job, _ in grid]
-        results = [result for _, result in grid]
         warehouse = warehouse_for(args.cache_dir)
         assert warehouse is not None  # cache_dir is set
         warehouse.record_grid(
             jobs_canonical_key(jobs),
-            grid_payload(jobs, results),
+            payload,
             source="batch",
             metrics=(
                 runner.last_run_metrics.to_dict()
@@ -297,23 +303,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
 
     if args.json:
-        from repro.report.serialize import sweep_point_to_dict, to_json
-        records = [
-            dict(sweep_point_to_dict(point), soc=job.soc.name)
-            for job, point in grid
-        ]
+        from repro.report.serialize import to_json
         print(to_json({
-            "schema": 1, "kind": "batch", "points": records,
+            "schema": 1, "kind": "batch", "points": payload["points"],
             "runner": runner_stats,
         }))
         return 0
 
-    table = TextTable(
-        list(BATCH_COLUMNS), title="batch sweep"
-    )
-    for row in grid_rows(grid):
-        table.add_row([row[column] for column in BATCH_COLUMNS])
-    print(table.render())
+    print(grid_table(payload["points"], title="batch sweep").render())
     if args.stats:
         print(
             f"runner: {runner_stats['jobs_sharded']} job(s) sharded, "
@@ -339,9 +336,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = IPCServer(exploration, host=args.host, port=args.port)
     host, port = server.address
     if args.port_file:
-        # Published last thing before serving: a reader that sees the
-        # file can connect.  Used by the CI smoke test.
-        Path(args.port_file).write_text(f"{port}\n")
+        # Published last thing before serving, and atomically: the
+        # port goes to a temporary file beside the target, which is
+        # then renamed into place, so a reader that sees the file
+        # reads the whole port line and can connect.
+        target = Path(args.port_file)
+        staging = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        staging.write_text(f"{port}\n")
+        os.replace(staging, target)
     print(f"repro-tam service listening on {host}:{port}", flush=True)
     try:
         server.serve_forever()

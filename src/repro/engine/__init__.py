@@ -54,7 +54,6 @@ from repro.engine.batch import (
     BatchRunner,
     FailedPoint,
     evaluate_point,
-    grid_rows,
     split_results,
 )
 
@@ -68,6 +67,5 @@ __all__ = [
     "BatchRunner",
     "FailedPoint",
     "evaluate_point",
-    "grid_rows",
     "split_results",
 ]

@@ -92,10 +92,7 @@ from repro.obs import (
     task_begin,
     task_end,
 )
-from repro.partition.evaluate import (
-    PartitionSearchResult,
-    partition_evaluate,
-)
+from repro.partition.evaluate import PartitionSearchResult
 from repro.partition.shard import (
     ShardOutcome,
     ShardPlan,
@@ -131,9 +128,13 @@ class BatchJob:
     paper's P_NPAW default.  Iterables are frozen to tuples so jobs
     are immutable and picklable for the process pool.
 
-    ``options`` holds extra keyword arguments forwarded to
-    ``co_optimize`` (e.g. ``polish``, ``polish_top_k``,
-    ``exact_node_limit``); a mapping is frozen to sorted items.
+    ``options`` holds the job's option fields of
+    :class:`~repro.api.specs.OptimizeSpec` (e.g. ``polish``,
+    ``polish_top_k``, ``mode``), sparse, as
+    :meth:`~repro.api.specs.OptimizeSpec.engine_options` gives them;
+    the spec documents each.  A mapping is frozen to sorted items.
+    They are checked when the job runs, so a job with a bad option
+    fails as its own grid point.
     """
 
     soc: Soc
@@ -178,9 +179,9 @@ class BatchJob:
         """This job's configuration as a typed ``OptimizeSpec``.
 
         Raises :class:`~repro.exceptions.ConfigurationError` when the
-        job carries option keys the canonical spec does not know —
-        the drift guard that makes every supported option exist in
-        one place (:data:`repro.api.specs.OPTION_DEFAULTS`).
+        job carries an option the spec does not know or a value of
+        the wrong type: every supported option exists in one place,
+        the fields of :class:`~repro.api.specs.OptimizeSpec`.
         """
         from repro.api.specs import OptimizeSpec
 
@@ -235,6 +236,14 @@ class FailedPoint:
 
 #: What a batch returns per job: a result or a recorded failure.
 BatchResult = Union[SweepPoint, FailedPoint]
+
+
+def _valid_spec(job: BatchJob) -> "Optional[OptimizeSpec]":
+    """``job``'s spec, or ``None`` when its options do not validate."""
+    try:
+        return job.spec()
+    except ConfigurationError:
+        return None
 
 
 def normalize_shard_policy(
@@ -1023,18 +1032,26 @@ class BatchRunner:
 
     @staticmethod
     def _job_shardable(job: BatchJob) -> bool:
-        """True when the shard protocol's determinism argument applies."""
-        options = job.options_dict()
+        """True when the shard protocol's determinism argument applies.
+
+        That is the exact tier over the ``"unique"`` enumerator with
+        no per-count stratification.  A job whose options do not
+        validate is not fanned: it runs whole and fails as its own
+        point.
+        """
+        spec = _valid_spec(job)
         return (
-            options.get("mode", "exact") == "exact"
-            and options.get("enumerator", "unique") == "unique"
-            and not options.get("polish_per_tam_count", False)
+            spec is not None
+            and spec.mode == "exact"
+            and spec.enumerator == "unique"
+            and not spec.polish_per_tam_count
         )
 
     @staticmethod
     def _job_search_mode(job: BatchJob) -> bool:
-        """True for ``mode="search"`` jobs (the anytime tier)."""
-        return job.options_dict().get("mode", "exact") == "search"
+        """True for valid ``mode="search"`` jobs (the anytime tier)."""
+        spec = _valid_spec(job)
+        return spec is not None and spec.mode == "search"
 
     def _shard_count(
         self,
@@ -1104,7 +1121,7 @@ class BatchRunner:
         finally:
             # The registry is cumulative (the lifetime counters the
             # tests and ``info()`` read); the per-run delta is what
-            # one ``run_grid`` call actually did — a persistent
+            # one ``run`` call actually did — a persistent
             # runner's second grid no longer inherits its first
             # grid's numbers.
             self.last_run_metrics = (
@@ -1454,16 +1471,11 @@ class BatchRunner:
             tam_counts: Union[int, Iterable[int]], *,
             prune: bool = True,
             keep_top: int = 1,
-            **options: Any,
+            **_: Any,
         ) -> PartitionSearchResult:
-            if options.get("stratify_by_tam_count") \
-                    or options.get("enumerator", "unique") != "unique":
-                # Configurations outside the shard protocol's
-                # determinism argument run serially.
-                return partition_evaluate(
-                    table_list, total_width, tam_counts, prune=prune,
-                    keep_top=keep_top, **options,
-                )
+            # Only jobs _job_shardable admits get here, so the
+            # enumerator is "unique" and nothing is stratified; the
+            # dense matrix co_optimize passes on is `matrix` itself.
 
             def scorer(plan: ShardPlan) -> List[ShardOutcome]:
                 self.metrics.counter("shard.shards_planned").inc(
@@ -1497,13 +1509,11 @@ class BatchRunner:
                 "polish task",
             )
 
-        hooks: Dict[str, Any]
-        if self._job_search_mode(job):
-            self.metrics.counter("engine.jobs_search_fanned").inc()
-            hooks = {"search_islands": islands}
-        else:
-            self.metrics.counter("engine.jobs_sharded").inc()
-            hooks = {"sweep": sweep, "polish_runner": polish_runner}
+        self.metrics.counter(
+            "engine.jobs_search_fanned" if self._job_search_mode(job)
+            else "engine.jobs_sharded"
+        ).inc()
+        # Each tier reads only its own seams.
         point = evaluate_point(
             job.soc,
             job.total_width,
@@ -1512,7 +1522,9 @@ class BatchRunner:
                 job.soc, self._tables[descriptor.fingerprint]
             ),
             dense=matrix,
-            **hooks,
+            sweep=sweep,
+            polish_runner=polish_runner,
+            search_islands=islands,
             **job.options_dict(),
         )
         return point, telemetry
@@ -1540,93 +1552,26 @@ class BatchRunner:
         ))
 
     def run_grid(
-        self,
-        socs: "Union[GridSpec, Iterable[Soc]]",
-        widths: Optional[Iterable[int]] = None,
-        num_tams: Union[int, Tuple[int, ...], None] = None,
-        options: Optional[Mapping[str, Any]] = None,
+        self, grid: "GridSpec"
     ) -> List[Tuple[BatchJob, BatchResult]]:
-        """Evaluate a grid, pairing each job with its result.
+        """Evaluate a :class:`repro.api.GridSpec`, pairing each job with
+        its result.
 
-        The canonical form takes one :class:`repro.api.GridSpec` —
-        the same typed object the exploration service and the CLI
-        submit — and runs the jobs it resolves to::
+        The grid is the same typed object the exploration service and
+        the CLI submit::
 
             runner.run_grid(GridSpec.from_axes(["d695"], [16, 24]))
 
-        The legacy axes form (``socs`` × ``widths``, widths varying
-        fastest, every job sharing ``num_tams`` and ``options``) is
-        kept for existing callers and builds the identical job list.
+        Its ``runner`` hints (``shard``, ``point_timeout``) apply to
+        this call.  Hand-built :class:`BatchJob` lists go to
+        :meth:`run`.
         """
-        from repro.api.specs import GridSpec
-
-        if isinstance(socs, GridSpec):
-            if widths is not None or num_tams is not None or options:
-                raise ConfigurationError(
-                    "run_grid(GridSpec) takes no extra axes arguments"
-                )
-            jobs = socs.jobs()
-            # Execution hints ride the spec's `runner` mapping —
-            # excluded from its canonical key, honored here.
-            hints = socs.runner_options()
-            return list(zip(jobs, self.run(
-                jobs,
-                shard=hints.get("shard"),
-                point_timeout=hints.get("point_timeout"),
-            )))
-        soc_list = list(socs)
-        width_list = list(widths or ())  # survives one-shot iterables
-        jobs = [
-            BatchJob(
-                soc=soc,
-                total_width=width,
-                num_tams=num_tams,
-                options=options or (),
-            )
-            for soc in soc_list
-            for width in width_list
-        ]
-        return list(zip(jobs, self.run(jobs)))
-
-
-#: Column order of :func:`grid_rows` records, shared by the
-#: ``repro-tam batch`` subcommand and the batch benchmarks.
-BATCH_COLUMNS: Tuple[str, ...] = (
-    "soc", "W", "B", "partition", "T", "gap", "utilization",
-)
-
-
-def grid_rows(
-    grid: Sequence[Tuple[BatchJob, BatchResult]]
-) -> List[Dict[str, object]]:
-    """Render a :meth:`BatchRunner.run_grid` result as table rows.
-
-    One dict per grid point, with the shared column schema used by
-    the ``repro-tam batch`` subcommand and the batch benchmarks:
-    ``soc``, ``W``, ``B``, ``partition``, ``T``, ``gap``,
-    ``utilization``.  A recorded :class:`FailedPoint` renders as an
-    error row rather than breaking the table.
-    """
-    rows: List[Dict[str, object]] = []
-    for job, point in grid:
-        if isinstance(point, FailedPoint):
-            rows.append({
-                "soc": job.soc.name,
-                "W": job.total_width,
-                "B": "-",
-                "partition": f"{point.error_type}: {point.error_message}",
-                "T": "-",
-                "gap": "-",
-                "utilization": "-",
-            })
-            continue
-        rows.append({
-            "soc": job.soc.name,
-            "W": point.total_width,
-            "B": point.num_tams,
-            "partition": "+".join(map(str, point.partition)),
-            "T": point.testing_time,
-            "gap": f"{point.certificate.gap:.2%}",
-            "utilization": f"{point.wire_efficiency:.1%}",
-        })
-    return rows
+        jobs = grid.jobs()
+        # Execution hints ride the spec's `runner` mapping — excluded
+        # from its canonical key, honored here.
+        hints = grid.runner_options()
+        return list(zip(jobs, self.run(
+            jobs,
+            shard=hints.get("shard"),
+            point_timeout=hints.get("point_timeout"),
+        )))

@@ -15,7 +15,7 @@ The registry's serialized view is a frozen :class:`MetricsSnapshot`:
 the one shape that rides in ``JobEvent`` payloads, the service
 ``info()`` op, and the run warehouse.  Snapshots subtract
 (:meth:`MetricsSnapshot.delta`) — which is how a *persistent* runner
-reports each ``run_grid`` call's own numbers instead of its lifetime
+reports each ``run`` call's own numbers instead of its lifetime
 totals — and registries absorb snapshots
 (:meth:`MetricsRegistry.absorb`), which is how pool workers' deltas
 merge into the parent's registry.

@@ -11,8 +11,8 @@ reproduced from SQLite alone is bit-identical to the table the live
 run printed.  That property is asserted by the obs tests and the CI
 warehouse smoke.
 
-This module builds *on* the engine/report layers (unlike the rest of
-``repro.obs``, which sits below them) and is therefore imported
+This module builds *on* the report layer (unlike the rest of
+``repro.obs``, which sits below it) and is therefore imported
 explicitly by the CLI, never from ``repro.obs``'s package root.
 """
 
@@ -21,12 +21,12 @@ from __future__ import annotations
 from datetime import datetime
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.batch import BATCH_COLUMNS
 from repro.exceptions import ValidationError
 from repro.obs.warehouse import RunWarehouse
 from repro.report.tables import TextTable
 
 __all__ = [
+    "BATCH_COLUMNS",
     "REPORT_VIEWS",
     "grid_table_rows",
     "grid_table",
@@ -34,6 +34,12 @@ __all__ = [
     "build_report",
     "render_report",
 ]
+
+#: The columns of every grid-results table: ``repro-tam batch``,
+#: ``submit`` and ``report``, and the batch benchmarks.
+BATCH_COLUMNS: Tuple[str, ...] = (
+    "soc", "W", "B", "partition", "T", "gap", "utilization",
+)
 
 #: The ``repro-tam report --view`` choices, in help order.
 REPORT_VIEWS: Tuple[str, ...] = (

@@ -23,6 +23,7 @@ from __future__ import annotations
 import time as _time
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
@@ -87,62 +88,37 @@ def co_optimize(
     soc: Soc,
     total_width: Optional[int] = None,
     num_tams: Union[int, Iterable[int], None] = None,
-    enumerator: str = "unique",
-    polish: bool = True,
-    polish_top_k: int = 1,
-    polish_per_tam_count: bool = False,
-    exact_node_limit: int = 2_000_000,
-    tables: Optional[Dict[str, TimeTable]] = None,
-    prune: bool = True,
-    dense: "Optional[DenseTimeMatrix]" = None,
+    *,
     spec: Optional[OptimizeSpec] = None,
+    tables: Optional[Dict[str, TimeTable]] = None,
+    dense: "Optional[DenseTimeMatrix]" = None,
     sweep: Optional[Callable[..., "PartitionSearchResult"]] = None,
     polish_runner: Optional[PolishRunner] = None,
+    **options: Any,
 ) -> CoOptimizationResult:
     """Co-optimize the wrapper/TAM architecture of ``soc``.
 
-    The canonical configuration is a :class:`repro.api.OptimizeSpec`
-    passed as ``spec`` — one typed, hashable object shared with the
-    batch engine, the exploration service and the CLI.  The loose
-    keyword form below is kept as a compatibility shim: it simply
-    builds the same spec internally, and new options are added to
-    :class:`~repro.api.specs.OptimizeSpec` first.
+    The job is one :class:`repro.api.OptimizeSpec`, the type shared
+    with the batch engine, the exploration service and the CLI: pass
+    it as ``spec``, or pass ``total_width``, ``num_tams`` and any of
+    its option fields as keywords (``polish=False``,
+    ``polish_top_k=3``, ...), which
+    :meth:`~repro.api.specs.OptimizeSpec.from_options` checks and
+    builds into the same spec.  The spec's fields document every
+    option; an unknown or mistyped one raises
+    :class:`~repro.exceptions.ConfigurationError` naming it.
 
     Parameters
     ----------
     soc:
         The SOC to optimize.
+    total_width, num_tams, **options:
+        The spec's TAM budget, TAM count(s) and options.
     spec:
-        The typed job description.  Mutually exclusive with
-        ``total_width`` (and the other spec-covered keywords, whose
-        values are ignored when a spec is given).
-    total_width:
-        Total TAM width ``W`` available at the SOC pins.
-    num_tams:
-        A single TAM count (problem P_PAW), an iterable of counts, or
-        ``None`` for the paper's P_NPAW default ``range(1, 11)``
-        (capped at ``total_width``).
-    enumerator:
-        Partition enumerator: ``"unique"`` or ``"increment"``.
-    polish:
-        When False, skip the exact final step and return the heuristic
-        assignment (useful to measure the polish's contribution).
-    polish_top_k:
-        How many of ``Partition_evaluate``'s best distinct partitions
-        to polish exactly.  1 is the paper's method.  Larger values
-        mitigate the anomaly the paper documents in its conclusion:
-        the heuristically-best partition is not always the best after
-        exact optimization, so polishing the runners-up and keeping
-        the overall winner can only improve the result (at k times
-        the polish cost and a slightly slower sweep).
-    polish_per_tam_count:
-        When True, the sweep keeps the best partition of *every* TAM
-        count and the polish visits each of them.  This targets the
-        anomaly's usual form — the heuristic picking the wrong number
-        of TAMs — at the cost of weaker cross-B pruning during the
-        sweep.  Composable with ``polish_top_k`` (top-k per B).
-    exact_node_limit:
-        Node budget for each exact solve.
+        The typed job description, instead of the three above.  Its
+        ``mode`` must be ``"exact"``: this function is the exact
+        tier, and :func:`repro.analysis.sweep.evaluate_point` runs
+        either.
     tables:
         Pre-built wrapper time tables (core name → table covering
         widths up to at least ``total_width``), e.g. from a
@@ -150,12 +126,6 @@ def co_optimize(
         tables are built here.  Either way the tables actually used
         are exposed on the result, so downstream consumers
         (certificates, utilization, sweeps) never rebuild them.
-    prune:
-        Partition-sweep pruning, forwarded to
-        :func:`~repro.partition.evaluate.partition_evaluate`:
-        ``True`` (default) is the paper's best-known-time abort, with
-        the dense kernel's outcome-identical lower-bound skip in
-        front of it; ``False`` disables pruning for ablations.
     dense:
         Optional pre-built :class:`~repro.engine.kernel.
         DenseTimeMatrix` for the kernel sweep (e.g. the one the batch
@@ -188,22 +158,16 @@ def co_optimize(
             raise ConfigurationError(
                 "co_optimize needs either total_width or spec="
             )
-        # The legacy keyword surface is a shim over the canonical
-        # spec: building it here gives every caller the same
-        # validation and the same canonical content.
-        spec = OptimizeSpec(
-            total_width=total_width,
-            num_tams=num_tams,
-            enumerator=enumerator,
-            polish=polish,
-            polish_top_k=polish_top_k,
-            polish_per_tam_count=polish_per_tam_count,
-            exact_node_limit=exact_node_limit,
-            prune=prune,
-        )
-    elif total_width is not None:
+        spec = OptimizeSpec.from_options(total_width, num_tams, options)
+    elif total_width is not None or num_tams is not None or options:
         raise ConfigurationError(
-            "pass either total_width or spec=, not both"
+            "pass either spec= or total_width, num_tams and options, "
+            "not both"
+        )
+    if spec.mode != "exact":
+        raise ConfigurationError(
+            f'co_optimize runs mode="exact", got mode={spec.mode!r}; '
+            f"evaluate_point runs either tier"
         )
     total_width = spec.total_width
     counts = resolved_tam_counts(total_width, spec.num_tams)

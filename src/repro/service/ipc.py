@@ -27,8 +27,8 @@ Operations (``op`` field):
     "widths":[16,24],...}`` — sources are benchmark names or ``.soc``
     paths (resolved server-side by :func:`repro.soc.loader.
     load_source`); optional ``num_tams`` (int or list), ``bmax``
-    (P_NPAW cap, default 10) and ``options`` (``co_optimize``
-    knobs).  The server folds a v1 request into the same typed spec
+    (P_NPAW cap, default 10) and ``options`` (option fields of
+    :class:`repro.api.OptimizeSpec`).  The server folds a v1 request into the same typed spec
     (:func:`spec_from_request`), so both forms are validated alike,
     share one memo and replay from the journal after a restart.
     Answers

@@ -5,8 +5,10 @@ import pytest
 from repro.analysis.certificates import certify
 from repro.analysis.sweep import evaluate_point, sweep_tam_counts, sweep_widths
 from repro.analysis.utilization import analyze_utilization
+from repro.api import OptimizeSpec
 from repro.exceptions import ConfigurationError
 from repro.optimize.co_optimize import co_optimize
+from repro.report.serialize import sweep_point_to_dict
 from repro.wrapper.pareto import build_time_tables
 
 
@@ -157,3 +159,47 @@ class TestParetoOnlySweep:
         )
         for point in adaptive:
             assert point == dense[point.total_width]
+
+
+class TestOneOptionCheck:
+    """Options are checked once, by ``OptimizeSpec.from_options``,
+    whichever tier the point runs."""
+
+    @pytest.mark.parametrize("mode", ["exact", "search"])
+    def test_unknown_option_is_named(self, tiny_soc, mode):
+        with pytest.raises(ConfigurationError, match="bogus_knob"):
+            evaluate_point(
+                tiny_soc, 8, num_tams=2, mode=mode, bogus_knob=1
+            )
+        with pytest.raises(ConfigurationError, match="bogus_knob"):
+            co_optimize(tiny_soc, 8, num_tams=2, mode=mode, bogus_knob=1)
+
+    @pytest.mark.parametrize("mode", ["exact", "search"])
+    def test_mistyped_option_is_named(self, tiny_soc, mode):
+        with pytest.raises(ConfigurationError, match="polish"):
+            evaluate_point(tiny_soc, 8, num_tams=2, mode=mode, polish="no")
+
+    def test_search_only_option_rejected_under_exact(self, tiny_soc):
+        with pytest.raises(ConfigurationError, match="seed"):
+            evaluate_point(tiny_soc, 8, num_tams=2, seed=3)
+
+    def test_exact_tier_options_are_inert_under_search(self, d695):
+        search = dict(mode="search", eval_budget=300, seed=5)
+        plain = evaluate_point(d695, 16, num_tams=(1, 2, 3), **search)
+        knobbed = evaluate_point(
+            d695, 16, num_tams=(1, 2, 3), polish=False, prune=False,
+            polish_top_k=3, exact_node_limit=10, **search,
+        )
+        # Everything but the search's wall-clock timings.
+        assert sweep_point_to_dict(knobbed) == sweep_point_to_dict(plain)
+
+    def test_co_optimize_takes_a_spec_or_options_not_both(self, tiny_soc):
+        spec = OptimizeSpec(total_width=8, num_tams=2)
+        with pytest.raises(ConfigurationError, match="spec"):
+            co_optimize(tiny_soc, spec=spec, polish=False)
+        with pytest.raises(ConfigurationError, match="spec"):
+            co_optimize(tiny_soc, spec=spec, num_tams=3)
+
+    def test_co_optimize_runs_only_the_exact_tier(self, tiny_soc):
+        with pytest.raises(ConfigurationError, match="mode"):
+            co_optimize(tiny_soc, 8, num_tams=2, mode="search")

@@ -1,17 +1,21 @@
 """Unit tests for the canonical job specs (repro.api.specs)."""
 
+import inspect
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.api import (
+    OPTION_DEFAULTS,
     GridSpec,
     OptimizeSpec,
     SPEC_SCHEMA_VERSION,
     jobs_canonical_key,
 )
+from repro.api.specs import SEARCH_ONLY_OPTIONS
 from repro.engine.batch import BatchJob
 from repro.exceptions import ConfigurationError
 
@@ -39,6 +43,24 @@ class TestOptimizeSpecValidation:
         with pytest.raises(ConfigurationError):
             OptimizeSpec(total_width=8, prune=3.5)
 
+    @pytest.mark.parametrize("option", ["polish", "polish_per_tam_count"])
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_polish_flags_are_plain_bools(self, option, value):
+        with pytest.raises(ConfigurationError, match=option):
+            OptimizeSpec(total_width=8, **{option: value})
+
+    @pytest.mark.parametrize("option", ["polish_top_k", "exact_node_limit"])
+    def test_count_options_reject_bools(self, option):
+        # True used to pass as 1, and split the canonical key from it.
+        with pytest.raises(ConfigurationError, match=option):
+            OptimizeSpec(total_width=8, **{option: True})
+
+    def test_grid_options_are_type_checked(self):
+        with pytest.raises(ConfigurationError, match="polish"):
+            GridSpec.from_axes(
+                ["d695"], [8], num_tams=2, options={"polish": "no"}
+            )
+
     def test_counts_iterable_is_frozen(self):
         spec = OptimizeSpec(total_width=8, num_tams=range(1, 4))
         assert spec.num_tams == (1, 2, 3)
@@ -65,6 +87,39 @@ class TestOptimizeSpecValidation:
         data["sweep_engine"] = "kernel"
         with pytest.raises(ConfigurationError, match="sweep_engine"):
             OptimizeSpec.from_dict(data)
+
+
+class TestOneOwner:
+    """The spec's fields are the one definition of the options."""
+
+    OPTION_FIELDS = [
+        spec_field for spec_field in fields(OptimizeSpec)
+        if spec_field.name not in ("total_width", "num_tams")
+    ]
+
+    def test_option_defaults_are_the_field_defaults(self):
+        assert OPTION_DEFAULTS == {
+            spec_field.name: spec_field.default
+            for spec_field in self.OPTION_FIELDS
+        }
+        assert list(OPTION_DEFAULTS) == [
+            spec_field.name for spec_field in self.OPTION_FIELDS
+        ]
+
+    def test_search_only_options_are_marked_on_their_fields(self):
+        assert SEARCH_ONLY_OPTIONS == (
+            "search_strategy", "seed", "eval_budget", "target_gap",
+        )
+
+    def test_every_field_is_documented_where_it_is_declared(self):
+        source = inspect.getsource(OptimizeSpec).splitlines()
+        for spec_field in fields(OptimizeSpec):
+            [line] = [
+                index for index, text in enumerate(source)
+                if text.startswith(f"    {spec_field.name}: ")
+            ]
+            assert source[line - 1].strip().startswith("#:"), \
+                spec_field.name
 
 
 class TestOptimizeSpecRoundTrip:

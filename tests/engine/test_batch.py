@@ -2,10 +2,12 @@
 
 import pytest
 
+import repro.soc.loader as loader
 import repro.wrapper.pareto as pareto
 from repro.analysis.certificates import certify
 from repro.analysis.sweep import SweepPoint, sweep_widths
 from repro.analysis.utilization import analyze_utilization
+from repro.api import GridSpec
 from repro.engine.batch import BatchJob, BatchRunner
 from repro.exceptions import ConfigurationError
 from repro.optimize.co_optimize import co_optimize
@@ -81,17 +83,21 @@ class TestBatchRunner:
         pooled = BatchRunner(max_workers=2).run(jobs)
         assert inline == pooled
 
-    def test_run_grid_pairs_jobs_with_points(self, tiny_soc):
+    def test_run_grid_pairs_jobs_with_points(self, tiny_soc,
+                                             monkeypatch):
+        monkeypatch.setattr(loader, "load_source", lambda source: tiny_soc)
         grid = BatchRunner(max_workers=1).run_grid(
-            [tiny_soc], (4, 6), num_tams=2
+            GridSpec.from_axes(["tiny"], (4, 6), num_tams=2)
         )
         assert [(job.total_width, point.total_width)
                 for job, point in grid] == [(4, 4), (6, 6)]
 
-    def test_run_grid_accepts_one_shot_iterables(self, tiny_soc):
-        grid = BatchRunner(max_workers=1).run_grid(
-            iter([tiny_soc, tiny_soc]), (w for w in (4, 6)), num_tams=2
-        )
+    def test_run_grid_accepts_one_shot_iterables(self, tiny_soc,
+                                                 monkeypatch):
+        monkeypatch.setattr(loader, "load_source", lambda source: tiny_soc)
+        grid = BatchRunner(max_workers=1).run_grid(GridSpec.from_axes(
+            iter(["tiny", "tiny"]), (w for w in (4, 6)), num_tams=2
+        ))
         assert [job.total_width for job, _ in grid] == [4, 6, 4, 6]
 
     def test_cache_reused_across_runs(self, tiny_soc):

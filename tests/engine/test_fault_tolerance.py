@@ -9,7 +9,6 @@ from repro.engine.batch import (
     BatchJob,
     BatchRunner,
     FailedPoint,
-    grid_rows,
     split_results,
 )
 from repro.exceptions import ConfigurationError
@@ -60,20 +59,42 @@ class TestRecordPolicy:
         kinds = [isinstance(r, FailedPoint) for r in results]
         assert kinds == [False, True, False]
 
-    def test_grid_rows_renders_error_rows(self, tiny_soc):
-        runner = BatchRunner(max_workers=1, on_error="record")
-        grid = runner.run_grid([tiny_soc], (4,))
-        # Force a failure row through the same renderer.
-        failure = FailedPoint(
-            job=bad_job(tiny_soc, width=5),
-            error_type="ConfigurationError",
-            error_message="boom",
-            attempts=1,
-        )
-        rows = grid_rows(list(grid) + [(failure.job, failure)])
-        assert rows[-1]["T"] == "-"
-        assert "boom" in rows[-1]["partition"]
-        assert rows[-1]["W"] == 5
+    def test_pool_records_an_unknown_option_as_its_own_failure(
+        self, tiny_soc
+    ):
+        runner = BatchRunner(max_workers=2, on_error="record")
+        results = runner.run([
+            BatchJob(tiny_soc, 4, 2),
+            BatchJob(tiny_soc, 5, 2, options={"bogus_knob": 1}),
+            BatchJob(tiny_soc, 6, 2),
+        ])
+        assert [isinstance(r, FailedPoint) for r in results] == [
+            False, True, False,
+        ]
+        assert results[1].error_type == "ConfigurationError"
+        assert "bogus_knob" in results[1].error_message
+
+    @pytest.mark.parametrize("options", [
+        pytest.param({"bogus_knob": 1}, id="unknown-option"),
+        pytest.param({"polish": "no"}, id="mistyped-option"),
+        pytest.param(
+            {"mode": "search", "polish": "no"}, id="mistyped-search",
+        ),
+    ])
+    def test_invalid_jobs_are_not_fanned(self, tiny_soc, options):
+        # Explicit sharding and a lone job: a valid job would fan
+        # its sweep or its islands.  An invalid one runs whole and
+        # fails as its own point.
+        bad = BatchJob(tiny_soc, 10, (1, 2), options=options)
+        runner = BatchRunner(max_workers=2, on_error="record", shard=2)
+        assert not runner._job_shardable(bad)
+        assert not runner._job_search_mode(bad)
+        [result] = runner.run([bad])
+        assert isinstance(result, FailedPoint)
+        assert result.error_type == "ConfigurationError"
+        assert runner.jobs_sharded == 0
+        assert runner.metrics.counter("engine.jobs_search_fanned").value \
+            == 0
 
     def test_rejects_unknown_policy(self):
         with pytest.raises(ConfigurationError):

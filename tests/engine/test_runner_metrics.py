@@ -3,7 +3,7 @@
 The regression this file pins down: ``BatchRunner`` used to keep its
 execution counters (``jobs_sharded``, ``pools_started``, ...) as
 plain attributes that were *never reset*, so on a persistent runner
-the second ``run_grid`` call reported the first call's work too.
+the second ``run`` call reported the first call's work too.
 Counters now live in a :class:`repro.obs.MetricsRegistry` and every
 run publishes ``last_run_metrics`` — the snapshot *delta* for that
 run alone — while the registry keeps the lifetime totals.
@@ -18,12 +18,17 @@ from repro.engine.batch import (
 from repro.obs import MetricsSnapshot, TaskTelemetry
 
 
+def two_tam_jobs(soc, *widths):
+    """One two-TAM job per width."""
+    return [BatchJob(soc, width, 2) for width in widths]
+
+
 class TestPerRunSnapshots:
     def test_second_run_reports_only_its_own_work(self, d695):
         runner = BatchRunner(max_workers=1)
-        runner.run_grid([d695], [8, 10], num_tams=2)
+        runner.run(two_tam_jobs(d695, 8, 10))
         first = runner.last_run_metrics
-        runner.run_grid([d695], [12], num_tams=2)
+        runner.run(two_tam_jobs(d695, 12))
         second = runner.last_run_metrics
 
         assert first.counter("sweep.points") == 2
@@ -34,15 +39,15 @@ class TestPerRunSnapshots:
 
     def test_partition_counters_ride_the_run_delta(self, d695):
         runner = BatchRunner(max_workers=1)
-        runner.run_grid([d695], [12], num_tams=2)
+        runner.run(two_tam_jobs(d695, 12))
         delta = runner.last_run_metrics
         assert delta.counter("sweep.partitions_enumerated") > 0
         assert delta.counter("sweep.partitions_completed") > 0
 
     def test_legacy_counter_properties_stay_cumulative(self, d695):
         runner = BatchRunner(max_workers=1)
-        runner.run_grid([d695], [8], num_tams=2)
-        runner.run_grid([d695], [8], num_tams=2)
+        runner.run(two_tam_jobs(d695, 8))
+        runner.run(two_tam_jobs(d695, 8))
         # The read-only compatibility surface: lifetime totals, as
         # the CLI --stats block and existing tests expect.
         assert runner.pools_started == 0  # inline: no pool
@@ -50,7 +55,7 @@ class TestPerRunSnapshots:
 
     def test_snapshot_delta_is_a_metrics_snapshot(self, d695):
         runner = BatchRunner(max_workers=1)
-        runner.run_grid([d695], [8], num_tams=2)
+        runner.run(two_tam_jobs(d695, 8))
         assert isinstance(runner.last_run_metrics, MetricsSnapshot)
         # Serializes for events / info / warehouse.
         record = runner.last_run_metrics.to_dict()
@@ -60,7 +65,7 @@ class TestPerRunSnapshots:
 class TestPerJobTelemetry:
     def test_inline_run_fills_one_slot_per_job(self, d695):
         runner = BatchRunner(max_workers=1)
-        runner.run_grid([d695], [8, 10], num_tams=2)
+        runner.run(two_tam_jobs(d695, 8, 10))
         telemetry = runner.last_run_telemetry
         assert len(telemetry) == 2
         for entry in telemetry:
@@ -85,7 +90,7 @@ class TestPerJobTelemetry:
 
     def test_pool_run_ships_worker_telemetry_back(self, d695):
         with BatchRunner(max_workers=2, persistent=True) as runner:
-            runner.run_grid([d695], [8, 10], num_tams=2)
+            runner.run(two_tam_jobs(d695, 8, 10))
             telemetry = runner.last_run_telemetry
             assert len(telemetry) == 2
             for entry in telemetry:

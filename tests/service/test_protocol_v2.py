@@ -153,6 +153,7 @@ class TestV1Compat:
     @pytest.mark.parametrize("options", [
         pytest.param({"sweep_engine": "kernel"}, id="unknown-key"),
         pytest.param({"prune": "lb"}, id="wrong-type"),
+        pytest.param({"polish": "yes"}, id="non-bool-polish"),
     ])
     def test_v1_bad_options_are_rejected_at_the_boundary(
         self, exploration, options
