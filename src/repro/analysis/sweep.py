@@ -46,7 +46,7 @@ from repro.analysis.utilization import (
     ArchitectureUtilization,
     analyze_utilization,
 )
-from repro.api.specs import OptimizeSpec
+from repro.api.specs import OptimizeSpec, frozen_tam_counts
 from repro.exceptions import ConfigurationError
 from repro.obs import REGISTRY
 from repro.obs import span as _obs_span
@@ -313,7 +313,7 @@ def sweep_widths(
     sampled where it bends.  Each swept point's result is identical
     to the dense sweep's at that width.
     """
-    num_tams = _freeze_counts(num_tams)
+    num_tams = frozen_tam_counts(num_tams)
     widths = list(widths)
     if pareto_only and widths:
         # Imported here: repro.engine.batch builds on this module.
@@ -352,12 +352,3 @@ def sweep_tam_counts(
                 f"buses of width >= 1"
             )
     return _run(soc, [(total_width, count) for count in tam_counts], runner)
-
-
-def _freeze_counts(
-    num_tams: Union[int, Iterable[int], None]
-) -> Union[int, Tuple[int, ...], None]:
-    """Make a (possibly one-shot) counts iterable reusable per point."""
-    if num_tams is None or isinstance(num_tams, int):
-        return num_tams
-    return tuple(num_tams)

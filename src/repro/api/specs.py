@@ -88,10 +88,16 @@ MODES: Tuple[str, ...] = ("exact", "search")
 #: compatibility.)
 DEFAULT_MAX_TAMS = 10
 
-def _frozen_counts(
+
+def frozen_tam_counts(
     num_tams: Union[int, Iterable[int], None]
 ) -> Union[int, Tuple[int, ...], None]:
-    """Freeze a counts iterable to a tuple; ints and None pass through."""
+    """Freeze a counts iterable to a tuple; ints and None pass through.
+
+    The one freezer for TAM counts: specs, engine jobs and the sweeps
+    all store counts this way, so a one-shot iterable is reusable and
+    the result is hashable.
+    """
     if num_tams is None or isinstance(num_tams, int):
         return num_tams
     return tuple(num_tams)
@@ -146,60 +152,35 @@ def _normalized_option(key: str, value: Any) -> Any:
     return value
 
 
-def _job_payload(
-    fingerprint: str,
-    total_width: int,
-    num_tams: Union[int, Tuple[int, ...], None],
-    options: Mapping[str, Any],
-) -> Dict[str, Any]:
-    """One grid point's canonical content, defaults filled in.
-
-    Shared by :func:`jobs_canonical_key` and
-    :meth:`GridSpec.canonical_key` so a grid hashes identically
-    whether it arrived as typed specs, raw :class:`~repro.engine.
-    batch.BatchJob` s, or a v1 IPC dict.
-    """
-    merged: Dict[str, Any] = dict(OPTION_DEFAULTS)
-    for key, value in options.items():
-        merged[key] = _normalized_option(key, value)
-    return {
-        "soc": fingerprint,
-        "total_width": int(total_width),
-        "num_tams": _canonical_counts(num_tams),
-        "options": merged,
-    }
-
-
-def _digest(payload: Any) -> str:
-    """Stable hex digest of a canonical-JSON payload."""
-    text = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=repr
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
-
-
 def jobs_canonical_key(jobs: Sequence["BatchJob"]) -> str:
     """Content hash of a grid given as engine jobs, order-sensitive.
 
-    Equals :meth:`GridSpec.canonical_key` for the grid the spec
-    resolves to.  Option values must be immutable (the jobs are
-    hashed first); a mutable value raises ``TypeError``, which the
-    IPC layer reports as a malformed request.
+    The one canonical-key function: :meth:`GridSpec.canonical_key` is
+    this hash over :meth:`GridSpec.jobs`.  Per job it hashes the SOC's
+    content fingerprint, the TAM budget, the counts (``B`` and
+    ``(B,)`` coincide) and the options with defaults filled in and
+    numeric types normalized, plus the spec schema version.  Option
+    values must be immutable (the jobs are hashed first); a mutable
+    value raises ``TypeError``.
     """
     job_tuple = tuple(jobs)
     hash(job_tuple)  # reject mutable option values up front
-    return _digest({
-        "spec": SPEC_SCHEMA_VERSION,
-        "jobs": [
-            _job_payload(
-                soc_fingerprint(job.soc),
-                job.total_width,
-                job.num_tams,
-                job.options_dict(),
-            )
-            for job in job_tuple
-        ],
-    })
+    payloads: List[Dict[str, Any]] = []
+    for job in job_tuple:
+        options: Dict[str, Any] = dict(OPTION_DEFAULTS)
+        for key, value in job.options:
+            options[key] = _normalized_option(key, value)
+        payloads.append({
+            "soc": soc_fingerprint(job.soc),
+            "total_width": int(job.total_width),
+            "num_tams": _canonical_counts(job.num_tams),
+            "options": options,
+        })
+    text = json.dumps(
+        {"spec": SPEC_SCHEMA_VERSION, "jobs": payloads},
+        sort_keys=True, separators=(",", ":"), default=repr,
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
 
 
 @dataclass(frozen=True)
@@ -280,7 +261,7 @@ class OptimizeSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "num_tams", _frozen_counts(self.num_tams)
+            self, "num_tams", frozen_tam_counts(self.num_tams)
         )
         if isinstance(self.num_tams, tuple):
             if not self.num_tams:
@@ -410,20 +391,6 @@ class OptimizeSpec:
             body.pop("total_width"), num_tams=num_tams, options=body
         )
 
-    def canonical_payload(self, fingerprint: str) -> Dict[str, Any]:
-        """This spec's share of a grid's canonical content."""
-        return _job_payload(
-            fingerprint, self.total_width, self.num_tams,
-            {key: getattr(self, key) for key in OPTION_DEFAULTS},
-        )
-
-    def canonical_key(self, fingerprint: str = "") -> str:
-        """Content hash of this spec (optionally bound to a SOC)."""
-        return _digest({
-            "spec": SPEC_SCHEMA_VERSION,
-            "jobs": [self.canonical_payload(fingerprint)],
-        })
-
 
 #: The option fields of :class:`OptimizeSpec` (every field but the TAM
 #: budget and counts), in declaration order.
@@ -537,7 +504,7 @@ class GridSpec:
         width_list = list(widths)
         if not width_list:
             raise ConfigurationError("a grid needs at least one width")
-        counts = _frozen_counts(num_tams)
+        counts = frozen_tam_counts(num_tams)
         return cls(
             socs=tuple(str(source) for source in socs),
             points=tuple(
@@ -569,12 +536,7 @@ class GridSpec:
         from repro.engine.batch import BatchJob
 
         return [
-            BatchJob(
-                soc=soc,
-                total_width=point.total_width,
-                num_tams=point.num_tams,
-                options=point.engine_options(),
-            )
+            BatchJob.from_spec(soc, point)
             for soc in self.resolve_socs(resolver)
             for point in self.points
         ]
@@ -582,20 +544,11 @@ class GridSpec:
     def canonical_key(self, resolver: Any = None) -> str:
         """Content hash of the resolved grid; the memo key.
 
-        Hashes SOC *content* fingerprints (not names), normalized
-        options (defaults filled, ``B`` ≡ ``(B,)``), and the spec
-        schema version.  Equal to :func:`jobs_canonical_key` over
-        :meth:`jobs`, so a grid memoizes identically however it was
-        expressed.  ``runner`` hints are excluded.
+        :func:`jobs_canonical_key` over :meth:`jobs`: SOC *content*
+        fingerprints (not names), normalized options and the spec
+        schema version.  ``runner`` hints are excluded.
         """
-        return _digest({
-            "spec": SPEC_SCHEMA_VERSION,
-            "jobs": [
-                point.canonical_payload(soc_fingerprint(soc))
-                for soc in self.resolve_socs(resolver)
-                for point in self.points
-            ],
-        })
+        return jobs_canonical_key(self.jobs(resolver))
 
     def describe(self) -> str:
         """Short human-readable summary for logs and progress lines."""

@@ -69,7 +69,7 @@ from typing import (
 )
 
 from repro.analysis.sweep import SweepPoint, evaluate_point
-from repro.api.specs import resolved_tam_counts
+from repro.api.specs import frozen_tam_counts, resolved_tam_counts
 from repro.engine.cache import WrapperTableCache
 from repro.engine.faults import FaultPlan
 from repro.engine.kernel import DenseTimeMatrix, build_dense_matrix
@@ -147,8 +147,9 @@ class BatchJob:
             raise ConfigurationError(
                 f"total_width must be >= 1, got {self.total_width}"
             )
-        if self.num_tams is not None and not isinstance(self.num_tams, int):
-            object.__setattr__(self, "num_tams", tuple(self.num_tams))
+        object.__setattr__(
+            self, "num_tams", frozen_tam_counts(self.num_tams)
+        )
         if isinstance(self.options, Mapping):
             object.__setattr__(
                 self, "options", tuple(sorted(self.options.items()))
@@ -452,6 +453,9 @@ def _run_job(
         delay = faults.slow_delay(point_index)
         if delay:
             _sleep(delay)  # injected stall; delay comes from the plan
+    # Options pass through the spec, which names an unknown key, so
+    # none can bind to one of evaluate_point's own parameters.
+    options = job.spec().engine_options()
     dense: Optional[DenseTimeMatrix] = None
     if descriptor is None:
         cache = _cache_for(caches, job.soc, store=store)
@@ -465,7 +469,7 @@ def _run_job(
         num_tams=job.num_tams,
         tables=tables,
         dense=dense,
-        **job.options_dict(),
+        **options,
     )
 
 
@@ -1525,7 +1529,7 @@ class BatchRunner:
             sweep=sweep,
             polish_runner=polish_runner,
             search_islands=islands,
-            **job.options_dict(),
+            **job.spec().engine_options(),
         )
         return point, telemetry
 

@@ -240,21 +240,15 @@ def handle_request(
         # anonymous one when auth is off) — resolved once, here.
         client = exploration.authenticate(envelope.token)
         if op == "submit":
-            if envelope.spec is not None:
-                # v2 typed path: the GridSpec was schema-validated by
-                # the envelope decode (bad specs answer ok:false
-                # before anything is enqueued).
-                record = exploration.submit(
-                    envelope.spec,
-                    client=client,
-                    priority=envelope.priority,
-                )
-            else:
-                record = exploration.submit(
-                    spec_from_request(envelope.extra_dict()),
-                    client=client,
-                    priority=envelope.priority,
-                )
+            # v2 carries a GridSpec, schema-validated by the envelope
+            # decode; v1 fields fold into one here.  Either way a bad
+            # request answers ok:false before anything is enqueued.
+            spec = envelope.spec
+            if spec is None:
+                spec = spec_from_request(envelope.extra_dict())
+            record = exploration.submit(
+                spec, client=client, priority=envelope.priority,
+            )
             return {
                 "ok": True,
                 "job": record.job_id,

@@ -7,9 +7,10 @@ killed server silently loses every queued and in-flight job.  The
 the store, process stateless:
 
 * every *accepted* submission appends a ``submitted`` entry (the
-  job id, its canonical content key, the typed spec when one exists,
-  and the runner hints) and is fsynced before the caller learns the
-  job id — the at-least-once half of the durability contract;
+  job id, its canonical content key and its
+  :class:`~repro.api.GridSpec` record, runner hints included — all
+  a replay needs) and is fsynced before the caller learns the job
+  id — the at-least-once half of the durability contract;
 * every *terminal* transition (done / failed / cancelled) appends a
   ``terminal`` entry, fsync-batched (losing a terminal entry merely
   re-runs a finished grid, and the :class:`~repro.service.store.
@@ -49,18 +50,19 @@ JOURNAL_NAME = "journal.jsonl"
 class JournalEntry:
     """One open (submitted, not yet terminal) journal record.
 
-    ``client_id``/``priority`` carry the submitting tenant so a
-    replay after a crash restores per-client accounting, not just the
-    work itself.  Absent on pre-tenancy journals — replay then runs
-    the entry as the anonymous client, which is exactly what those
-    servers did.
+    ``spec`` is the submission's ``GridSpec.to_dict()`` record; the
+    server writes one on every line.  It reads as ``None`` only from
+    a line an older build wrote without one, which replay marks
+    ``lost``.  ``client_id``/``priority`` carry the submitting tenant
+    so a replay after a crash restores per-client accounting, not
+    just the work itself.  Absent on pre-tenancy journals — replay
+    then runs the entry as the anonymous client, which is exactly
+    what those servers did.
     """
 
     job_id: str
     key: Optional[str]
     spec: Optional[Dict[str, Any]]
-    shard: Optional[Any] = None
-    point_timeout: Optional[float] = None
     client_id: Optional[str] = None
     priority: Optional[str] = None
 
@@ -72,10 +74,6 @@ class JournalEntry:
             "key": self.key,
             "spec": self.spec,
         }
-        if self.shard is not None:
-            record["shard"] = self.shard
-        if self.point_timeout is not None:
-            record["point_timeout"] = self.point_timeout
         if self.client_id is not None:
             record["client"] = self.client_id
         if self.priority is not None:
@@ -196,8 +194,6 @@ class JobJournal:
                     job_id=job_id,
                     key=record.get("key"),
                     spec=spec if isinstance(spec, dict) else None,
-                    shard=record.get("shard"),
-                    point_timeout=record.get("point_timeout"),
                     client_id=(
                         str(client_id) if client_id is not None
                         else None

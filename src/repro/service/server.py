@@ -18,7 +18,11 @@ both resident:
 * **result memoization**: a grid identical to one already completed
   — same SOCs by content, same widths, counts and options — is
   answered instantly from the finished job, without touching the
-  queue or the pool.
+  queue or the pool;
+* with a ``cache_dir``, a **durable job journal**: a submission is
+  a :class:`repro.api.GridSpec`, and every accepted one journals
+  that spec before its job id is returned, so a restarted server
+  replays whatever was not finished.
 
 The server is transport-agnostic; :mod:`repro.service.ipc` puts a
 line-oriented JSON socket in front of it and
@@ -203,9 +207,9 @@ class JobRecord:
 
     job_id: str
     jobs: Tuple[BatchJob, ...]
+    key: str
     status: str = "queued"
     cached: bool = False
-    key: Optional[str] = None
     #: Intra-job sharding hint from the submission's runner options
     #: (``None`` = the runner's own policy).  Pure execution
     #: strategy: not part of ``key``, so any setting memo-hits.
@@ -348,8 +352,8 @@ class ExplorationServer:
             self.runner.cache_dir
         )
         #: Durable job journal next to the table store: every
-        #: accepted submission and terminal outcome, replayed on
-        #: startup so a killed server loses no jobs.
+        #: accepted submission's spec and every terminal outcome,
+        #: replayed on startup so a killed server loses no jobs.
         self.journal: Optional[JobJournal] = None
         if self.runner.cache_dir is not None:
             # The table store creates this directory lazily; the
@@ -405,16 +409,18 @@ class ExplorationServer:
     # ------------------------------------------------------------------
     def submit(
         self,
-        jobs: Union[GridSpec, Sequence[BatchJob]],
+        grid: GridSpec,
         client: Optional[ClientIdentity] = None,
         priority: Optional[str] = None,
         preadmitted: bool = False,
     ) -> JobRecord:
         """Enqueue a grid; returns its (possibly pre-answered) record.
 
-        The canonical submission is a :class:`repro.api.GridSpec`;
-        a raw job sequence is still accepted and hashes to the same
-        canonical key the spec would.  An empty grid is rejected.
+        ``grid`` is a :class:`repro.api.GridSpec`, the one submission
+        form: every accepted job journals that spec, so a restart can
+        replay it.  Anything else raises
+        :class:`~repro.exceptions.ServiceError` before anything is
+        queued or journaled.
 
         ``client`` is the authenticated tenant the submission runs
         as (default: the unlimited anonymous identity — the
@@ -429,38 +435,33 @@ class ExplorationServer:
         skips quota and overload checks: recovered work was already
         admitted once.
 
-        A grid whose :func:`~repro.api.specs.jobs_canonical_key`
-        matches a previously *completed* clean submission is answered
-        from memo — first the in-process memo (sharing the finished
-        payload), then, when a ``cache_dir`` is configured,
-        the memo persisted by *any* earlier server process on that
-        directory.  Either way the returned record is already
-        ``done``, flagged ``cached``, and the queue and the pool are
-        never touched (memo hits cost no queue quota).
+        A grid whose canonical key matches a previously *completed*
+        clean submission is answered from memo — first the
+        in-process memo (sharing the finished payload), then, when a
+        ``cache_dir`` is configured, the memo persisted by *any*
+        earlier server process on that directory.  Either way the
+        returned record is already ``done``, flagged ``cached``, and
+        the queue and the pool are never touched (memo hits cost no
+        queue quota).
         """
+        if not isinstance(grid, GridSpec):
+            raise ServiceError(
+                f"submit takes a GridSpec, got {type(grid).__name__}"
+            )
         identity = ANONYMOUS_CLIENT if client is None else client
         try:
             effective = identity.effective_priority(priority)
         except UnauthorizedError:
             self.note_rejection(identity, "unauthorized")
             raise
-        shard: Union[int, str, None] = None
-        point_timeout: Optional[float] = None
-        spec_dict: Optional[Dict[str, Any]] = None
-        if isinstance(jobs, GridSpec):
-            job_tuple = tuple(jobs.jobs())
-            hints = jobs.runner_options()
-            shard = hints.get("shard")
-            # Validated at the boundary: a bad hint answers the
-            # submitter, instead of failing the job at dispatch.
-            point_timeout = normalize_point_timeout(
-                hints.get("point_timeout")
-            )
-            spec_dict = jobs.to_dict()
-        else:
-            job_tuple = tuple(jobs)
-        if not job_tuple:
-            raise ServiceError("cannot submit an empty grid")
+        job_tuple = tuple(grid.jobs())
+        hints = grid.runner_options()
+        # Validated at the boundary: a bad hint answers the submitter,
+        # instead of failing the job at dispatch.
+        point_timeout = normalize_point_timeout(
+            hints.get("point_timeout")
+        )
+        spec_dict = grid.to_dict()
         key = jobs_canonical_key(job_tuple)
         quota = identity.quota
         shed_job_id: Optional[str] = None
@@ -520,7 +521,7 @@ class ExplorationServer:
                 account.done += 1
                 self.runner.metrics.counter("service.memo_hits").inc()
                 self._evict_locked(keep=job_id)
-                self._journal_closed(record, spec_dict)
+                self._journal_submitted(record, spec_dict)
                 return record
             if not preadmitted and quota.max_queued_jobs is not None \
                     and account.queued >= quota.max_queued_jobs:
@@ -553,8 +554,8 @@ class ExplorationServer:
                         retry_after=retry_after,
                     )
             record = JobRecord(
-                job_id=job_id, jobs=job_tuple, key=key, shard=shard,
-                point_timeout=point_timeout,
+                job_id=job_id, jobs=job_tuple, key=key,
+                shard=hints.get("shard"), point_timeout=point_timeout,
                 client_id=identity.client_id,
                 priority=effective,
                 max_concurrent=quota.max_concurrent_points,
@@ -654,9 +655,13 @@ class ExplorationServer:
     # Journal plumbing
     # ------------------------------------------------------------------
     def _journal_submitted(
-        self, record: JobRecord, spec_dict: Optional[Dict[str, Any]]
+        self, record: JobRecord, spec_dict: Dict[str, Any]
     ) -> None:
-        """Append one accepted submission; never fails the submit."""
+        """Append one accepted submission; never fails the submit.
+
+        A memo hit is accepted already ``done``: its terminal line
+        follows at once.
+        """
         if self.journal is None:
             return
         try:
@@ -664,29 +669,13 @@ class ExplorationServer:
                 job_id=record.job_id,
                 key=record.key,
                 spec=spec_dict,
-                shard=record.shard,
-                point_timeout=record.point_timeout,
                 client_id=record.client_id,
                 priority=record.priority,
             ))
-        except OSError as error:
-            self._journal_degraded(record.job_id, error)
-
-    def _journal_closed(
-        self, record: JobRecord, spec_dict: Optional[Dict[str, Any]]
-    ) -> None:
-        """Journal a submission answered instantly from memo."""
-        if self.journal is None:
-            return
-        try:
-            self.journal.record_submitted(JournalEntry(
-                job_id=record.job_id, key=record.key, spec=spec_dict,
-                client_id=record.client_id,
-                priority=record.priority,
-            ))
-            self.journal.record_terminal(
-                record.job_id, record.status
-            )
+            if record.is_terminal:
+                self.journal.record_terminal(
+                    record.job_id, record.status
+                )
         except OSError as error:
             self._journal_degraded(record.job_id, error)
 
@@ -726,18 +715,6 @@ class ExplorationServer:
                     entry.job_id, replayed_keys[entry.key]
                 )
                 continue
-            if entry.spec is None:
-                # Raw-job submissions journal without a typed spec —
-                # there is nothing to rebuild them from.
-                logger.warning(
-                    "journaled job %s has no spec; cannot replay",
-                    entry.job_id,
-                )
-                self.runner.metrics.counter(
-                    "service.journal_unreplayable"
-                ).inc()
-                self._journal_terminal(entry.job_id, "lost")
-                continue
             identity = self._replay_identity(entry)
             priority = entry.priority
             if priority not in PRIORITIES or priority_rank(
@@ -748,9 +725,11 @@ class ExplorationServer:
                 # rather than losing recovered work to a rejection.
                 priority = None
             try:
-                spec = GridSpec.from_dict(entry.spec)
+                # A line without a spec (an older build's raw-job
+                # submit) or with a schema this build does not read
+                # cannot be rebuilt: it is journaled as lost.
                 record = self.submit(
-                    spec,
+                    GridSpec.from_dict(entry.spec),
                     client=identity,
                     priority=priority,
                     preadmitted=True,
@@ -1210,14 +1189,13 @@ class ExplorationServer:
             # `done` can rely on the memo surviving a restart.
             payload = grid_payload(record.jobs, results)
             clean = not payload["failures"]
-            if clean and record.key is not None \
-                    and self.grid_memo is not None:
+            if clean and self.grid_memo is not None:
                 self.grid_memo.save(record.key, payload, num_jobs=total)
             run_metrics = (
                 self.runner.last_run_metrics.to_dict()
                 if self.runner.last_run_metrics is not None else None
             )
-            if self.warehouse is not None and record.key is not None:
+            if self.warehouse is not None:
                 # Every finished grid lands in the warehouse — clean
                 # or not — with its per-point telemetry and run-level
                 # spans.  A write failure must not fail the job.
@@ -1244,7 +1222,7 @@ class ExplorationServer:
                 record.metrics = run_metrics
                 record.status = "done"
                 record.finished_at = time.time()
-                if clean and record.key is not None:
+                if clean:
                     self._memo[record.key] = job_id
                 account = self._accounts.get(record.client_id)
                 if account is not None:

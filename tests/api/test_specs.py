@@ -237,6 +237,24 @@ class TestCanonicalKey:
         rebuilt = GridSpec.from_dict(grid.to_dict())
         assert rebuilt.canonical_key() == grid.canonical_key()
 
+    @pytest.mark.parametrize("grid, key", [
+        (GridSpec.from_axes(["d695"], [16, 24], num_tams=2),
+         "792cafa140f505f2dc7458c4"),
+        (GridSpec.from_axes(
+            ["d695", "p31108"], [32], num_tams=(1, 2, 3, 4),
+            options={"mode": "search", "search_strategy": "ga",
+                     "seed": 7, "eval_budget": 1000},
+        ), "f408b4b1e49c54cfc4a67e70"),
+        (GridSpec.from_axes(
+            ["d695"], [8], num_tams=2,
+            options={"polish": True, "target_gap": 0},
+        ), "6d4d46153b0b070eb39879ae"),
+    ])
+    def test_keys_are_stable_across_builds(self, grid, key):
+        # A persisted memo entry and a journaled key outlive the build
+        # that wrote them: the hash of a fixed grid must not move.
+        assert grid.canonical_key() == key
+
     def test_mutable_option_values_are_rejected(self, d695):
         job = BatchJob(d695, 8, 2, options={"polish": ["mutable"]})
         with pytest.raises(TypeError):
@@ -296,16 +314,20 @@ class TestSearchMode:
         with pytest.raises(ConfigurationError, match="target_gap"):
             self.search_spec(target_gap=-0.5)
 
+    @staticmethod
+    def key(point):
+        return GridSpec(socs=("d695",), points=(point,)).canonical_key()
+
     def test_seed_splits_the_canonical_key(self):
         # The seed is result-defining for a search, so two seeds must
         # never share a memo entry.
-        assert self.search_spec(seed=1).canonical_key() != \
-            self.search_spec(seed=2).canonical_key()
+        assert self.key(self.search_spec(seed=1)) != \
+            self.key(self.search_spec(seed=2))
 
     def test_mode_splits_the_canonical_key(self):
         exact = OptimizeSpec(total_width=16)
         search = OptimizeSpec(total_width=16, mode="search")
-        assert exact.canonical_key() != search.canonical_key()
+        assert self.key(exact) != self.key(search)
 
 
 class TestDesignAppendix:

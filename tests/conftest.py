@@ -6,6 +6,7 @@ import pytest
 
 from repro.soc.core import Core
 from repro.soc.data import get_benchmark
+from repro.soc.itc02 import write_soc
 from repro.soc.soc import Soc
 
 
@@ -30,7 +31,7 @@ def p93791() -> Soc:
     return get_benchmark("p93791")
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def scan_core() -> Core:
     """A small scan-testable core with uneven chain lengths."""
     return Core(
@@ -43,7 +44,7 @@ def scan_core() -> Core:
     )
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def memory_core() -> Core:
     """A non-scan (memory-style) core."""
     return Core(
@@ -54,7 +55,7 @@ def memory_core() -> Core:
     )
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def combinational_core() -> Core:
     """A combinational core: terminals only, no state."""
     return Core(
@@ -65,11 +66,23 @@ def combinational_core() -> Core:
     )
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def tiny_soc(scan_core, memory_core, combinational_core) -> Soc:
     """Three heterogeneous cores — enough for pipeline tests."""
     return Soc(name="tiny", cores=(scan_core, memory_core,
                                    combinational_core))
+
+
+@pytest.fixture(scope="session")
+def tiny_soc_source(tiny_soc, tmp_path_factory) -> str:
+    """``tiny_soc`` as a ``.soc`` file: a source a ``GridSpec`` names.
+
+    Written once per session; ``load_source`` reads it back equal to
+    ``tiny_soc``, name included.
+    """
+    path = tmp_path_factory.mktemp("socs") / "tiny.soc"
+    write_soc(tiny_soc, path)
+    return str(path)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from repro.analysis.certificates import certify
 from repro.analysis.sweep import SweepPoint, sweep_widths
 from repro.analysis.utilization import analyze_utilization
 from repro.api import GridSpec
-from repro.engine.batch import BatchJob, BatchRunner
+from repro.engine.batch import BatchJob, BatchRunner, FailedPoint
 from repro.exceptions import ConfigurationError
 from repro.optimize.co_optimize import co_optimize
 from repro.wrapper.pareto import build_time_tables
@@ -105,6 +105,44 @@ class TestBatchRunner:
         runner.run([BatchJob(tiny_soc, 6, 2)])
         cache = runner.cache_for(tiny_soc)
         assert cache.max_width == 6
+
+
+#: Job options named after ``evaluate_point``'s own parameters.
+PARAMETER_NAMED_OPTIONS = [
+    {"sweep": 1}, {"tables": {}}, {"num_tams": 3}, {"dense": None},
+]
+
+
+class TestOptionsNeverBindToEvaluatePoint:
+    """A job's options reach ``evaluate_point`` through its spec, so an
+    option named after one of that function's parameters fails its
+    point as an unknown option instead of binding to the parameter."""
+
+    @staticmethod
+    def assert_names_the_option(result, options):
+        assert isinstance(result, FailedPoint)
+        assert result.error_type == "ConfigurationError"
+        [key] = options
+        assert f"unknown option(s): {key}" in result.error_message
+
+    @pytest.mark.parametrize("options", PARAMETER_NAMED_OPTIONS, ids=str)
+    def test_inline(self, d695, options):
+        [result] = BatchRunner(max_workers=1, on_error="record").run(
+            [BatchJob(d695, 8, 2, options=options)]
+        )
+        self.assert_names_the_option(result, options)
+
+    @pytest.mark.parametrize("options", PARAMETER_NAMED_OPTIONS, ids=str)
+    def test_pool(self, d695, options):
+        # Two jobs: a one-job grid shrinks the pool to one worker and
+        # runs inline.
+        runner = BatchRunner(max_workers=2, on_error="record")
+        bad, good = runner.run([
+            BatchJob(d695, 8, 2, options=options), BatchJob(d695, 8, 2),
+        ])
+        assert runner.pools_started == 1
+        self.assert_names_the_option(bad, options)
+        assert good.testing_time > 0
 
 
 class TestSequentialEquivalence:

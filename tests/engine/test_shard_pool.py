@@ -263,11 +263,13 @@ class TestIncumbentBoardShm:
 
 
 class TestFallbackCounter:
-    def test_counter_reported_by_server_info(self, tiny_soc):
+    def test_counter_reported_by_server_info(self, tiny_soc_source):
         from repro.service.server import ExplorationServer
 
         with ExplorationServer(max_workers=1) as server:
-            record = server.submit([BatchJob(tiny_soc, 6, 2)])
+            record = server.submit(GridSpec.from_axes(
+                [tiny_soc_source], [6], num_tams=2
+            ))
             server.wait(record.job_id, timeout=60)
             info = server.info()
             assert "jobs_sharded" in info

@@ -168,3 +168,61 @@ def test_old_schema_journal_entry_is_lost_and_degrades_health(tmp_path):
     assert {
         "kind": "terminal", "job": "job-0041", "status": "lost",
     } in lines
+
+
+def test_journal_line_with_top_level_hints_replays_from_its_spec(
+    tmp_path,
+):
+    """A ``submitted`` line in the older format, with ``shard`` and
+    ``point_timeout`` beside the spec, still replays; the hints the
+    replayed job runs with come from the spec's ``runner``."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    spec = GridSpec.from_axes(
+        ["d695"], (8,), num_tams=2,
+        runner={"shard": 0, "point_timeout": 300.0},
+    )
+    line = {
+        "kind": "submitted", "job": "job-0007",
+        "key": spec.canonical_key(), "spec": spec.to_dict(),
+        "shard": "auto", "point_timeout": 5.0,
+    }
+    (cache_dir / JOURNAL_NAME).write_text(
+        json.dumps(line, sort_keys=True) + "\n"
+    )
+    with ExplorationServer(
+        max_workers=1, cache_dir=cache_dir
+    ) as reborn:
+        health = reborn.info()["health"]
+        assert health["journal_replays"] == 1
+        assert health["journal_unreplayable"] == 0
+        record = reborn.record("job-0001")
+        assert (record.shard, record.point_timeout) == (0, 300.0)
+        assert reborn.wait("job-0001", timeout=300).status == "done"
+
+
+def test_spec_less_journal_line_is_lost_and_degrades_health(tmp_path):
+    """An older build journaled raw-job submits with ``spec: null``;
+    such a line replays as ``lost``, as an unreadable spec does."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    journal = JobJournal(cache_dir / JOURNAL_NAME)
+    journal.record_submitted(JournalEntry(
+        job_id="job-0003", key="raw-job-key", spec=None,
+    ))
+    journal.close()
+    with ExplorationServer(
+        max_workers=1, cache_dir=cache_dir
+    ) as reborn:
+        health = reborn.info()["health"]
+        assert health["journal_unreplayable"] == 1
+        assert health["journal_replays"] == 0
+        assert health["status"] == "degraded"
+        assert reborn.info()["jobs"] == 0
+    lines = [
+        json.loads(line)
+        for line in (cache_dir / JOURNAL_NAME).read_text().splitlines()
+    ]
+    assert {
+        "kind": "terminal", "job": "job-0003", "status": "lost",
+    } in lines

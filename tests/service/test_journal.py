@@ -2,6 +2,7 @@
 
 import json
 
+from repro.api import GridSpec
 from repro.service.journal import JOURNAL_NAME, JobJournal, JournalEntry
 
 
@@ -26,14 +27,14 @@ class TestAppendReplay:
         assert [e.job_id for e in open_entries] == ["job-2"]
 
     def test_runner_hints_round_trip(self, tmp_path):
+        """The hints ride in the journaled spec, not beside it."""
+        hints = {"shard": "auto", "point_timeout": 2.5}
+        spec = GridSpec.from_axes(["d695"], [8], runner=hints)
         journal = JobJournal(tmp_path / JOURNAL_NAME)
-        journal.record_submitted(make_entry(
-            "job-1", shard="auto", point_timeout=2.5,
-        ))
+        journal.record_submitted(make_entry("job-1", spec=spec.to_dict()))
         journal.close()
         [entry] = JobJournal(tmp_path / JOURNAL_NAME).replay()
-        assert entry.shard == "auto"
-        assert entry.point_timeout == 2.5
+        assert GridSpec.from_dict(entry.spec).runner_options() == hints
 
     def test_replayed_counts_as_terminal(self, tmp_path):
         journal = JobJournal(tmp_path / JOURNAL_NAME)

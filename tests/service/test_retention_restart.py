@@ -3,38 +3,40 @@
 import pytest
 
 from repro.api import GridSpec
-from repro.engine.batch import BatchJob, BatchRunner
+from repro.engine.batch import BatchRunner
 from repro.exceptions import ServiceError
+from repro.service.ipc import spec_from_request
 from repro.service.server import ExplorationServer
 from repro.service.store import GridMemo
+from repro.soc.itc02 import write_soc
 from repro.soc.soc import Soc
 
 
-def grid(widths=(8,), num_tams=2):
-    return GridSpec.from_axes(["d695"], widths, num_tams=num_tams)
+def grid(widths=(8,), num_tams=2, source="d695"):
+    return GridSpec.from_axes([source], widths, num_tams=num_tams)
 
 
 class TestRecordRetention:
-    def test_default_keeps_every_record(self, tiny_soc):
+    def test_default_keeps_every_record(self, tiny_soc_source):
         with ExplorationServer(max_workers=1) as server:
             for width in (4, 5, 6):
                 record = server.submit(
-                    [BatchJob(tiny_soc, width, 2)]
+                    grid((width,), source=tiny_soc_source)
                 )
                 server.wait(record.job_id, timeout=120)
             info = server.info()
             assert info["jobs"] == 3
             assert info["records_evicted"] == 0
 
-    def test_oldest_terminal_records_are_evicted(self, tiny_soc):
+    def test_oldest_terminal_records_are_evicted(self, tiny_soc_source):
         with ExplorationServer(max_workers=1, max_records=2) as server:
             ids = []
             for width in (4, 5, 6, 7):
-                record = server.submit([BatchJob(tiny_soc, width, 2)])
+                record = server.submit(grid((width,), source=tiny_soc_source))
                 server.wait(record.job_id, timeout=120)
                 ids.append(record.job_id)
             # One more submission triggers eviction of the oldest.
-            last = server.submit([BatchJob(tiny_soc, 8, 2)])
+            last = server.submit(grid((8,), source=tiny_soc_source))
             server.wait(last.job_id, timeout=120)
             info = server.info()
             assert info["records_evicted"] >= 2
@@ -43,26 +45,26 @@ class TestRecordRetention:
             # The newest records are still answerable.
             assert server.status(last.job_id)["status"] == "done"
 
-    def test_eviction_drops_stale_memo_entries(self, tiny_soc):
+    def test_eviction_drops_stale_memo_entries(self, tiny_soc_source):
         with ExplorationServer(max_workers=1, max_records=1) as server:
-            first = server.submit([BatchJob(tiny_soc, 4, 2)])
+            first = server.submit(grid((4,), source=tiny_soc_source))
             server.wait(first.job_id, timeout=120)
-            other = server.submit([BatchJob(tiny_soc, 5, 2)])
+            other = server.submit(grid((5,), source=tiny_soc_source))
             server.wait(other.job_id, timeout=120)
-            third = server.submit([BatchJob(tiny_soc, 6, 2)])
+            third = server.submit(grid((6,), source=tiny_soc_source))
             server.wait(third.job_id, timeout=120)
             # The first grid's record was evicted; resubmitting it
             # must re-run (no dangling memo pointer), not crash.
-            again = server.submit([BatchJob(tiny_soc, 4, 2)])
+            again = server.submit(grid((4,), source=tiny_soc_source))
             final = server.wait(again.job_id, timeout=120)
             assert final.status == "done"
 
-    def test_no_eviction_while_under_the_bound(self, tiny_soc):
+    def test_no_eviction_while_under_the_bound(self, tiny_soc_source):
         """Regression: a generous bound must never evict anything."""
         with ExplorationServer(max_workers=1, max_records=10) as server:
             ids = []
             for width in (4, 5, 6):
-                record = server.submit([BatchJob(tiny_soc, width, 2)])
+                record = server.submit(grid((width,), source=tiny_soc_source))
                 server.wait(record.job_id, timeout=120)
                 ids.append(record.job_id)
             assert server.info()["records_evicted"] == 0
@@ -104,9 +106,7 @@ class TestPersistedMemo:
             assert len(events) == 2
             assert {event.kind for event in events} == {"point"}
 
-    def test_restart_memo_answers_v1_style_job_lists(
-        self, tmp_path, d695
-    ):
+    def test_restart_memo_answers_v1_style_job_lists(self, tmp_path):
         """The memo key is canonical content, not the wire format."""
         cache_dir = tmp_path / "cache"
         with ExplorationServer(
@@ -117,7 +117,9 @@ class TestPersistedMemo:
         with ExplorationServer(
             max_workers=1, cache_dir=cache_dir
         ) as reborn:
-            replay = reborn.submit([BatchJob(d695, 8, 2)])
+            replay = reborn.submit(spec_from_request(
+                {"socs": ["d695"], "widths": [8], "num_tams": 2}
+            ))
             assert replay.cached
 
     def test_memo_hits_carry_the_submitted_soc_names(
@@ -127,20 +129,21 @@ class TestPersistedMemo:
         SOC under another name gets its own name back, from the
         in-process memo and from the persisted one alike."""
         cache_dir = tmp_path / "cache"
-        twin = Soc(name="twin", cores=d695.cores)
+        twin = str(tmp_path / "twin.soc")
+        write_soc(Soc(name="twin", cores=d695.cores), twin)
         with ExplorationServer(
             max_workers=1, cache_dir=cache_dir
         ) as server:
-            record = server.submit([BatchJob(d695, 8, 2)])
+            record = server.submit(grid())
             server.wait(record.job_id, timeout=300)
             original = server.result_payload(record.job_id)
-            hit = server.submit([BatchJob(twin, 8, 2)])
+            hit = server.submit(grid(source=twin))
             assert hit.cached
             in_process = server.result_payload(hit.job_id)
         with ExplorationServer(
             max_workers=1, cache_dir=cache_dir
         ) as reborn:
-            hit = reborn.submit([BatchJob(twin, 8, 2)])
+            hit = reborn.submit(grid(source=twin))
             assert hit.cached
             persisted = reborn.result_payload(hit.job_id)
             [event] = reborn.events(hit.job_id, timeout=30)

@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.api import GridSpec
-from repro.engine.batch import BatchJob, BatchRunner
+from repro.engine.batch import BatchRunner
 from repro.exceptions import (
     ConfigurationError,
     OverloadedError,
@@ -55,7 +55,7 @@ def tokens_file(tmp_path):
 
 
 @pytest.fixture
-def gated(tiny_soc):
+def gated():
     """A 1-worker server whose dispatcher blocks until released.
 
     The gate holds the dispatcher *inside* its first grid, so any
@@ -76,8 +76,10 @@ def gated(tiny_soc):
     server.shutdown()
 
 
-def grid(soc, widths, **options):
-    return [BatchJob(soc, w, 2, options=options) for w in widths]
+def grid(source, widths, **options):
+    return GridSpec.from_axes(
+        [source], widths, num_tams=2, options=options
+    )
 
 
 def wait_running(server, job_id):
@@ -219,14 +221,14 @@ class TestAdmissionQueue:
 
 
 class TestPerClientAccounting:
-    def test_two_clients_are_isolated(self, tiny_soc, gated):
+    def test_two_clients_are_isolated(self, tiny_soc_source, gated):
         server, gate = gated
         alice = ClientIdentity("alice", priority="high")
         bob = ClientIdentity("bob")
-        blocker = server.submit(grid(tiny_soc, (4,)))
+        blocker = server.submit(grid(tiny_soc_source, (4,)))
         wait_running(server, blocker.job_id)
-        a_job = server.submit(grid(tiny_soc, (5,)), client=alice)
-        b_job = server.submit(grid(tiny_soc, (6,)), client=bob)
+        a_job = server.submit(grid(tiny_soc_source, (5,)), client=alice)
+        b_job = server.submit(grid(tiny_soc_source, (6,)), client=bob)
         clients = server.info()["clients"]
         assert clients["alice"]["queued"] == 1
         assert clients["bob"]["queued"] == 1
@@ -247,39 +249,39 @@ class TestPerClientAccounting:
         assert server.result_payload(a_job.job_id) != \
             server.result_payload(b_job.job_id)
 
-    def test_queued_jobs_quota_exhaustion(self, tiny_soc, gated):
+    def test_queued_jobs_quota_exhaustion(self, tiny_soc_source, gated):
         server, gate = gated
         alice = ClientIdentity(
             "alice", quota=QuotaPolicy(max_queued_jobs=1)
         )
         bob = ClientIdentity("bob")
-        blocker = server.submit(grid(tiny_soc, (4,)))
+        blocker = server.submit(grid(tiny_soc_source, (4,)))
         wait_running(server, blocker.job_id)
-        server.submit(grid(tiny_soc, (5,)), client=alice)
+        server.submit(grid(tiny_soc_source, (5,)), client=alice)
         with pytest.raises(QuotaExceededError):
-            server.submit(grid(tiny_soc, (6,)), client=alice)
+            server.submit(grid(tiny_soc_source, (6,)), client=alice)
         # Bob is not collateral damage of Alice's ceiling.
-        server.submit(grid(tiny_soc, (6,)), client=bob)
+        server.submit(grid(tiny_soc_source, (6,)), client=bob)
         clients = server.info()["clients"]
         assert clients["alice"]["rejected"]["over_quota"] == 1
         assert clients["bob"]["rejected"]["over_quota"] == 0
 
-    def test_grid_size_quota(self, tiny_soc, gated):
+    def test_grid_size_quota(self, tiny_soc_source, gated):
         server, _ = gated
         small = ClientIdentity(
             "small", quota=QuotaPolicy(max_grid_size=2)
         )
         with pytest.raises(QuotaExceededError):
-            server.submit(grid(tiny_soc, (4, 5, 6)), client=small)
+            server.submit(grid(tiny_soc_source, (4, 5, 6)), client=small)
 
     def test_priority_escalation_is_unauthorized(
-        self, tiny_soc, gated
+        self, tiny_soc_source, gated
     ):
         server, _ = gated
         low = ClientIdentity("bot", priority="low")
         with pytest.raises(UnauthorizedError):
             server.submit(
-                grid(tiny_soc, (4,)), client=low, priority="high"
+                grid(tiny_soc_source, (4,)), client=low, priority="high"
             )
         clients = server.info()["clients"]
         assert clients["bot"]["rejected"]["unauthorized"] == 1
@@ -287,7 +289,7 @@ class TestPerClientAccounting:
 
 class TestOverload:
     def test_sheds_lowest_priority_then_rejects_typed(
-        self, tiny_soc, monkeypatch
+        self, tiny_soc_source, monkeypatch
     ):
         server = ExplorationServer(max_workers=1, max_queue_depth=2)
         gate = threading.Event()
@@ -300,13 +302,13 @@ class TestOverload:
         monkeypatch.setattr(server.runner, "run_iter", hold)
         try:
             high = ClientIdentity("vip", priority="high")
-            blocker = server.submit(grid(tiny_soc, (4,)))
+            blocker = server.submit(grid(tiny_soc_source, (4,)))
             wait_running(server, blocker.job_id)
-            low1 = server.submit(grid(tiny_soc, (5,)), priority="low")
-            low2 = server.submit(grid(tiny_soc, (6,)), priority="low")
+            low1 = server.submit(grid(tiny_soc_source, (5,)), priority="low")
+            low2 = server.submit(grid(tiny_soc_source, (6,)), priority="low")
             # Full queue + a better arrival: the *newest* low job is
             # sacrificed, the high one takes its slot.
-            vip_job = server.submit(grid(tiny_soc, (7,)), client=high)
+            vip_job = server.submit(grid(tiny_soc_source, (7,)), client=high)
             assert server.status(low2.job_id)["status"] == "shed"
             assert server.status(low1.job_id)["status"] == "queued"
             assert server.status(vip_job.job_id)["status"] == "queued"
@@ -316,7 +318,7 @@ class TestOverload:
             # Full queue + nothing strictly worse queued: a typed
             # overload rejection with a retry hint, never a drop.
             with pytest.raises(OverloadedError) as exc:
-                server.submit(grid(tiny_soc, (8,)), priority="low")
+                server.submit(grid(tiny_soc_source, (8,)), priority="low")
             assert exc.value.code == "overloaded"
             assert exc.value.retry_after is not None
             assert exc.value.retry_after > 0
@@ -334,7 +336,7 @@ class TestOverload:
             server.shutdown()
 
     def test_retry_after_grows_with_the_streak(
-        self, tiny_soc, monkeypatch
+        self, tiny_soc_source, monkeypatch
     ):
         server = ExplorationServer(max_workers=1, max_queue_depth=1)
         gate = threading.Event()
@@ -346,13 +348,13 @@ class TestOverload:
 
         monkeypatch.setattr(server.runner, "run_iter", hold)
         try:
-            blocker = server.submit(grid(tiny_soc, (4,)))
+            blocker = server.submit(grid(tiny_soc_source, (4,)))
             wait_running(server, blocker.job_id)
-            server.submit(grid(tiny_soc, (5,)))
+            server.submit(grid(tiny_soc_source, (5,)))
             hints = []
             for width in (6, 7, 8):
                 with pytest.raises(OverloadedError) as exc:
-                    server.submit(grid(tiny_soc, (width,)))
+                    server.submit(grid(tiny_soc_source, (width,)))
                 hints.append(exc.value.retry_after)
             assert hints == sorted(hints)
             assert hints[-1] > hints[0]
@@ -362,9 +364,10 @@ class TestOverload:
 
 
 class TestBitIdentity:
-    def test_results_identical_with_tenancy_enabled(self, tiny_soc):
+    def test_results_identical_with_tenancy_enabled(self, tiny_soc_source):
         """Scheduling policy must never leak into result content."""
-        jobs = grid(tiny_soc, (4, 6))
+        spec = grid(tiny_soc_source, (4, 6))
+        jobs = spec.jobs()
         reference = BatchRunner(max_workers=2).run(jobs)
         tenant = ClientIdentity(
             "alice", priority="high",
@@ -377,7 +380,7 @@ class TestBitIdentity:
             max_workers=2, max_queue_depth=4
         ) as server:
             record = server.submit(
-                jobs, client=tenant, priority="low"
+                spec, client=tenant, priority="low"
             )
             assert server.wait(
                 record.job_id, timeout=300
