@@ -1,15 +1,18 @@
 """Exact ``P_AW`` solver perf smoke on p93791.
 
 Solves the three partitions that perfbench's polish-bound inputs
-polish (W=16, 24 and 48) and three W=32 B=4 candidates of the search
-tier's polish; the node budget alone decides where a search stops.
-The polish solves are timed only:
+polish (W=16, 24 and 48), three W=32 B=4 candidates of the search
+tier's polish, and two one-class partitions, (8,8,8,8) and
+(8,8,8,8,8), that the 2M-node cap stopped unproved until the subset-sum
+rule (rule 6 of ``repro.assign.exact``); the node budget alone decides
+where a search stops.  The polish solves are timed only:
 ``tests/assign/test_exact_differential.py`` already pins their
-assignments and node ceilings.  Each candidate must end
-proved at its pinned optimum, in no more nodes than the branch-and-
-bound explored before its rectangle, bus-class and twin-core rules
-(the last column of ``CANDIDATES``).  Node counts hold on any runner;
-seconds do not, so only the nodes are asserted.
+assignments and node ceilings.  Each candidate must end proved at its
+pinned optimum, within its node ceiling (the last column of
+``CANDIDATES``): for the W=32 candidates, the nodes the branch-and-
+bound explored before its rectangle, bus-class and twin-core rules;
+for the one-class solves, the nodes rule 6 needs.  Node counts hold
+on any runner; seconds do not, so only the nodes are asserted.
 
 The timing table also lands in ``results/exact_solver.txt``; the
 machine-readable record (seconds and nodes per solve) is appended to
@@ -38,11 +41,13 @@ POLISH = (
 )
 
 #: (what the solve is, bus widths in pipeline order, proved optimum,
-#: nodes the solver needed before its rectangle and twin-core rules).
+#: node ceiling; see the module doc).
 CANDIDATES = (
     ("W=32 candidate", (11, 8, 7, 6), 2_458_186, 537_460),
     ("W=32 candidate", (10, 9, 7, 6), 2_459_525, 167_598),
     ("W=32 candidate", (11, 7, 7, 7), 2_475_989, 1_513_449),
+    ("W=32 one-class", (8, 8, 8, 8), 2_553_265, 3_679),
+    ("W=40 polish", (8, 8, 8, 8, 8), 2_042_635, 41_040),
 )
 
 

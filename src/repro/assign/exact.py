@@ -12,7 +12,7 @@ branches cores by ``(min, max)`` time descending and children by
 ``(new_load, bus)``, and admits a child only while all its loads
 stay below the incumbent.  Buses with identical time columns form a *class*
 (equal widths, or widths on a flat step of every core's staircase).
-Five rules cut the tree:
+Six rules cut the tree:
 
 1. *Area* — the assigned work (a running total) plus each remaining
    core's minimum time, spread over all buses, must beat the
@@ -25,8 +25,9 @@ Five rules cut the tree:
    rule 1 implies the other.
 3. *Placement* — every core after the next must fit on some bus
    below the incumbent (the next one is the child filter).  With one
-   class no later core can bind; otherwise a screen on each bus's
-   largest remaining time skips the per-core loop when none can.
+   class no later core can bind, and rule 6 runs instead; otherwise a
+   screen on each bus's largest remaining time skips the per-core
+   loop when none can.
 4. *Bus classes* — a core tries only the first bus of each
    ``(class, load)`` state; the others root the same subtree with
    buses permuted.
@@ -34,9 +35,20 @@ Five rules cut the tree:
    which sits on bus ``X``, skips each bus ``Y`` with
    ``(loads[Y] + row[Y], Y) < (loads[X], X)``: the swap sorted first
    one level up and was explored there.
+6. *Subset sums* — with one class P_AW is multi-way number
+   partitioning.  The remaining cores are the fixed suffix
+   ``order[depth:]``, so bus ``j`` takes at most the largest subset
+   sum of their times that fits its room ``C - load_j``; a node is
+   cut once the rooms' total waste exceeds rule 1's slack
+   ``B·C - work - Σ remaining``.  Consecutive subset sums are never
+   further apart than the largest item, so the rule runs only while
+   the slack is below the largest remaining time, and reads each
+   bus's bitset only over ``[room - slack, room]``.  The suffixes'
+   bitsets are built once per solve, bottom-up, and only for
+   suffixes whose total fits one room, which bounds their memory.
 
-Why no answer moves: rules 1-3, like the child filter and the static
-bound, cut only subtrees with no leaf strictly better than the
+Why no answer moves: rules 1-3 and 6, like the child filter and the
+static bound, cut only subtrees with no leaf strictly better than the
 incumbent, and rules 4-5 only subtrees that repeat, with buses
 permuted, one the DFS already finished.  The incumbent changes only
 at a strictly better leaf, so it always moves to the first improving
@@ -127,6 +139,9 @@ class _Search:
             suffix[::-1] for suffix in (min_sum, area_sum, bus_min, bus_max)
         )
 
+        # Rule 6's subset sums of the cores order[depth:], by depth.
+        self.subset_sums = {num_cores: b"\x01"}
+
         self.best_time = float("inf")
         self.best_assignment: Optional[List[int]] = None
         self.global_lower_bound = paw_lower_bound(times)
@@ -147,7 +162,8 @@ class _Search:
         if best <= self.global_lower_bound:
             return True  # incumbent already provably optimal
         capacity = best - 1
-        if work + self.min_sum[depth] > capacity * self.num_buses:
+        slack = capacity * self.num_buses - work - self.min_sum[depth]
+        if slack < 0:
             return True
         usable = 0
         for width, load, smallest in zip(
@@ -158,7 +174,9 @@ class _Search:
         if usable < self.area_sum[depth]:
             return True
         later = depth + 1
-        if self.num_classes == 1 or later == self.num_cores:
+        if self.num_classes == 1:
+            return self._rooms_waste(depth, loads, capacity, slack)
+        if later == self.num_cores:
             return False
         if min(map(add, loads, self.bus_max[later])) < best:
             return False
@@ -166,6 +184,38 @@ class _Search:
             min(map(add, loads, self.rows[k])) >= best
             for k in range(later, self.num_cores)
         )
+
+    def _rooms_waste(
+        self, depth: int, loads: List[int], capacity: int, slack: int,
+    ) -> bool:
+        """Rule 6: whether the buses' rooms waste more than ``slack``."""
+        if slack >= self.rows[depth][0] or self.min_sum[depth] > capacity:
+            return False
+        sums = self._subset_sums(depth)
+        for load in loads:
+            # The largest subset sum in [room - slack, room], read from
+            # the bytes of that window only.
+            room = capacity - load
+            low = max(room - slack, 0)
+            base = low & ~7
+            window = int.from_bytes(sums[base >> 3:(room >> 3) + 1], "little")
+            top = base + (window & ((2 << (room - base)) - 1)).bit_length() - 1
+            if top < low:
+                return True
+            slack -= room - top
+        return False
+
+    def _subset_sums(self, depth: int) -> bytes:
+        """Rule 6's bitset of ``order[depth:]``: bit ``s`` is set when
+        some of those cores' times sum to ``s``."""
+        levels = self.subset_sums
+        if depth not in levels:
+            built = self.num_cores + 1 - len(levels)
+            bits = int.from_bytes(levels[built], "little")
+            for k in range(built - 1, depth - 1, -1):
+                bits |= bits << self.rows[k][0]
+                levels[k] = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        return levels[depth]
 
     def _dfs(
         self, depth: int, assignment: List[int], loads: List[int],

@@ -126,7 +126,8 @@ class TestBudgets:
 
 
 class TestP93791NodeBudgets:
-    """Exact-mode p93791 points prove within pinned node budgets.
+    """Exact-mode p93791 points and equal-width solves prove within
+    pinned node budgets.
 
     Node counts do not depend on the host; seconds do.  Only the node
     budget decides.
@@ -135,6 +136,9 @@ class TestP93791NodeBudgets:
     @pytest.mark.parametrize("width, node_limit, partition, optimum", [
         (32, 250_000, (5, 6, 6, 6, 9), 2_446_378),
         (28, 500_000, (4, 4, 4, 4, 5, 7), 2_789_735),
+        # One bus class, proved by rule 6 (subset sums); the 2M-node
+        # cap used to stop this polish at the same T unproved.
+        (40, 100_000, (8, 8, 8, 8, 8), 2_042_635),
     ])
     def test_exact_point_proves(
         self, p93791, width, node_limit, partition, optimum
@@ -143,6 +147,21 @@ class TestP93791NodeBudgets:
         assert result.final_optimal
         assert result.partition == partition
         assert result.testing_time == optimum
+
+    @pytest.mark.parametrize("soc_name, widths, optimum", [
+        ("p93791", (8, 8, 8, 8), 2_553_265),
+        ("p21241", (6, 6, 6, 6), 1_044_907),
+    ])
+    def test_one_class_solve_proves(self, request, soc_name, widths, optimum):
+        # Multi-way number partitioning, proved by rule 6 (subset
+        # sums); the 2M-node cap used to stop these at 2,553,267 and
+        # 1,044,920.
+        soc = request.getfixturevalue(soc_name)
+        tables = WrapperTableCache(soc).table_list(max(widths))
+        times = [[table.time(width) for width in widths] for table in tables]
+        exact = exact_assign(times, widths, node_limit=100_000)
+        assert exact.optimal
+        assert exact.result.testing_time == optimum
 
     def test_twin_cores_cut_the_w24_polish(self, p93791):
         # At width 6 the memory cores mem10, mem12 and mem13 share one

@@ -13,6 +13,10 @@ solvers must pass through the same incumbents:
 * wherever the oracle proves, the solver proves the same assignment;
 * the solver never explores more nodes than the oracle;
 * under a node cap the solver never ends on a worse incumbent.
+
+Two seeded families feed the comparison: mixed widths, and one bus
+class (P||Cmax, where the subset-sum rule fires), whose small proved
+instances are also checked against a set-partition enumeration.
 """
 
 from __future__ import annotations
@@ -223,38 +227,111 @@ def random_instance(rng: random.Random):
     return rows, widths
 
 
+def one_class_instance(rng: random.Random):
+    """A P_AW instance with one bus class: P||Cmax, which rule 6 keys on.
+
+    Every bus shares one time column, under equal widths or distinct
+    widths on one flat step.  Half the draws are near-perfect splits:
+    B equal targets cut into parts, then a few parts moved by one, so
+    that only subset sums tell whether a split under the incumbent
+    exists.  Some cores repeat an earlier time (twins).
+    """
+    num_buses = rng.randint(2, 5)
+    step = rng.sample(range(1, 17), rng.randint(1, 3))
+    widths = [rng.choice(step) for _ in range(num_buses)]
+    top = rng.choice((12, 40, 400, 4000))
+    if rng.random() < 0.5:
+        times = []
+        for _ in range(num_buses):
+            target = rng.randint(num_buses, top)
+            parts = min(target, rng.randint(1, 4))
+            cuts = sorted(rng.sample(range(1, target), parts - 1))
+            times += [b - a for a, b in zip([0] + cuts, cuts + [target])]
+        times = times[:13]
+        for k in rng.sample(range(len(times)), rng.randint(0, 2)):
+            times[k] = max(1, times[k] + rng.choice((-1, 1)))
+    else:
+        times = [rng.randint(1, top) for _ in range(rng.randint(2, 13))]
+    for k in range(1, len(times)):
+        if rng.random() < 0.2:
+            times[k] = times[rng.randrange(k)]
+    rng.shuffle(times)
+    return [[time] * num_buses for time in times], widths
+
+
+def partition_makespan(times: Sequence[Sequence[int]], num_buses: int) -> int:
+    """The one-class optimum by enumerating set partitions (small n)."""
+    best = sum(row[0] for row in times)
+    loads = [0] * num_buses
+
+    def place(core: int, used: int) -> None:
+        nonlocal best
+        if core == len(times):
+            best = min(best, max(loads))
+            return
+        for bus in range(min(used + 1, num_buses)):
+            loads[bus] += times[core][0]
+            if loads[bus] < best:
+                place(core + 1, max(used, bus + 1))
+            loads[bus] -= times[core][0]
+
+    place(0, 0)
+    return best
+
+
+def assert_matches_oracle(times, widths, node_limit):
+    """The module doc's three properties on one instance."""
+    oracle = oracle_assign(times, widths, node_limit)
+    exact = exact_assign(times, widths, node_limit=node_limit)
+    case = (times, widths, node_limit)
+    assert exact.nodes_explored <= oracle.nodes, case
+    if oracle.exhausted:
+        assert exact.result.testing_time <= oracle.best_time, case
+    else:
+        assert exact.optimal, case
+        assert exact.result.assignment == tuple(
+            oracle.best_assignment
+        ), case
+    return exact
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_matches_oracle_on_random_instances(seed):
     rng = random.Random(seed)
     for _ in range(150):
         times, widths = random_instance(rng)
         node_limit = rng.choice((rng.randint(1, 80), 2_000_000))
-        oracle = oracle_assign(times, widths, node_limit)
-        exact = exact_assign(times, widths, node_limit=node_limit)
-        case = (times, widths, node_limit)
-        assert exact.nodes_explored <= oracle.nodes, case
-        if oracle.exhausted:
-            assert exact.result.testing_time <= oracle.best_time, case
-        else:
-            assert exact.optimal, case
-            assert exact.result.assignment == tuple(
-                oracle.best_assignment
-            ), case
+        assert_matches_oracle(times, widths, node_limit)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_matches_oracle_on_one_class_instances(seed):
+    rng = random.Random(seed)
+    for _ in range(200):
+        times, widths = one_class_instance(rng)
+        node_limit = rng.choice((rng.randint(1, 200), 2_000_000))
+        exact = assert_matches_oracle(times, widths, node_limit)
+        if exact.optimal and len(times) <= 8:
+            assert exact.result.testing_time == partition_makespan(
+                times, len(widths)
+            ), (times, widths)
 
 
 #: The p93791 polish solves behind perfbench's polish-bound inputs
 #: (W=16, 24, 48): the partition each point polishes, the oracle's node
-#: count, and the oracle's assignment.
+#: count, the solver's own node ceiling, and the oracle's assignment.
+#: W=16 and W=24 have one bus class, where rule 6 (subset sums) takes
+#: them from 173,735 and 112,563 nodes to these ceilings.
 P93791_POLISH = {
-    "W16": ((4, 4, 4, 4), 175_137, [
+    "W16": ((4, 4, 4, 4), 175_137, 4_075, [
         3, 1, 0, 2, 2, 3, 0, 0, 3, 3, 1, 1, 2, 3, 0, 3,
         0, 2, 2, 2, 3, 2, 0, 3, 2, 1, 2, 1, 0, 1, 2, 1,
     ]),
-    "W24": ((6, 6, 6, 6), 255_524, [
+    "W24": ((6, 6, 6, 6), 255_524, 4_545, [
         2, 1, 0, 2, 2, 3, 2, 0, 3, 3, 1, 1, 3, 0, 1, 2,
         3, 2, 2, 2, 1, 3, 2, 1, 2, 2, 1, 2, 0, 0, 0, 0,
     ]),
-    "W48": ((4, 6, 7, 7, 7, 8, 9), 175_005, [
+    "W48": ((4, 6, 7, 7, 7, 8, 9), 175_005, 135_227, [
         3, 5, 1, 4, 1, 3, 6, 2, 4, 5, 5, 6, 0, 3, 0, 4,
         1, 3, 0, 2, 2, 4, 0, 1, 2, 0, 1, 0, 3, 3, 1, 4,
     ]),
@@ -272,16 +349,16 @@ def polish_times(tables, widths):
 
 @pytest.mark.parametrize("name", sorted(P93791_POLISH))
 def test_p93791_polish_partitions(name, p93791_tables):
-    widths, oracle_nodes, assignment = P93791_POLISH[name]
+    widths, _, ceiling, assignment = P93791_POLISH[name]
     exact = exact_assign(polish_times(p93791_tables, widths), widths)
     assert exact.optimal
     assert list(exact.result.assignment) == assignment
-    assert exact.nodes_explored <= oracle_nodes
+    assert exact.nodes_explored <= ceiling
 
 
 def test_p93791_pins_are_the_oracles(p93791_tables):
     """The pinned W=16 entry is what the oracle itself returns."""
-    widths, oracle_nodes, assignment = P93791_POLISH["W16"]
+    widths, oracle_nodes, _, assignment = P93791_POLISH["W16"]
     oracle = oracle_assign(
         polish_times(p93791_tables, widths), widths, 2_000_000
     )
