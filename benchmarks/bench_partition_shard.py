@@ -1,6 +1,6 @@
 """Sharded intra-job partition sweep vs the serial engine.
 
-Three claims, quantified on p93791 and archived in
+Two claims, quantified on p93791 and archived in
 ``BENCH_partition_shard.json``:
 
 * **single-job scaling** — sharding one (SOC, W, B) job's partition
@@ -9,14 +9,14 @@ Three claims, quantified on p93791 and archived in
   on the hot-job example from its motivation (W=48, B=5), with the
   merged outcome bit-identical in every field;
 * **pruning survives sharding** — the shards' total work stays within
-  a small factor of the serial sweep's (the shared incumbent keeps
-  pruning power; without it the total would balloon);
-* **cold-grid builds spread** — a cold 3-SOC grid's wrapper tables
-  build as pool tasks whose critical path (the longest single build)
-  is well under the serial parent-side build the engine used to pay.
+  a small factor of the serial sweep's (each shard is seeded with the
+  kept times of the shards before it, which keeps pruning power;
+  blind shards would balloon the total).
 
 Measurement protocol: shards are scored *sequentially in-process*
-(each timed alone) and their measured times are scheduled onto 4
+(each timed alone, each seeded with the kept times of every shard
+before it, as the engine seeds a shard from the shards finished when
+it is submitted) and their measured times are scheduled onto 4
 workers with LPT — the decomposition's 4-worker makespan, plus the
 real parent-side merge time.  This is deliberate: wall-clock pool
 timings measure the machine's free cores (this box may have one),
@@ -37,7 +37,7 @@ from repro.engine.cache import WrapperTableCache
 from repro.engine.kernel import KernelWorkspace, build_dense_matrix
 from repro.partition.evaluate import partition_evaluate
 from repro.partition.shard import (
-    LocalBoard,
+    kept_times,
     merge_shard_outcomes,
     plan_shards,
     sweep_shard,
@@ -59,9 +59,6 @@ SINGLE_JOBS = (
     (32, 5, 3.0),
     (48, 5, 3.0),
 )
-
-COLD_GRID_SOCS = ("d695", "p21241", "p31108")
-COLD_GRID_WIDTH = 32
 
 
 def _best_of(runs, fn):
@@ -98,15 +95,13 @@ def run_single_job_rows(soc):
 
         def sharded():
             plan = plan_shards(width, (num_tams,), NUM_SHARDS)
-            board = LocalBoard(plan.num_shards, 1)
             workspace = KernelWorkspace()
-            outcomes = [
-                sweep_shard(
+            outcomes = []
+            for index, spans in enumerate(plan.shards):
+                outcomes.append(sweep_shard(
                     matrix, spans, index, width,
-                    board=board, workspace=workspace,
-                )
-                for index, spans in enumerate(plan.shards)
-            ]
+                    earlier=kept_times(outcomes), workspace=workspace,
+                ))
             merge_start = time.perf_counter()
             merged = merge_shard_outcomes(plan, outcomes)
             merge_s = time.perf_counter() - merge_start
@@ -129,11 +124,11 @@ def run_single_job_rows(soc):
             f"{floor}x floor (serial {serial_s*1000:.2f}ms, "
             f"{WORKERS}-worker makespan {makespan*1000:.2f}ms)"
         )
-        # The shared incumbent must keep pruning power: total shard
-        # work within 1.5x of the serial sweep's.
+        # The seeds must keep pruning power: total shard work within
+        # 1.5x of the serial sweep's.
         assert work_ratio <= 1.5, (
             f"W={width} B={num_tams}: shards did {work_ratio:.2f}x "
-            f"the serial work — incumbent sharing is broken"
+            f"the serial work — shard seeding is broken"
         )
         rows.append({
             "soc": soc.name,
@@ -186,54 +181,7 @@ def run_pool_wall_clock(soc):
     }
 
 
-def run_cold_grid(socs):
-    """Cold 3-SOC grid: serial parent builds vs the pooled critical path."""
-    build_times = []
-    for soc in socs:
-        build_s, _ = _best_of(1, lambda: WrapperTableCache(
-            soc
-        ).table_list(COLD_GRID_WIDTH))
-        build_times.append(build_s)
-    serial_build = sum(build_times)
-    critical_path = max(build_times)
-    parallel_bound = serial_build / critical_path
-    # "Measurably faster": with three SOCs of comparable size, the
-    # pooled build's critical path must beat the serial parent build
-    # clearly, not marginally.
-    assert parallel_bound >= 1.5, (
-        f"cold-grid build critical path {critical_path:.3f}s vs "
-        f"serial {serial_build:.3f}s — pooling buys nothing"
-    )
-
-    jobs = [
-        BatchJob(soc, COLD_GRID_WIDTH, 2, options={"polish": False})
-        for soc in socs
-    ]
-    serial_wall, serial_results = _best_of(1, lambda: BatchRunner(
-        max_workers=1
-    ).run(jobs))
-    pooled_wall, pooled_results = _best_of(1, lambda: BatchRunner(
-        max_workers=WORKERS
-    ).run(jobs))
-    assert pooled_results == serial_results
-    return {
-        "socs": [soc.name for soc in socs],
-        "W": COLD_GRID_WIDTH,
-        "per_soc_build_ms": [
-            round(build * 1000, 1) for build in build_times
-        ],
-        "serial_build_ms": round(serial_build * 1000, 1),
-        "build_critical_path_ms": round(critical_path * 1000, 1),
-        "build_parallel_speedup_bound": round(parallel_bound, 2),
-        "serial_grid_wall_ms": round(serial_wall * 1000, 1),
-        "pooled_grid_wall_ms": round(pooled_wall * 1000, 1),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def test_partition_shard_speedup_and_identity(
-    benchmark, report, p93791, d695, p21241, p31108
-):
+def test_partition_shard_speedup_and_identity(benchmark, report, p93791):
     rows = benchmark.pedantic(
         run_single_job_rows, args=(p93791,), rounds=1, iterations=1
     )
@@ -248,7 +196,6 @@ def test_partition_shard_speedup_and_identity(
         ),
     )
     wall = run_pool_wall_clock(p93791)
-    cold = run_cold_grid([d695, p21241, p31108])
 
     headline = next(
         (
@@ -261,10 +208,7 @@ def test_partition_shard_speedup_and_identity(
     append_history(BENCH_JSON, bench_record(
         "bench_partition_shard",
         config={"workers": WORKERS, "num_shards": NUM_SHARDS},
-        samples=rows + [
-            dict(wall, kind="pool_wall_clock"),
-            dict(cold, kind="cold_grid"),
-        ],
+        samples=rows + [dict(wall, kind="pool_wall_clock")],
         speedup=headline,
     ))
     print(f"[appended to {BENCH_JSON}]")

@@ -50,7 +50,7 @@ from repro.api.specs import OptimizeSpec, frozen_tam_counts
 from repro.exceptions import ConfigurationError
 from repro.obs import REGISTRY
 from repro.obs import span as _obs_span
-from repro.optimize.co_optimize import PolishRunner, co_optimize
+from repro.optimize.co_optimize import co_optimize
 from repro.partition.evaluate import PartitionSearchResult
 from repro.soc.soc import Soc
 from repro.wrapper.pareto import TimeTable
@@ -97,7 +97,6 @@ def evaluate_point(
     dense: "Optional[DenseTimeMatrix]" = None,
     *,
     sweep: Optional[Callable[..., PartitionSearchResult]] = None,
-    polish_runner: Optional[PolishRunner] = None,
     search_islands: "Optional[IslandsRunner]" = None,
     **options: Any,
 ) -> SweepPoint:
@@ -122,8 +121,8 @@ def evaluate_point(
     batch engine built from the same tables) to hand the sweep a
     pre-built matrix.
 
-    ``sweep`` and ``polish_runner`` (exact tier, see ``co_optimize``)
-    and ``search_islands`` (search tier, ``search_optimize``'s
+    ``sweep`` (exact tier, see ``co_optimize``) and
+    ``search_islands`` (search tier, ``search_optimize``'s
     ``islands_runner``) are the batch engine's pool seams: execution
     strategy, with results bit-identical to running without them.
     """
@@ -138,7 +137,7 @@ def evaluate_point(
         with _obs_span("co_optimize"):
             result = co_optimize(
                 soc, spec=spec, tables=tables, dense=dense,
-                sweep=sweep, polish_runner=polish_runner,
+                sweep=sweep,
             )
         tables = result.tables
         with _obs_span("certify"):

@@ -15,10 +15,11 @@ that removes the waste:
   very same :class:`~repro.wrapper.pareto.TimeTable` objects to every
   consumer;
 * :mod:`~repro.engine.batch` — :class:`BatchRunner`, which fans
-  (SOC, W, B) jobs out over a ``concurrent.futures`` process pool
-  with a per-worker cache, so whole design-space sweeps run in
-  parallel while each worker still pays for every (core, width)
-  wrapper design at most once.
+  (SOC, W, B) jobs out over a ``concurrent.futures`` process pool,
+  so whole design-space sweeps run in parallel while the parent
+  still pays for every (core, width) wrapper design at most once;
+  a job that leaves workers idle fans out its sweep shards or search
+  islands instead, tasks that share nothing while they run.
 
 Two further modules make the hot path fast:
 
@@ -31,11 +32,8 @@ Two further modules make the hot path fast:
 * :mod:`~repro.engine.shm` — transport of the parent's tables to
   pool workers, pickled once per SOC into descriptor bytes, so a
   batch's workers build their matrices from the parent's tables
-  instead of each running their own wrapper designs, plus the
-  shared-memory :class:`~repro.engine.shm.IncumbentBoard` that broadcasts
-  incumbents between the shards of a single job's sharded partition
-  sweep (:mod:`repro.partition.shard`, ``BatchRunner(shard=...)``) —
-  the only shared memory the engine asks for.
+  instead of each running their own wrapper designs.  The name is
+  historical: the engine asks for no shared memory.
 
 The sequential sweeps in :mod:`repro.analysis.sweep` and the
 ``repro-tam batch`` CLI subcommand are both thin wrappers over this

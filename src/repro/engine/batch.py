@@ -15,15 +15,16 @@ but a naive pool would re-run ``Design_wrapper`` per point.  The
   pickled, in every task's :class:`~repro.engine.shm.
   DenseDescriptor`; a worker unpickles each SOC's tables and builds
   their dense matrix once per process, and runs no wrapper design.
-  A *cold* grid over several SOCs builds its tables as pool tasks
-  instead of serially in the parent.
+  A job that leaves workers idle fans its inner work out instead: a
+  partition sweep as shards, a search as islands.  Neither kind of
+  task shares state while it runs.
 
 Three orthogonal options extend the engine for service use:
 
-* ``cache_dir`` backs every cache (inline and per-worker) with a
-  persistent :class:`repro.service.store.TableStore`, so table
-  builds are skipped entirely once the store is warm — across
-  processes *and* across runs;
+* ``cache_dir`` backs the runner's table caches with a persistent
+  :class:`repro.service.store.TableStore`, so table builds are
+  skipped entirely once the store is warm — across processes *and*
+  across runs;
 * ``on_error="record"`` turns a failing grid point into a structured
   :class:`FailedPoint` in the result list instead of aborting the
   whole grid, with ``retries`` transient-failure attempts first;
@@ -44,9 +45,14 @@ import logging
 import os
 import threading
 from collections import deque
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from contextlib import contextmanager, nullcontext
 from time import sleep as _sleep
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -73,13 +79,7 @@ from repro.api.specs import frozen_tam_counts, resolved_tam_counts
 from repro.engine.cache import WrapperTableCache
 from repro.engine.faults import FaultPlan
 from repro.engine.kernel import DenseTimeMatrix, build_dense_matrix
-from repro.engine.shm import (
-    BoardDescriptor,
-    DenseDescriptor,
-    IncumbentBoard,
-    SegmentRegistry,
-    attach,
-)
+from repro.engine.shm import DenseDescriptor, SegmentRegistry, attach
 from repro.exceptions import ConfigurationError, DeadlineError
 from repro.obs import (
     REGISTRY,
@@ -98,6 +98,7 @@ from repro.partition.shard import (
     ShardPlan,
     ShardSpan,
     count_sizes,
+    kept_times,
     sharded_partition_evaluate,
     sweep_shard,
 )
@@ -350,17 +351,9 @@ def align_point_telemetry(
     ]
 
 
-#: Per-worker-process table caches, keyed by SOC name.  Populated only
-#: inside pool workers, by cold table builds
-#: (:func:`_build_tables_worker`); each worker builds tables for a SOC
-#: at most once (extending in place when a wider build arrives).
-_WORKER_CACHES: Dict[str, WrapperTableCache] = {}
-
 #: Per-worker-process runtime policy, set by :func:`_init_worker` at
-#: pool start: (on_error, retries, table store or None, tracing on).
-_WORKER_POLICY: Tuple[str, int, "Optional[TableStore]", bool] = (
-    "raise", 0, None, False
-)
+#: pool start: (on_error, retries).
+_WORKER_POLICY: Tuple[str, int] = ("raise", 0)
 
 #: The fault-injection plan active in this worker process, parsed
 #: from the plan text the parent threaded through the initializer.
@@ -387,7 +380,6 @@ def _make_store(cache_dir: Union[str, Path, None]) -> "Optional[TableStore]":
 def _init_worker(
     on_error: str,
     retries: int,
-    cache_dir: Union[str, None],
     trace: bool = False,
     faults: Optional[str] = None,
 ) -> None:
@@ -401,7 +393,7 @@ def _init_worker(
     the same deterministic chaos plan.
     """
     global _WORKER_POLICY, _WORKER_FAULTS, _IN_POOL_WORKER
-    _WORKER_POLICY = (on_error, retries, _make_store(cache_dir), trace)
+    _WORKER_POLICY = (on_error, retries)
     _WORKER_FAULTS = FaultPlan.parse(faults) if faults else None
     _IN_POOL_WORKER = True
     if trace:
@@ -545,7 +537,7 @@ def _pool_worker(
     fault-injection hooks.
     """
     job, descriptor, point_index = item
-    on_error, retries, _, _ = _WORKER_POLICY
+    on_error, retries = _WORKER_POLICY
     faults = _WORKER_FAULTS
     if (
         faults is not None
@@ -587,41 +579,29 @@ def _task_prologue(
 
 def _shard_worker(
     item: Tuple[
-        DenseDescriptor, Optional[BoardDescriptor], int,
-        Tuple[ShardSpan, ...], Soc, int, int, Union[bool, str],
+        DenseDescriptor, Tuple[int, ...], int,
+        Tuple[ShardSpan, ...], Soc, int, int, bool,
     ]
 ) -> Tuple[ShardOutcome, TaskTelemetry]:
     """Pool entry point: score one shard of a sharded partition sweep.
 
-    Attaches the job's dense matrix and the sweep's incumbent
-    board, scores the shard's rank ranges, and ships the recorded
-    completions back for the parent-side deterministic merge.  An
-    injected shm fault refuses the board, so the shard runs without
-    broadcast — same outcome.
+    Attaches the job's dense matrix, scores the shard's rank ranges
+    under the seed its payload carries (the kept times of the shards
+    before it that had finished when it was submitted), and ships the
+    recorded completions back for the parent-side deterministic
+    merge.
     """
-    (descriptor, board_descriptor, shard_index, spans, soc,
+    (descriptor, earlier, shard_index, spans, soc,
      total_width, keep_top, prune) = item
     baseline, matrix = _task_prologue(shard_index, descriptor)
-    faults = _WORKER_FAULTS
-    if board_descriptor is not None and faults is not None \
-            and faults.take_shm_failure(shard_index):
-        board = None  # injected board-attach failure
-    else:
-        board = IncumbentBoard.attach(board_descriptor)
-    try:
-        with span(
-            "shard_sweep", soc=soc.name, shard=shard_index
-        ) as shard_span:
-            outcome = sweep_shard(
-                matrix, spans, shard_index, total_width,
-                keep_top=keep_top, prune=prune, board=board,
-            )
-            shard_span.annotate(
-                completions=len(outcome.completions)
-            )
-    finally:
-        if board is not None:
-            board.close()
+    with span(
+        "shard_sweep", soc=soc.name, shard=shard_index
+    ) as shard_span:
+        outcome = sweep_shard(
+            matrix, spans, shard_index, total_width,
+            keep_top=keep_top, prune=prune, earlier=earlier,
+        )
+        shard_span.annotate(completions=len(outcome.completions))
     REGISTRY.counter("shard.shards_run").inc()
     return outcome, task_end(baseline)
 
@@ -653,46 +633,6 @@ def _search_worker(
     return result, task_end(baseline)
 
 
-def _polish_worker(
-    item: Tuple[Any, ...]
-) -> Tuple[Any, TaskTelemetry]:
-    """Pool entry point: solve one exact-polish candidate.
-
-    Executes one :data:`repro.optimize.co_optimize.PolishTask` — an
-    independent, picklable exact ``P_AW`` solve — so a sharded job's
-    top-k polish steps run across the pool instead of serially in the
-    parent.  The parent reduces the returned
-    :class:`~repro.assign.exact.ExactResult` s in candidate order,
-    which is exactly the serial loop's reduction.
-    """
-    from repro.optimize.co_optimize import run_polish_task
-
-    baseline = task_begin()
-    with span("polish_candidate", widths=str(item[1].widths)):
-        exact = run_polish_task(item)
-    REGISTRY.counter("engine.polish_tasks_run").inc()
-    return exact, task_end(baseline)
-
-
-def _build_tables_worker(
-    item: Tuple[Soc, int]
-) -> Tuple[List[TimeTable], TaskTelemetry]:
-    """Pool entry point: build one cold SOC's wrapper tables.
-
-    Runs the wrapper designs on a pool worker — through that worker's
-    (store-backed) cache, so the build also warms it — and returns
-    the tables, in core order, for the parent to hold and publish.
-    This is how a cold many-SOC grid's table builds spread across
-    the pool instead of serializing in the parent.
-    """
-    soc, total_width = item
-    baseline = task_begin()
-    with span("build_tables", soc=soc.name, W=total_width):
-        cache = _cache_for(_WORKER_CACHES, soc, store=_WORKER_POLICY[2])
-        tables = cache.table_list(total_width)
-    return tables, task_end(baseline)
-
-
 def _merge_task_telemetry(
     parent: TaskTelemetry, tasks: Sequence[TaskTelemetry]
 ) -> TaskTelemetry:
@@ -717,24 +657,6 @@ def _merge_task_telemetry(
     )
 
 
-@contextmanager
-def _incumbent_board(
-    slots: int, keep_top: int
-) -> Iterator[Optional[BoardDescriptor]]:
-    """A fresh incumbent board for one sharded sweep, closed on exit.
-
-    Yields the descriptor the tasks attach by, or ``None`` when
-    shared memory is unavailable (tasks then run without broadcast:
-    looser thresholds, identical merged outcome).
-    """
-    board = IncumbentBoard.create(slots, keep_top)
-    try:
-        yield board.descriptor() if board is not None else None
-    finally:
-        if board is not None:
-            board.close()
-
-
 class BatchRunner:
     """Run batches of :class:`BatchJob` s with shared-table reuse.
 
@@ -756,9 +678,10 @@ class BatchRunner:
         only for environmental failures (a worker killed under
         memory pressure).
     cache_dir:
-        When set, every table cache — the runner's own in inline
-        mode, each worker's in pool mode — is backed by a persistent
-        :class:`repro.service.store.TableStore` on this directory.
+        When set, the runner's table caches — which build every
+        SOC's tables, inline and for the pool — are backed by a
+        persistent :class:`repro.service.store.TableStore` on this
+        directory.
     persistent:
         Keep the process pool alive across :meth:`run` calls instead
         of starting one per call.  Callers own the shutdown:
@@ -794,11 +717,10 @@ class BatchRunner:
         the historical fail-fast behavior.
     """
 
-    #: Attempts in all that one fanned task (a shard, an island, a
-    #: polish solve or a cold table build) gets before its failure
-    #: reaches the job-level policy; re-running a task is
-    #: deterministic, so the second attempt only pays off for
-    #: environmental failures.
+    #: Attempts in all that one fanned task (a shard or an island)
+    #: gets before its failure reaches the job-level policy;
+    #: re-running a task is deterministic, so the second attempt only
+    #: pays off for environmental failures.
     SHARD_RETRY_ATTEMPTS = 2
 
     def __init__(
@@ -863,8 +785,8 @@ class BatchRunner:
         self._executor: Optional[ProcessPoolExecutor] = None
         self._published = SegmentRegistry()
         #: The published tables by SOC fingerprint, in core order —
-        #: what a fanned job is finished on, whichever side built
-        #: them; lifetime matches the published descriptors.
+        #: what a fanned job is finished on; lifetime matches the
+        #: published descriptors.
         self._tables: Dict[str, List[TimeTable]] = {}
         #: Parent-side dense matrices by fingerprint, built from
         #: ``_tables`` when a fanned job first needs one
@@ -909,8 +831,7 @@ class BatchRunner:
             max_workers=workers,
             initializer=_init_worker,
             initargs=(
-                self.on_error, self.retries, self.cache_dir,
-                TRACER.enabled,
+                self.on_error, self.retries, TRACER.enabled,
                 plan.text if plan is not None else None,
             ),
         )
@@ -934,13 +855,6 @@ class BatchRunner:
         self._tables.clear()
         self._matrices.clear()
 
-    def _hold(
-        self, fingerprint: str, tables: Sequence[TimeTable], width: int
-    ) -> DenseDescriptor:
-        """Hold one SOC's tables here and publish them."""
-        self._tables[fingerprint] = list(tables)
-        return self._published.publish(fingerprint, tables, width)
-
     def _matrix(self, descriptor: DenseDescriptor) -> DenseTimeMatrix:
         """The parent's matrix for ``descriptor``, built on first need."""
         matrix = self._matrices.get(descriptor.fingerprint)
@@ -953,21 +867,18 @@ class BatchRunner:
         return matrix
 
     def _dense_descriptors(
-        self, jobs: Sequence[BatchJob], pool: Executor
+        self, jobs: Sequence[BatchJob]
     ) -> List[DenseDescriptor]:
         """One (possibly shared) dense descriptor per job, in order.
 
         Builds each distinct SOC's tables once — at the largest width
-        any of its jobs needs — and pickles them into one descriptor,
-        which the registry caches.  Every job of that SOC ships the
-        same one.
-
-        SOCs whose tables the parent already holds (or that a
-        persistent runner published before) build locally: warm
-        builds are cheap.  When two or more SOCs are *cold*, their
-        builds fan out as pool tasks (:func:`_build_tables_worker`)
-        instead of serializing in the parent — the cold-grid half of
-        the intra-job scaling story.
+        any of its jobs needs, through this runner's own store-backed
+        cache, which a persistent runner extends in place for a wider
+        grid — and pickles them into one descriptor, which the
+        registry caches.  Every job of that SOC ships the same one.
+        Tables already held for the fingerprint (a structurally
+        identical SOC with renamed cores included) are reused while
+        they are wide enough.
         """
         width_by_soc: Dict[str, int] = {}
         soc_by_print: Dict[str, Soc] = {}
@@ -980,11 +891,8 @@ class BatchRunner:
                 width_by_soc.get(fingerprint, 0), job.total_width
             )
         descriptors: Dict[str, DenseDescriptor] = {}
-        cold: List[Tuple[str, Soc, int]] = []
         for fingerprint, width in width_by_soc.items():
-            soc = soc_by_print[fingerprint]
             held = self._tables.get(fingerprint)
-            cache = self._caches.get(soc.name)
             if held is not None \
                     and all(table.max_width >= width for table in held):
                 # The registry reuses its descriptor when that is wide
@@ -992,29 +900,14 @@ class BatchRunner:
                 descriptors[fingerprint] = self._published.publish(
                     fingerprint, held, width
                 )
-            elif cache is not None and cache.soc == soc \
-                    and cache.max_width > 0:
-                descriptors[fingerprint] = self._hold(
-                    fingerprint, cache.table_list(width), width
-                )
             else:
-                cold.append((fingerprint, soc, width))
-        if len(cold) == 1:
-            # One cold SOC gains nothing from a pool round-trip: the
-            # parent would idle-wait on the single build anyway.
-            fingerprint, soc, width = cold.pop()
-            descriptors[fingerprint] = self._hold(
-                fingerprint, self.cache_for(soc).table_list(width), width
-            )
-        built, telemetry = self._fan_out(
-            pool, _build_tables_worker,
-            [(soc, width) for _, soc, width in cold],
-            "engine.build_retries", "table build",
-        )
-        for entry in telemetry:
-            self.last_run_spans.extend(entry.spans)
-        for (fingerprint, _, width), tables in zip(cold, built):
-            descriptors[fingerprint] = self._hold(fingerprint, tables, width)
+                tables = self.cache_for(
+                    soc_by_print[fingerprint]
+                ).table_list(width)
+                self._tables[fingerprint] = tables
+                descriptors[fingerprint] = self._published.publish(
+                    fingerprint, tables, width
+                )
         return [descriptors[fingerprint] for fingerprint in prints]
 
     def __enter__(self) -> "BatchRunner":
@@ -1216,8 +1109,8 @@ class BatchRunner:
             while True:
                 try:
                     for result in self._dispatch_pool(
-                        jobs, shard_counts, search_fan, pool, emitted,
-                        point_timeout, max_concurrent,
+                        jobs, shard_counts, search_fan, pool, workers,
+                        emitted, point_timeout, max_concurrent,
                     ):
                         emitted += 1
                         yield result
@@ -1308,6 +1201,7 @@ class BatchRunner:
         shard_counts: List[int],
         search_fan: List[bool],
         pool: ProcessPoolExecutor,
+        workers: int,
         skip: int,
         point_timeout: Optional[float],
         max_concurrent: Optional[int] = None,
@@ -1323,11 +1217,12 @@ class BatchRunner:
         uncapped).  A whole-point job takes its slot as one pool task.
         A sharded or island-fanned job (never under a cap) runs here
         in the parent at its turn, fanning its own tasks over the
-        pool while the points submitted ahead of it keep running.
+        pool's ``workers`` while the points submitted ahead of it keep
+        running.
         """
         build_baseline = task_begin()
         with span("publish_tables", jobs=len(jobs)):
-            descriptors = self._dense_descriptors(jobs, pool)
+            descriptors = self._dense_descriptors(jobs)
         build_telemetry = task_end(build_baseline)
         self.metrics.absorb(build_telemetry.metrics)
         self.last_run_spans.extend(build_telemetry.spans)
@@ -1358,7 +1253,7 @@ class BatchRunner:
                         jobs[index], self.on_error, self.retries,
                         lambda: self._run_fanned(
                             jobs[index], descriptors[index], pool,
-                            shard_counts[index],
+                            workers, shard_counts[index],
                         ),
                     )
                     result, tasks = (
@@ -1381,81 +1276,113 @@ class BatchRunner:
         self,
         pool: Executor,
         worker: Callable[[Any], Tuple[Any, TaskTelemetry]],
-        tasks: Sequence[Any],
+        payload: Callable[[int, Mapping[int, Any]], Any],
+        count: int,
+        window: int,
         retry_counter: str,
         label: str,
     ) -> Tuple[List[Any], List[TaskTelemetry]]:
-        """Run ``tasks`` on ``pool``: values and telemetry, task order.
+        """Run ``count`` tasks on ``pool``: values and telemetry, task order.
 
-        Every task is submitted up front.  A task that raises re-runs
-        alone, up to :attr:`SHARD_RETRY_ATTEMPTS` attempts in all,
-        after a :func:`repro.retry.backoff_schedule` delay; each
-        re-run counts in ``retry_counter``.  Re-running is
-        deterministic — a task is a pure function of its inputs — so
-        the merged result stays bit-identical.  A ``BrokenProcessPool``
-        propagates untouched to the pool supervisor.  Each task's
-        metrics are absorbed into the runner's registry once; the
-        returned telemetry is for the caller's records.
+        Tasks are submitted in index order, at most ``window`` in
+        flight at once (one per pool worker).  ``payload(index,
+        finished)`` builds task ``index``'s payload at the moment it
+        is submitted, from the values of the tasks finished by then
+        (``finished`` maps task index to value): that is how a shard
+        is seeded from the shards before it.  A task that raises
+        re-runs alone, up to :attr:`SHARD_RETRY_ATTEMPTS` attempts in
+        all, after a :func:`repro.retry.backoff_schedule` delay; each
+        re-run counts in ``retry_counter``.  No task's value depends
+        on what the others finished before it, so the merged result
+        stays bit-identical however the tasks interleave or re-run.
+        A ``BrokenProcessPool`` propagates untouched to the pool
+        supervisor.  Each task's metrics are absorbed into the
+        runner's registry once; the returned telemetry is for the
+        caller's records.
         """
-        futures = [pool.submit(worker, task) for task in tasks]
         delays = backoff_schedule(self.SHARD_RETRY_ATTEMPTS - 1)
-        values: List[Any] = []
-        telemetry: List[TaskTelemetry] = []
-        for index, future in enumerate(futures):
-            for attempt in range(self.SHARD_RETRY_ATTEMPTS):
-                try:
-                    value, task_telemetry = future.result()
-                    break
-                except BrokenProcessPool:
-                    raise
-                except Exception as error:  # noqa: BLE001
-                    if attempt + 1 >= self.SHARD_RETRY_ATTEMPTS:
+        finished: Dict[int, Any] = {}
+        telemetry: Dict[int, TaskTelemetry] = {}
+        attempts = [0] * count
+        queued = deque(range(count))
+        running: Dict["Future[Tuple[Any, TaskTelemetry]]", int] = {}
+
+        def submit(index: int) -> None:
+            attempts[index] += 1
+            running[pool.submit(worker, payload(index, finished))] = index
+
+        try:
+            while queued or running:
+                while queued and len(running) < window:
+                    submit(queued.popleft())
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in sorted(done, key=running.__getitem__):
+                    index = running.pop(future)
+                    try:
+                        value, task_telemetry = future.result()
+                    except BrokenProcessPool:
                         raise
-                    logger.warning(
-                        "%s %d failed (attempt %d/%d), re-running: %s",
-                        label, index, attempt + 1,
-                        self.SHARD_RETRY_ATTEMPTS, error,
-                    )
-                    self.metrics.counter(retry_counter).inc()
-                    _sleep(delays[attempt])
-                    future = pool.submit(worker, tasks[index])
-            self.metrics.absorb(task_telemetry.metrics)
-            values.append(value)
-            telemetry.append(task_telemetry)
-        return values, telemetry
+                    except Exception as error:  # noqa: BLE001
+                        if attempts[index] >= self.SHARD_RETRY_ATTEMPTS:
+                            raise
+                        logger.warning(
+                            "%s %d failed (attempt %d/%d), "
+                            "re-running: %s",
+                            label, index, attempts[index],
+                            self.SHARD_RETRY_ATTEMPTS, error,
+                        )
+                        self.metrics.counter(retry_counter).inc()
+                        _sleep(delays[attempts[index] - 1])
+                        submit(index)
+                        continue
+                    self.metrics.absorb(task_telemetry.metrics)
+                    finished[index] = value
+                    telemetry[index] = task_telemetry
+        finally:
+            # A failed fan-out leaves no queued task behind.
+            for future in running:
+                future.cancel()
+        return (
+            [finished[index] for index in range(count)],
+            [telemetry[index] for index in range(count)],
+        )
 
     def _run_fanned(
         self,
         job: BatchJob,
         descriptor: DenseDescriptor,
         pool: ProcessPoolExecutor,
+        workers: int,
         num_shards: int,
     ) -> Tuple[SweepPoint, List[TaskTelemetry]]:
         """Run one job here with its inner work fanned over the pool.
 
         A ``mode="search"`` job fans its fixed
         :data:`repro.search.NUM_ISLANDS` islands; any other job fans
-        its partition sweep as ``num_shards`` shards and its top-k
-        exact polish solves.  Shards and islands build the job's
-        dense matrix from its descriptor; shards also broadcast
-        incumbents through a shared-memory board, while islands share
-        nothing.  The deterministic merge, the polish reduction and
-        the certificate/utilization accounting run here over the
-        tables the descriptor carries and the matrix built from them,
-        so the point is bit-identical to whole-job execution.
-        Returns the point and its tasks' telemetry.
+        its partition sweep as ``num_shards`` shards, at most
+        ``workers`` tasks in flight.  Both kinds of task build the
+        job's dense matrix from its descriptor and share nothing
+        while they run: each shard is seeded, when it is submitted,
+        with the :func:`~repro.partition.shard.kept_times` of the
+        shards already finished before it.  The deterministic merge,
+        the exact polish and the certificate/utilization accounting
+        run here over the tables the descriptor carries and the
+        matrix built from them, so the point is bit-identical to
+        whole-job execution.  Returns the point and its tasks'
+        telemetry.
         """
         matrix = self._matrix(descriptor)
         telemetry: List[TaskTelemetry] = []
 
         def fan(
             worker: Callable[[Any], Tuple[Any, TaskTelemetry]],
-            tasks: Sequence[Any],
+            payload: Callable[[int, Mapping[int, Any]], Any],
+            count: int,
             retry_counter: str,
             kind: str,
         ) -> List[Any]:
             values, task_telemetry = self._fan_out(
-                pool, worker, tasks, retry_counter,
+                pool, worker, payload, count, workers, retry_counter,
                 f"{job.describe()} {kind}",
             )
             telemetry.extend(task_telemetry)
@@ -1465,9 +1392,11 @@ class BatchRunner:
             self.metrics.counter("search.islands_planned").inc(
                 len(plans)
             )
-            return fan(_search_worker, [
-                (descriptor, plan, job.soc) for plan in plans
-            ], "engine.island_retries", "island")
+            return fan(
+                _search_worker,
+                lambda index, _: (descriptor, plans[index], job.soc),
+                len(plans), "engine.island_retries", "island",
+            )
 
         def sweep(
             table_list: Sequence[TimeTable],
@@ -1485,18 +1414,24 @@ class BatchRunner:
                 self.metrics.counter("shard.shards_planned").inc(
                     plan.num_shards
                 )
-                # Unpruned sweeps never read the board; skip it.
-                with (
-                    _incumbent_board(plan.num_shards, keep_top)
-                    if prune else nullcontext()
-                ) as board:
-                    return fan(_shard_worker, [
-                        (
-                            descriptor, board, index, shard_spans,
-                            job.soc, total_width, keep_top, prune,
-                        )
-                        for index, shard_spans in enumerate(plan.shards)
-                    ], "engine.shard_retries", "shard")
+
+                def payload(
+                    index: int, finished: Mapping[int, ShardOutcome]
+                ) -> Tuple[Any, ...]:
+                    earlier = kept_times(
+                        (finished[shard] for shard in range(index)
+                         if shard in finished),
+                        keep_top,
+                    )
+                    return (
+                        descriptor, earlier, index, plan.shards[index],
+                        job.soc, total_width, keep_top, prune,
+                    )
+
+                return fan(
+                    _shard_worker, payload, plan.num_shards,
+                    "engine.shard_retries", "shard",
+                )
 
             return sharded_partition_evaluate(
                 None, total_width, tam_counts, num_shards,
@@ -1504,20 +1439,11 @@ class BatchRunner:
                 scorer=scorer,
             )
 
-        def polish_runner(tasks: Sequence[Any]) -> List[Any]:
-            self.metrics.counter("engine.polish_tasks_fanned").inc(
-                len(tasks)
-            )
-            return fan(
-                _polish_worker, tasks, "engine.polish_retries",
-                "polish task",
-            )
-
         self.metrics.counter(
             "engine.jobs_search_fanned" if self._job_search_mode(job)
             else "engine.jobs_sharded"
         ).inc()
-        # Each tier reads only its own seams.
+        # Each tier reads only its own seam.
         point = evaluate_point(
             job.soc,
             job.total_width,
@@ -1527,7 +1453,6 @@ class BatchRunner:
             ),
             dense=matrix,
             sweep=sweep,
-            polish_runner=polish_runner,
             search_islands=islands,
             **job.spec().engine_options(),
         )

@@ -4,8 +4,8 @@ A :class:`FaultPlan` is a small, seeded description of *which* faults
 to inject *where* — parsed from a plan string, normally supplied via
 the ``REPRO_FAULTS`` environment variable.  Production code consults
 the plan at a handful of well-defined hook points (worker task entry,
-incumbent-board attach, the IPC event stream, store writes); with no
-plan active every hook is a ``None`` check and nothing else.
+the IPC event stream, store writes); with no plan active every hook
+is a ``None`` check and nothing else.
 
 Plan strings are comma-separated directives::
 
@@ -15,15 +15,14 @@ Plan strings are comma-separated directives::
 directive                 fault
 ========================  =============================================
 ``crash@K``               the worker evaluating grid-point index K
-                          dies (``os._exit``) before scoring it —
-                          surfaces as ``BrokenProcessPool`` in the
-                          parent.  Requires ``state=`` (see below).
-``shm@K``                 shard K's incumbent-board attach is
-                          refused, so that shard of a sharded job runs
-                          without broadcast.  Whole-point jobs and
-                          search islands have no board and ignore it.
-``slow@K=S``              point K sleeps S seconds before scoring —
-                          drives per-point deadline enforcement.
+                          (or fanned task K: shard or island K of a
+                          fanned job) dies (``os._exit``) before
+                          scoring it — surfaces as
+                          ``BrokenProcessPool`` in the parent.
+                          Requires ``state=`` (see below).
+``slow@K=S``              point K (or fanned task K) sleeps S seconds
+                          before scoring — drives per-point deadline
+                          enforcement.
 ``ipc@K``                 the server drops an ``events`` stream after
                           K event lines — drives client reconnect.
 ``corrupt``               the next table-store/grid-memo write is
@@ -43,9 +42,9 @@ process-wide metrics registry, so injected chaos is visible in the
 run's telemetry and the service health block.
 
 Determinism contract: a plan never changes *what* is computed — only
-when processes die, how long points take, and which shards run
-without incumbent broadcast.  The chaos suite asserts grid results
-under every plan are bit-identical to the fault-free run.
+when processes die and how long points take.  The chaos suite
+asserts grid results under every plan are bit-identical to the
+fault-free run.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ class FaultPlan:
     text: str
     seed: int = 0
     crash_points: FrozenSet[int] = frozenset()
-    shm_points: FrozenSet[int] = frozenset()
     #: ``(point_index, delay_seconds)`` pairs, sorted by index.
     slow_points: Tuple[Tuple[int, float], ...] = ()
     ipc_drops: FrozenSet[int] = frozenset()
@@ -104,7 +102,6 @@ class FaultPlan:
         seed = 0
         state_dir: Optional[str] = None
         crash = set()
-        shm = set()
         slow: Dict[int, float] = {}
         ipc = set()
         corrupt = False
@@ -119,8 +116,6 @@ class FaultPlan:
                     state_dir = directive[len("state="):]
                 elif directive.startswith("crash@"):
                     crash.add(int(directive[len("crash@"):]))
-                elif directive.startswith("shm@"):
-                    shm.add(int(directive[len("shm@"):]))
                 elif directive.startswith("slow@"):
                     where, _, amount = (
                         directive[len("slow@"):].partition("=")
@@ -154,7 +149,6 @@ class FaultPlan:
             text=text,
             seed=seed,
             crash_points=frozenset(crash),
-            shm_points=frozenset(shm),
             slow_points=tuple(sorted(slow.items())),
             ipc_drops=frozenset(ipc),
             corrupt_writes=corrupt,
@@ -208,15 +202,6 @@ class FaultPlan:
         logger.warning(
             "fault injection: crashing worker at point %d", point_index
         )
-        return True
-
-    def take_shm_failure(self, point_index: int) -> bool:
-        """True if shard ``point_index``'s board attach should be refused."""
-        if point_index not in self.shm_points:
-            return False
-        if not self._claim(f"shm-{point_index}"):
-            return False
-        _count_fault()
         return True
 
     def slow_delay(self, point_index: int) -> Optional[float]:

@@ -29,8 +29,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
-    Tuple,
     Union,
 )
 
@@ -56,29 +54,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "DEFAULT_MAX_TAMS",
-    "PolishTask",
     "co_optimize",
     "run_polish_task",
 ]
 
-#: One exact-polish solve, fully described and picklable: the
-#: candidate's per-core times at its widths, the candidate itself
-#: (widths + warm-start assignment), and the solve's node budget.  The
-#: unit a ``polish_runner`` dispatches to pool workers.
-PolishTask = Tuple[List[List[int]], AssignmentResult, int]
 
-#: The polish fan-out seam: called with every candidate's task, must
-#: return their :class:`~repro.assign.exact.ExactResult` s *in task
-#: order* — the order the parent's first-strict-minimum reduction
-#: assumes.  Tasks are independent (the serial loop never threads one
-#: candidate's solution into the next solve), so any execution
-#: placement reproduces the serial result bit for bit.
-PolishRunner = Callable[[Sequence[PolishTask]], List[ExactResult]]
+def run_polish_task(
+    times: List[List[int]], candidate: AssignmentResult, node_limit: int
+) -> ExactResult:
+    """One exact-polish solve of ``candidate``'s partition.
 
-
-def run_polish_task(task: PolishTask) -> ExactResult:
-    """Execute one polish task — the worker side of the seam."""
-    times, candidate, node_limit = task
+    ``times`` holds each core's testing time at each of the
+    candidate's widths; the candidate's heuristic assignment
+    warm-starts the solve, and ``node_limit`` is its node budget.
+    """
     return exact_assign(
         times, candidate.widths, incumbent=candidate, node_limit=node_limit
     )
@@ -93,7 +82,6 @@ def co_optimize(
     tables: Optional[Dict[str, TimeTable]] = None,
     dense: "Optional[DenseTimeMatrix]" = None,
     sweep: Optional[Callable[..., "PartitionSearchResult"]] = None,
-    polish_runner: Optional[PolishRunner] = None,
     **options: Any,
 ) -> CoOptimizationResult:
     """Co-optimize the wrapper/TAM architecture of ``soc``.
@@ -140,14 +128,6 @@ def co_optimize(
         the pool, while step 2 (the exact polish) and the result
         assembly stay right here.  An execution hint, not part of the
         job's canonical content.
-    polish_runner:
-        Optional executor for step 2's per-candidate exact solves
-        (:data:`PolishTask` in, :class:`~repro.assign.exact.
-        ExactResult` out, task order preserved) — the seam the batch
-        engine uses to fan a ``polish_top_k > 1`` polish across its
-        pool.  Only consulted when there are two or more candidates;
-        like ``sweep``, an execution hint with a bit-identical
-        result.
 
     Returns
     -------
@@ -202,24 +182,18 @@ def co_optimize(
         candidates = (search.best,) + search.runners_up
         if not spec.polish_per_tam_count:
             candidates = candidates[:spec.polish_top_k]
-        tasks: List[PolishTask] = [
-            (
-                [
-                    [table.time(width) for width in candidate.widths]
-                    for table in table_list
-                ],
-                candidate,
-                spec.exact_node_limit,
-            )
-            for candidate in candidates
-        ]
         with _obs_span("polish", candidates=len(candidates)):
-            if polish_runner is not None and len(tasks) > 1:
-                exacts = polish_runner(tasks)
-            else:
-                exacts = [run_polish_task(task) for task in tasks]
-        # First strict minimum in candidate order — identical whether
-        # the tasks ran serially here or through a polish runner.
+            exacts = [
+                run_polish_task(
+                    [
+                        [table.time(width) for width in candidate.widths]
+                        for table in table_list
+                    ],
+                    candidate,
+                    spec.exact_node_limit,
+                )
+                for candidate in candidates
+            ]
         best_polished = None
         best_optimal = False
         for exact in exacts:

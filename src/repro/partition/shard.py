@@ -28,20 +28,20 @@ The protocol rests on two facts about the serial sweep:
    recorded completions in serial rank order and keeps exactly those
    the serial incumbent trajectory would have kept, discarding the
    extras.  Shards therefore only ever share incumbents **forward**:
-   shard ``s`` reads candidates published by shards ``< s`` (all of
-   whose partitions precede ``s``'s in serial order) — that is what
-   the incumbent board broadcasts, and why losing a broadcast can
-   only cost speed, never change a result.  The kernel's lower-bound
-   skip is safe under the same argument: a partition skipped against
-   a looser threshold would have aborted against the serial one.
+   shard ``s`` is seeded with the kept times of shards ``< s`` that
+   have already finished (all of whose partitions precede ``s``'s in
+   serial order, :func:`kept_times`) — which is why a missing seed
+   can only cost speed, never change a result.  The kernel's
+   lower-bound skip is safe under the same argument: a partition
+   skipped against a looser threshold would have aborted against the
+   serial one.
 
 Everything here is process-free: :func:`sweep_shard` is the worker
 payload (the engine runs it on pool workers over the matrix built
-from the transported tables and the shared-memory incumbent board,
-:mod:`repro.engine.batch` / :mod:`repro.engine.shm`), and
-:func:`sharded_partition_evaluate` runs the whole protocol inline —
-the differential-test surface, and the single-process reference for
-the merge semantics.
+from the transported tables, seeding each shard when it submits it,
+:mod:`repro.engine.batch`), and :func:`sharded_partition_evaluate`
+runs the whole protocol inline — the differential-test surface, and
+the single-process reference for the merge semantics.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
-    Protocol,
     Sequence,
     Tuple,
     Union,
@@ -76,11 +76,6 @@ from repro.partition.evaluate import (
 )
 from repro.tam.assignment import AssignmentResult
 from repro.wrapper.pareto import TimeTable
-
-#: How many partitions a shard scores between incumbent-board reads.
-#: Staleness is pure slack — a stale threshold is looser, and looser
-#: thresholds never change the merged outcome (fact 2 above).
-BOARD_REFRESH_INTERVAL = 32
 
 
 def count_sizes(
@@ -159,48 +154,6 @@ class ShardOutcome:
     lb_pruned: Tuple[Tuple[int, int], ...]
 
 
-class Board(Protocol):
-    """What a cross-shard incumbent board must provide.
-
-    Satisfied structurally by :class:`LocalBoard` and by the
-    shared-memory :class:`repro.engine.shm.IncumbentBoard`.
-    """
-
-    def publish(
-        self, shard_index: int, times: Sequence[int]
-    ) -> None:
-        """Record ``shard_index``'s current kept times (ascending)."""
-
-    def earlier_times(self, shard_index: int) -> List[int]:
-        """Every time published by shards before ``shard_index``."""
-
-
-class LocalBoard:
-    """In-process incumbent board (inline runs and tests).
-
-    Same contract as the shared-memory board
-    (:class:`repro.engine.shm.IncumbentBoard`): each shard publishes
-    its current best times into its own slot, and reads only the
-    slots of *earlier* shards.
-    """
-
-    def __init__(self, num_shards: int, keep_top: int = 1) -> None:
-        self.keep_top = keep_top
-        self._slots: List[List[int]] = [[] for _ in range(num_shards)]
-
-    def publish(self, shard_index: int, times: Sequence[int]) -> None:
-        """Record ``shard_index``'s current kept times (ascending)."""
-        self._slots[shard_index] = list(times)[:self.keep_top]
-
-    def earlier_times(self, shard_index: int) -> List[int]:
-        """Every time published by shards before ``shard_index``."""
-        return [
-            value
-            for slot in self._slots[:shard_index]
-            for value in slot
-        ]
-
-
 def plan_shards(
     total_width: int,
     tam_counts: Sequence[int],
@@ -252,36 +205,32 @@ def plan_shards(
     )
 
 
-def _shared_threshold(
-    tracker: _TopK,
-    board: Optional[Board],
-    shard_index: int,
-    keep_top: int,
-) -> Optional[int]:
-    """The shard's current abort threshold — never tighter than serial.
+def kept_times(
+    outcomes: Iterable[ShardOutcome], keep_top: int = 1
+) -> Tuple[int, ...]:
+    """The ``keep_top`` best times the ``outcomes`` completed, ascending.
 
-    The k-th smallest over the shard's own kept times plus every time
-    published by *earlier* shards, capped by the tracker's own
-    threshold.  Every value entering the min is the true heuristic
-    time of a partition that precedes this shard's range in serial
-    order, so the result is always >= the serial threshold at any
-    rank this shard scores.
+    Times of *distinct* partitions (up to bus order), as the serial
+    top-k tracker keeps them: a partition that completes under two
+    repeated TAM counts counts once.  This is the seed a shard gets
+    from the shards before it that have already finished.
     """
-    local = tracker.threshold()
-    if board is None:
-        return local
-    earlier = board.earlier_times(shard_index)
-    if not earlier:
-        return local
-    candidates = sorted(
-        earlier + [entry.testing_time for entry in tracker.entries]
-    )
-    if len(candidates) < keep_top:
-        return local
-    shared = candidates[keep_top - 1]
-    if local is None or shared < local:
-        return shared
-    return local
+    tracker = _TopK(keep_top)
+    for outcome in outcomes:
+        for completion in outcome.completions:
+            tracker.offer(completion.result)
+    return tuple(entry.testing_time for entry in tracker.entries)
+
+
+def _tighter(
+    own: Optional[int], seed: Optional[int]
+) -> Optional[int]:
+    """The tighter of two abort thresholds (``None`` = no abort)."""
+    if own is None:
+        return seed
+    if seed is None:
+        return own
+    return min(own, seed)
 
 
 def sweep_shard(
@@ -291,26 +240,34 @@ def sweep_shard(
     total_width: int,
     keep_top: int = 1,
     prune: bool = True,
-    board: Optional[Board] = None,
+    earlier: Sequence[int] = (),
     workspace: Optional[KernelWorkspace] = None,
 ) -> ShardOutcome:
     """Score one shard's spans; the pool-worker payload.
 
-    Runs the kernel sweep over the shard's ranks under a threshold
-    that is safe by construction (own prefix + earlier shards'
-    broadcasts, see :func:`_shared_threshold`), records every
+    Runs the kernel sweep over the shard's ranks, records every
     completion with its exact result and every lower-bound skip in
-    its per-span tally, and publishes its own kept times after each
-    completion.  ``board=None`` scores blind — the pool's path when
-    shared memory is missing — which records more completions for
-    the same merged outcome.  Under ``prune=False`` every partition
-    completes, so recording them all would ship the whole partition
-    space back to the parent; instead only the shard's *final* top-k
-    is reported — lossless, because an entry evicted from (or never
-    admitted to) a shard's top-k is rejected by the serial tracker at
-    the same offer, the shard's entries being a subset of the serial
-    tracker's at every rank — and the merge restores the per-count
-    completion totals analytically (everything completes).
+    its per-span tally.  ``earlier`` seeds the abort threshold: the
+    times of distinct partitions before this shard's range, as
+    :func:`kept_times` gives them for the shards already finished.
+    The threshold is the tighter of the seed's ``keep_top``-th time
+    and the shard's own top-k threshold; each is the ``keep_top``-th
+    best time over a subset of the serial-earlier partitions, so
+    neither is ever tighter than the serial threshold (fact 2).  The
+    two are not pooled into one top-k: times alone cannot tell when
+    a seed partition completes here again under a repeated TAM
+    count, and counting it twice would over-tighten.  ``earlier=()``
+    scores blind, which records more completions for the same merged
+    outcome.
+
+    Under ``prune=False`` every partition completes and the seed is
+    unused; recording every completion would ship the whole
+    partition space back to the parent, so only the shard's *final*
+    top-k is reported — lossless, because an entry evicted from (or
+    never admitted to) a shard's top-k is rejected by the serial
+    tracker at the same offer, the shard's entries being a subset of
+    the serial tracker's at every rank — and the merge restores the
+    per-count completion totals analytically (everything completes).
     """
     start_clock = _time.monotonic()
     tracker = _TopK(keep_top)
@@ -319,23 +276,16 @@ def sweep_shard(
     lb_pruned: List[Tuple[int, int]] = []
     #: prune=False: widths-key → latest kept completion (see above).
     kept: Dict[Tuple[int, ...], ShardCompletion] = {}
+    seed = (
+        sorted(earlier)[keep_top - 1]
+        if prune and len(earlier) >= keep_top else None
+    )
+    threshold = seed
     for span in spans:
-        threshold = (
-            _shared_threshold(tracker, board, shard_index, keep_top)
-            if prune else None
-        )
-        since_refresh = 0
         skipped = 0
         for offset, widths in enumerate(partitions_slice(
             total_width, span.num_tams, span.start, span.stop,
         )):
-            if prune and board is not None:
-                since_refresh += 1
-                if since_refresh >= BOARD_REFRESH_INTERVAL:
-                    since_refresh = 0
-                    threshold = _shared_threshold(
-                        tracker, board, shard_index, keep_top
-                    )
             if (
                 threshold is not None
                 and matrix.lower_bound(widths) >= threshold
@@ -356,21 +306,11 @@ def sweep_shard(
             tracker.offer(result)
             if prune:
                 completions.append(completion)
+                threshold = _tighter(tracker.threshold(), seed)
             elif any(
                 entry is result for entry in tracker.entries
             ):
                 kept[tuple(sorted(result.widths))] = completion
-            if prune:
-                # Unpruned sweeps never read thresholds, so there
-                # is nothing worth broadcasting either.
-                if board is not None:
-                    board.publish(shard_index, [
-                        entry.testing_time
-                        for entry in tracker.entries
-                    ])
-                threshold = _shared_threshold(
-                    tracker, board, shard_index, keep_top
-                )
         lb_pruned.append((span.count_index, skipped))
     if not prune and kept:
         final_keys = {
@@ -495,9 +435,10 @@ def sharded_partition_evaluate(
     """The sharded sweep end to end, equal to the serial one.
 
     With the default inline ``scorer`` the shards run sequentially in
-    this process over a :class:`LocalBoard`.  The engine passes a
-    ``scorer`` that fans the shards out to its pool workers with a
-    shared-memory board.
+    this process, each seeded with the :func:`kept_times` of every
+    shard before it.  The engine passes a ``scorer`` that fans the
+    shards out to its pool workers, seeding each from the shards
+    already finished when it is submitted.
 
     Restrictions mirror what the protocol's determinism proof needs:
     the canonical ``unique`` enumeration and no per-count
@@ -524,16 +465,17 @@ def sharded_partition_evaluate(
         (num_tams,) if isinstance(num_tams, int) else tuple(num_tams)
     )
     plan = plan_shards(total_width, counts, num_shards)
+    outcomes: Sequence[ShardOutcome]
     if scorer is None:
-        board = LocalBoard(plan.num_shards, keep_top)
         workspace = KernelWorkspace()
-        outcomes: Sequence[ShardOutcome] = [
-            sweep_shard(
+        scored: List[ShardOutcome] = []
+        for index, spans in enumerate(plan.shards):
+            scored.append(sweep_shard(
                 dense, spans, index, total_width, keep_top=keep_top,
-                prune=prune, board=board, workspace=workspace,
-            )
-            for index, spans in enumerate(plan.shards)
-        ]
+                prune=prune, earlier=kept_times(scored, keep_top),
+                workspace=workspace,
+            ))
+        outcomes = scored
     else:
         outcomes = scorer(plan)
     return merge_shard_outcomes(

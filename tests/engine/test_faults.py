@@ -10,12 +10,11 @@ class TestParse:
     def test_full_plan_round_trips(self, tmp_path):
         state = tmp_path / "tokens"
         plan = FaultPlan.parse(
-            f"seed=7,state={state},crash@2,shm@1,slow@0=0.25,"
+            f"seed=7,state={state},crash@2,slow@0=0.25,"
             f"ipc@3,corrupt"
         )
         assert plan.seed == 7
         assert plan.crash_points == frozenset({2})
-        assert plan.shm_points == frozenset({1})
         assert plan.slow_points == ((0, 0.25),)
         assert plan.ipc_drops == frozenset({3})
         assert plan.corrupt_writes is True
@@ -23,8 +22,8 @@ class TestParse:
         assert state.is_dir()  # parse creates the token directory
 
     def test_empty_directives_are_skipped(self):
-        plan = FaultPlan.parse("shm@0,, ,shm@2")
-        assert plan.shm_points == frozenset({0, 2})
+        plan = FaultPlan.parse("ipc@0,, ,ipc@2")
+        assert plan.ipc_drops == frozenset({0, 2})
 
     @pytest.mark.parametrize("text", [
         "explode@1",            # unknown directive
@@ -32,6 +31,7 @@ class TestParse:
         "slow@1=fast",          # non-numeric delay
         "slow@1=-0.5",          # negative delay
         "seed=lucky",           # non-integer seed
+        "shm@1",                # retired: nothing uses shared memory
     ])
     def test_malformed_directives_refuse_to_run(self, text):
         with pytest.raises(ConfigurationError):
@@ -48,8 +48,8 @@ class TestParse:
     def test_from_env(self, tmp_path):
         assert FaultPlan.from_env({}) is None
         assert FaultPlan.from_env({FAULTS_ENV: "  "}) is None
-        plan = FaultPlan.from_env({FAULTS_ENV: "shm@4"})
-        assert plan is not None and plan.shm_points == frozenset({4})
+        plan = FaultPlan.from_env({FAULTS_ENV: "ipc@4"})
+        assert plan is not None and plan.ipc_drops == frozenset({4})
 
 
 class TestHooks:
@@ -61,12 +61,6 @@ class TestHooks:
         # A re-parsed plan (the re-run after the crash) sees the
         # claimed token and lets the point through.
         assert FaultPlan.parse(text).take_crash(1) is False
-
-    def test_shm_failure_without_state_repeats(self):
-        plan = FaultPlan.parse("shm@0")
-        assert plan.take_shm_failure(0) is True
-        assert plan.take_shm_failure(0) is True
-        assert plan.take_shm_failure(1) is False
 
     def test_slow_delay(self, tmp_path):
         plan = FaultPlan.parse(f"state={tmp_path / 's'},slow@2=0.125")
@@ -89,6 +83,6 @@ class TestHooks:
         from repro.obs import REGISTRY
 
         before = REGISTRY.snapshot().counter("faults.injected")
-        FaultPlan.parse("shm@0").take_shm_failure(0)
+        FaultPlan.parse("slow@0=0").slow_delay(0)
         after = REGISTRY.snapshot().counter("faults.injected")
         assert after == before + 1

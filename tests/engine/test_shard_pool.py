@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.engine.batch import BatchJob, BatchRunner
-from repro.engine.shm import IncumbentBoard, SegmentRegistry
+from repro.engine.shm import SegmentRegistry
 from repro.api.specs import GridSpec
 from repro.soc.fingerprint import soc_fingerprint
 from repro.wrapper.pareto import build_time_tables
@@ -22,6 +22,15 @@ class TestShardedPoolIdentity:
         sharded = sharded_runner.run(jobs)
         assert inline == plain == sharded
         assert sharded_runner.jobs_sharded == 1
+
+    def test_repeated_counts_top_k_matches_inline(self, d695):
+        # A repeated TAM count completes its partitions twice; the
+        # shards' seeds must not count them twice.
+        jobs = [BatchJob(d695, 10, (2, 2, 3), options={"polish_top_k": 4})]
+        inline = BatchRunner(max_workers=1).run(jobs)
+        runner = BatchRunner(max_workers=2, shard=4)
+        assert runner.run(jobs) == inline
+        assert runner.jobs_sharded == 1
 
     def test_shard_hint_via_grid_spec_runner(self, tiny_soc,
                                              monkeypatch):
@@ -112,6 +121,8 @@ class TestShardedPoolIdentity:
 
 
 class TestPooledColdBuilds:
+    """Cold grids on a pooled runner: the parent builds, the pool runs."""
+
     def test_cold_multi_soc_grid_builds_through_pool(
         self, tiny_soc, d695, p21241
     ):
@@ -122,20 +133,21 @@ class TestPooledColdBuilds:
         pooled = pooled_runner.run(jobs)
         assert serial == pooled
 
-    def test_sharded_cold_grid_finishes_on_pool_built_tables(
+    def test_sharded_cold_grid_finishes_on_parent_built_tables(
         self, tiny_soc, d695, p21241
     ):
-        # Two or more cold SOCs build their tables on the pool; the
-        # parent then merges, polishes and certifies each sharded job
-        # on the tables that came back.
-        jobs = [
-            BatchJob(soc, 12, (1, 2)) for soc in (tiny_soc, d695, p21241)
-        ]
+        # The parent builds every cold SOC's tables through its own
+        # caches, ships them, and then merges, polishes and certifies
+        # each sharded job on the same tables.
+        socs = (tiny_soc, d695, p21241)
+        jobs = [BatchJob(soc, 12, (1, 2)) for soc in socs]
         inline = BatchRunner(max_workers=1).run(jobs)
         runner = BatchRunner(max_workers=2, shard=2)
         assert runner.run(jobs) == inline
         assert runner.jobs_sharded == 3
-        assert runner._caches == {}  # the parent built no tables
+        assert sorted(runner._caches) == sorted(soc.name for soc in socs)
+        assert all(cache.max_width == 12
+                   for cache in runner._caches.values())
 
     def test_warm_parent_reuses_matrices_across_runs(self, tiny_soc):
         with BatchRunner(max_workers=2, persistent=True, shard=2) as runner:
@@ -145,6 +157,23 @@ class TestPooledColdBuilds:
             matrix = runner._matrices[fingerprint]
             assert runner.run(jobs) == first
             assert runner._matrices[fingerprint] is matrix
+
+    def test_persistent_runner_extends_its_own_tables(
+        self, tiny_soc, d695
+    ):
+        # A wider grid extends the tables the parent built for a
+        # narrower one in place; nothing is rebuilt.
+        socs = (tiny_soc, d695)
+        prints = [soc_fingerprint(soc) for soc in socs]
+        with BatchRunner(max_workers=2, persistent=True) as runner:
+            runner.run([BatchJob(soc, 8, 2) for soc in socs])
+            narrow = [list(runner._tables[key]) for key in prints]
+            jobs = [BatchJob(soc, 12, 2) for soc in socs]
+            assert runner.run(jobs) == BatchRunner(max_workers=1).run(jobs)
+            for key, old_tables in zip(prints, narrow):
+                wide = runner._tables[key]
+                assert all(old is new for old, new in zip(old_tables, wide))
+                assert all(table.max_width >= 12 for table in wide)
 
     def test_whole_point_grid_builds_no_parent_matrix(self, tiny_soc):
         # Only a fanned job reads a matrix in the parent; whole-point
@@ -222,47 +251,7 @@ class TestStaircaseTransport:
         assert runner.run(jobs) == inline
 
 
-class TestIncumbentBoardShm:
-    def test_round_trip_and_forward_only_reads(self):
-        board = IncumbentBoard.create(3, keep_top=2)
-        if board is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            board.publish(0, [7])
-            board.publish(2, [1, 2])
-            attached = IncumbentBoard.attach(board.descriptor())
-            try:
-                assert attached.earlier_times(0) == []
-                assert attached.earlier_times(1) == [7]
-                assert attached.earlier_times(2) == [7]
-            finally:
-                attached.close()
-        finally:
-            board.close()
-
-    def test_attach_missing_board_returns_none(self):
-        from repro.engine.shm import BoardDescriptor
-
-        ghost = BoardDescriptor(
-            shm_name="psm_no_such_board_repro",
-            num_shards=2, keep_top=1,
-        )
-        assert IncumbentBoard.attach(ghost) is None
-        assert IncumbentBoard.attach(None) is None
-
-    def test_publish_shrinking_entry_resets_sentinel(self):
-        board = IncumbentBoard.create(2, keep_top=3)
-        if board is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            board.publish(0, [5, 6, 7])
-            board.publish(0, [3])
-            assert board.earlier_times(1) == [3]
-        finally:
-            board.close()
-
-
-class TestFallbackCounter:
+class TestJobsShardedCounter:
     def test_counter_reported_by_server_info(self, tiny_soc_source):
         from repro.service.server import ExplorationServer
 

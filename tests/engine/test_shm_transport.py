@@ -1,5 +1,6 @@
 """Round-trip tests for the pool's table transport."""
 
+import multiprocessing.shared_memory
 import pickle
 
 import pytest
@@ -135,26 +136,28 @@ class TestPicklingFallback:
     def test_pool_results_identical_with_fallback_forced(
         self, tiny_soc, monkeypatch
     ):
-        # No shared memory at all: tables travel as descriptor bytes
-        # either way, and the shard incumbent board — the one remaining
-        # user of shared memory — is simply absent, so shards run
-        # without broadcast.
+        # No shared memory at all: every request for a segment is
+        # recorded and refused.  Tables travel as descriptor bytes,
+        # shards are seeded through their payloads and islands share
+        # nothing, so no pooled run asks for a segment.
         requests = []
 
-        class Exploding:
+        class Refusing:
             def __init__(self, *args, **kwargs):
-                requests.append(kwargs)
+                requests.append((args, kwargs))
                 raise OSError("no shared memory here")
 
+        monkeypatch.setattr(
+            multiprocessing.shared_memory, "SharedMemory", Refusing
+        )
         jobs = [BatchJob(tiny_soc, w, 2) for w in (4, 6, 8)]
         inline = BatchRunner(max_workers=1).run(jobs)
-        monkeypatch.setattr(
-            shm._shared_memory, "SharedMemory", Exploding
-        )
         pooled = BatchRunner(max_workers=2, shard=None).run(jobs)
         assert pooled == inline
-        # One search job fans its islands over the pool; islands share
-        # nothing while they run.
+        sharded_runner = BatchRunner(max_workers=2, shard=4)
+        assert sharded_runner.run(jobs) == inline
+        assert sharded_runner.jobs_sharded == len(jobs)
+        # One search job fans its islands over the pool.
         search = [BatchJob(tiny_soc, 8, (1, 2), options={
             "mode": "search", "seed": 3, "eval_budget": 200,
         })]
@@ -166,14 +169,8 @@ class TestPicklingFallback:
         assert search_runner.metrics.snapshot().counter(
             "engine.jobs_search_fanned"
         ) == 1
-        # Neither whole-point jobs nor islands ask for a segment.
+        # Nothing asks for a segment.
         assert requests == []
-        sharded_runner = BatchRunner(max_workers=2, shard=4)
-        assert sharded_runner.run(jobs) == inline
-        assert sharded_runner.jobs_sharded == len(jobs)
-        # Only the shard boards asked, and only to create.
-        assert requests
-        assert all(request.get("create") for request in requests)
 
 
 class TestWorkerDensePath:

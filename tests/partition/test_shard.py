@@ -14,17 +14,19 @@ import pytest
 
 from repro.engine.cache import WrapperTableCache
 from repro.engine.kernel import KernelWorkspace, build_dense_matrix
-from repro.engine.shm import IncumbentBoard
 from repro.exceptions import ConfigurationError
 from repro.partition.evaluate import PartitionStats, partition_evaluate
 from repro.partition.shard import (
-    LocalBoard,
+    ShardCompletion,
+    ShardOutcome,
     ShardPlan,
+    kept_times,
     merge_shard_outcomes,
     plan_shards,
     sharded_partition_evaluate,
     sweep_shard,
 )
+from repro.tam.assignment import AssignmentResult
 
 SHARD_COUNTS = (1, 2, 8)
 
@@ -40,8 +42,20 @@ def assert_identical(serial, sharded, context):
     assert sharded.stats == serial.stats, context
 
 
+def in_order_outcomes(matrix, plan, width, keep_top=1, seeded=True):
+    """Score ``plan``'s shards in order, each seeded (or blind)."""
+    outcomes = []
+    for index, spans in enumerate(plan.shards):
+        earlier = kept_times(outcomes, keep_top) if seeded else ()
+        outcomes.append(sweep_shard(
+            matrix, spans, index, width,
+            keep_top=keep_top, earlier=earlier,
+        ))
+    return outcomes
+
+
 class TestDifferentialD695:
-    """d695 across prune modes, keep-top, shard counts, and boards."""
+    """d695 across prune modes, keep-top, shard counts, and seeds."""
 
     # "lb" is the prune=True sweep again, checked on its lower-bound
     # skip: both sides skip, and only partitions the abort would end.
@@ -70,29 +84,21 @@ class TestDifferentialD695:
                 ), stats
 
     @pytest.mark.parametrize("keep_top", [1, 3])
-    @pytest.mark.parametrize("board", ["local", None])
-    def test_top_k_and_board_ablation(self, d695, keep_top, board):
-        # Without a board every shard runs blind (loosest possible
+    @pytest.mark.parametrize("seeded", [True, False],
+                             ids=["seeded", "blind"])
+    def test_top_k_and_seed_ablation(self, d695, keep_top, seeded):
+        # Without seeds every shard runs blind (loosest possible
         # thresholds): more work, same merged result.
         tables = tables_for(d695, 16)
         serial = partition_evaluate(
             tables, 16, (1, 2, 3, 4), keep_top=keep_top,
         )
-        if board == "local":
-            sharded = sharded_partition_evaluate(
-                tables, 16, (1, 2, 3, 4), 8, keep_top=keep_top,
-            )
-        else:
-            matrix = build_dense_matrix(tables, 16)
-            plan = plan_shards(16, (1, 2, 3, 4), 8)
-            sharded = merge_shard_outcomes(plan, [
-                sweep_shard(
-                    matrix, spans, index, 16,
-                    keep_top=keep_top, board=None,
-                )
-                for index, spans in enumerate(plan.shards)
-            ], keep_top=keep_top)
-        assert_identical(serial, sharded, (keep_top, board))
+        matrix = build_dense_matrix(tables, 16)
+        plan = plan_shards(16, (1, 2, 3, 4), 8)
+        sharded = merge_shard_outcomes(plan, in_order_outcomes(
+            matrix, plan, 16, keep_top=keep_top, seeded=seeded,
+        ), keep_top=keep_top)
+        assert_identical(serial, sharded, (keep_top, seeded))
 
     def test_single_count_and_initial_best(self, d695):
         tables = tables_for(d695, 20)
@@ -101,6 +107,25 @@ class TestDifferentialD695:
             tables, 20, 3, 4, prune=True,
         )
         assert_identical(serial, sharded, "single count")
+
+    @pytest.mark.parametrize("keep_top", [3, 4])
+    @pytest.mark.parametrize("num_shards", [2, 5])
+    def test_repeated_counts_keep_top_matches_serial(
+        self, d695, keep_top, num_shards
+    ):
+        # A repeated TAM count completes the same partitions twice.
+        # Pooling a seed's times with the shard's own top-k would
+        # count such a partition twice and abort partitions the
+        # serial sweep keeps.
+        tables = tables_for(d695, 10)
+        counts = (2, 2, 3)
+        serial = partition_evaluate(
+            tables, 10, counts, keep_top=keep_top,
+        )
+        sharded = sharded_partition_evaluate(
+            tables, 10, counts, num_shards, keep_top=keep_top,
+        )
+        assert_identical(serial, sharded, (keep_top, num_shards))
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_duplicate_tam_counts(self, d695, prune):
@@ -218,15 +243,13 @@ class TestSkipTelemetry:
         outcomes = []
 
         def scorer(plan):
-            board = LocalBoard(plan.num_shards)
             workspace = KernelWorkspace()
-            outcomes.extend(
-                sweep_shard(
+            for index, spans in enumerate(plan.shards):
+                outcomes.append(sweep_shard(
                     matrix, spans, index, 32,
-                    board=board, workspace=workspace,
-                )
-                for index, spans in enumerate(plan.shards)
-            )
+                    earlier=kept_times(outcomes),
+                    workspace=workspace,
+                ))
             return outcomes
 
         matrix = build_dense_matrix(tables, 32)
@@ -250,16 +273,18 @@ class TestSkipTelemetry:
         assert merged.num_lb_pruned > 0
 
 
-class TestBoardIsRead:
-    """The broadcast is read, not just written.
+class TestSeedIsRead:
+    """The seed is read, not just shipped.
 
-    No answer depends on the board, so only work can show it: shards
-    scored in order over a working board complete exactly the serial
-    sweep's partitions, and blind shards complete more.
+    No answer depends on the seed, so only work can show it: shards
+    scored in order, each seeded with the kept times of the shards
+    before it, complete exactly the serial sweep's partitions, and
+    blind shards complete more.
     """
 
-    @pytest.mark.parametrize("kind", ["local", "shm", None])
-    def test_in_order_shards_do_serial_work(self, d695, kind):
+    @pytest.mark.parametrize("seeded", [True, False],
+                             ids=["seeded", "blind"])
+    def test_in_order_shards_do_serial_work(self, d695, seeded):
         tables = tables_for(d695, 32)
         counts = tuple(range(1, 11))
         serial = partition_evaluate(tables, 32, counts)
@@ -267,28 +292,18 @@ class TestBoardIsRead:
             stats.num_completed for stats in serial.stats
         )
         assert serial_completed == 17
-        board = (
-            LocalBoard(8) if kind == "local"
-            else IncumbentBoard.create(8) if kind == "shm" else None
-        )
-        if kind == "shm" and board is None:
-            pytest.skip("shared memory is unavailable")
         matrix = build_dense_matrix(tables, 32)
         plan = plan_shards(32, counts, 8)
-        try:
-            recorded = sum(
-                len(sweep_shard(
-                    matrix, spans, index, 32, board=board,
-                ).completions)
-                for index, spans in enumerate(plan.shards)
+        recorded = sum(
+            len(outcome.completions)
+            for outcome in in_order_outcomes(
+                matrix, plan, 32, seeded=seeded,
             )
-        finally:
-            if kind == "shm":
-                board.close()
-        if kind is None:
-            assert recorded > serial_completed
-        else:
+        )
+        if seeded:
             assert recorded == serial_completed
+        else:
+            assert recorded > serial_completed
 
 
 class TestMergeProtocol:
@@ -318,8 +333,8 @@ class TestMergeProtocol:
         self, d695
     ):
         # Score the shards in reverse (worst-case interleaving: no
-        # forward broadcast ever lands) — the merge must still
-        # reproduce the serial result exactly.
+        # shard finishes before a later one, so none is seeded) — the
+        # merge must still reproduce the serial result exactly.
         tables = tables_for(d695, 16)
         matrix = build_dense_matrix(tables, 16)
         counts = (1, 2, 3, 4)
@@ -345,13 +360,33 @@ class TestMergeProtocol:
         with pytest.raises(ConfigurationError):
             merge_shard_outcomes(plan, outcomes[:-1])
 
-    def test_board_only_exposes_earlier_slots(self):
-        board = LocalBoard(3, keep_top=2)
-        board.publish(1, [10, 20])
-        board.publish(2, [5])
-        assert board.earlier_times(0) == []
-        assert board.earlier_times(1) == []
-        assert sorted(board.earlier_times(2)) == [10, 20]
+    def test_kept_times_are_the_best_distinct_partitions(self):
+        def completion(widths, time):
+            result = AssignmentResult(
+                widths=widths, assignment=(0,),
+                bus_times=(time,) + (0,) * (len(widths) - 1),
+                testing_time=time,
+            )
+            return ShardCompletion(count_index=0, rank=0, result=result)
+
+        def outcome(index, *completions):
+            return ShardOutcome(
+                shard_index=index, completions=completions,
+                elapsed_seconds=0.0, lb_pruned=(),
+            )
+
+        outcomes = [
+            outcome(0, completion((2, 6), 30), completion((3, 5), 20)),
+            outcome(1, completion((5, 3), 20), completion((4, 4), 25)),
+            outcome(2),
+        ]
+        assert kept_times([]) == ()
+        assert kept_times(outcomes) == (20,)
+        # (3, 5) and (5, 3) are one partition: its time counts once.
+        assert kept_times(outcomes, keep_top=2) == (20, 25)
+        assert kept_times(outcomes, keep_top=4) == (20, 25, 30)
+        # The order the shards finished in does not matter.
+        assert kept_times(reversed(outcomes), keep_top=2) == (20, 25)
 
     def test_plan_validates_inputs(self):
         with pytest.raises(ConfigurationError):

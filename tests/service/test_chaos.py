@@ -3,8 +3,8 @@
 Every test here runs the same workload twice — once clean, once under
 a ``REPRO_FAULTS`` plan — and asserts the results are bit-identical.
 Faults may change *how* the answer is produced (pools rebuilt,
-incumbent boards refused, streams reconnected, store entries rebuilt),
-never *what* is produced.
+streams reconnected, store entries rebuilt), never *what* is
+produced.
 
 ``REPRO_CHAOS_SEED`` (CI's chaos-smoke matrix) shifts which grid
 point each fault lands on, so repeated runs exercise different
@@ -33,7 +33,7 @@ def grid_jobs(soc):
 
 
 def sharded_jobs(soc):
-    """One job the runner splits into shards (``shard=4``)."""
+    """One job the runner splits into shards 0..3 (``shard=4``)."""
     return [BatchJob(soc, 10, (1, 2, 3))]
 
 
@@ -44,24 +44,25 @@ def no_ambient_faults(monkeypatch):
     return monkeypatch
 
 
-def plan_texts(tmp_path):
+def plan_texts(state_root):
     """The seeded plans the engine chaos test sweeps.
 
-    Each plan gets its own one-shot token directory — tokens claimed
-    by one plan must not disarm the next.
+    Each plan gets its own one-shot token directory under
+    ``state_root`` — tokens claimed by one plan (or one leg of the
+    test) must not disarm the next.  A fault index names a grid point
+    of a whole-point grid and a shard of a sharded job.
     """
     crash_at = SEED % len(WIDTHS)
     slow_at = (SEED + 1) % len(WIDTHS)
     return {
         "crash": (
-            f"seed={SEED},state={tmp_path / 'tok-crash'},"
+            f"seed={SEED},state={state_root / 'tok-crash'},"
             f"crash@{crash_at}"
         ),
-        "shm": f"seed={SEED},shm@{crash_at},shm@{slow_at}",
         "slow": f"seed={SEED},slow@{slow_at}=0.05",
         "combo": (
-            f"seed={SEED},state={tmp_path / 'tok-combo'},"
-            f"crash@{crash_at},shm@{slow_at},slow@{slow_at}=0.05"
+            f"seed={SEED},state={state_root / 'tok-combo'},"
+            f"crash@{crash_at},slow@{slow_at}=0.05"
         ),
     }
 
@@ -74,34 +75,36 @@ class TestEngineChaos:
         sharded_healthy = BatchRunner(max_workers=1).run(
             sharded_jobs(tiny_soc)
         )
-        for name, text in plan_texts(tmp_path).items():
+        sharded_plans = plan_texts(tmp_path / "sharded")
+        for name, text in plan_texts(tmp_path / "grid").items():
             no_ambient_faults.setenv(FAULTS_ENV, text)
             runner = BatchRunner(max_workers=2)
             chaotic = runner.run(grid_jobs(tiny_soc))
             assert chaotic == healthy, f"plan {name!r} changed results"
             if "crash@" in text:
                 assert runner.pool_restarts >= 1
-            if name == "shm":
-                # Whole-point jobs have no incumbent board to refuse;
-                # the shm hook fires in the shards of a sharded job.
-                runner = BatchRunner(max_workers=2, shard=4)
-                chaotic = runner.run(sharded_jobs(tiny_soc))
-                assert chaotic == sharded_healthy
-                assert runner.jobs_sharded == 1
-                injected = runner.metrics.counter("faults.injected")
-                assert injected.value >= 1
+            # The same plan with fresh tokens, so that each fault
+            # lands in a shard task of the sharded job.
+            text = sharded_plans[name]
+            no_ambient_faults.setenv(FAULTS_ENV, text)
+            runner = BatchRunner(max_workers=2, shard=4)
+            chaotic = runner.run(sharded_jobs(tiny_soc))
+            assert chaotic == sharded_healthy, \
+                f"plan {name!r} changed the sharded result"
+            assert runner.jobs_sharded >= 1
+            if "crash@" in text:
+                assert runner.pool_restarts >= 1
 
     def test_inline_mode_survives_the_plans_too(
         self, tiny_soc, tmp_path, no_ambient_faults
     ):
-        # No pool to crash and no board to refuse inline — but the
-        # slow directive still hits its hook, and none may change
-        # results.
+        # No pool to crash inline — but the slow directive still
+        # hits its hook, and none may change results.
         healthy = BatchRunner(max_workers=1).run(grid_jobs(tiny_soc))
         state = tmp_path / "tokens-inline"
         no_ambient_faults.setenv(
             FAULTS_ENV,
-            f"seed={SEED},state={state},shm@0,slow@1=0.02",
+            f"seed={SEED},state={state},slow@1=0.02",
         )
         chaotic = BatchRunner(max_workers=1).run(grid_jobs(tiny_soc))
         assert chaotic == healthy
