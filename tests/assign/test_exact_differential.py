@@ -17,10 +17,16 @@ solvers must pass through the same incumbents:
 Two seeded families feed the comparison: mixed widths, and one bus
 class (P||Cmax, where the subset-sum rule fires), whose small proved
 instances are also checked against a set-partition enumeration.
+
+Node *identity* is pinned separately: a digest of the solver's own
+outputs on both families, and the exact node counts of the three
+p93791 polish solves, so a rework of the per-node code that keeps
+every rule must keep every count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time as _time
 from math import ceil
@@ -317,11 +323,41 @@ def test_matches_oracle_on_one_class_instances(seed):
             ), (times, widths)
 
 
+#: SHA-256 of every ``(nodes_explored, optimal, T, assignment)`` that
+#: :func:`test_solver_outputs_digest` collects.
+SOLVER_OUTPUTS_DIGEST = (
+    "95d3dd9573bfffc59e5f63eccd194a88f0f376431b665e6b3bab976fa71b5b14"
+)
+
+
+def test_solver_outputs_digest():
+    """The solver's outputs on both seeded families, node for node.
+
+    400 draws of each family, each solved at node limits 1, 7, 50 and
+    2,000,000: a change to how a node is computed must visit the same
+    nodes in the same order, so every count, proof flag, T and
+    assignment stays, and so does the digest.  A new pruning rule
+    changes node counts on purpose and updates the digest with it.
+    """
+    digest = hashlib.sha256()
+    for seed, draw in ((0, random_instance), (1, one_class_instance)):
+        rng = random.Random(seed)
+        for _ in range(400):
+            times, widths = draw(rng)
+            for node_limit in (1, 7, 50, 2_000_000):
+                exact = exact_assign(times, widths, node_limit=node_limit)
+                digest.update(repr((
+                    exact.nodes_explored, exact.optimal,
+                    exact.result.testing_time, exact.result.assignment,
+                )).encode())
+    assert digest.hexdigest() == SOLVER_OUTPUTS_DIGEST
+
+
 #: The p93791 polish solves behind perfbench's polish-bound inputs
 #: (W=16, 24, 48): the partition each point polishes, the oracle's node
-#: count, the solver's own node ceiling, and the oracle's assignment.
+#: count, the solver's own node count, and the oracle's assignment.
 #: W=16 and W=24 have one bus class, where rule 6 (subset sums) takes
-#: them from 173,735 and 112,563 nodes to these ceilings.
+#: them from 173,735 and 112,563 nodes to these counts.
 P93791_POLISH = {
     "W16": ((4, 4, 4, 4), 175_137, 4_075, [
         3, 1, 0, 2, 2, 3, 0, 0, 3, 3, 1, 1, 2, 3, 0, 3,
@@ -349,11 +385,11 @@ def polish_times(tables, widths):
 
 @pytest.mark.parametrize("name", sorted(P93791_POLISH))
 def test_p93791_polish_partitions(name, p93791_tables):
-    widths, _, ceiling, assignment = P93791_POLISH[name]
+    widths, _, nodes, assignment = P93791_POLISH[name]
     exact = exact_assign(polish_times(p93791_tables, widths), widths)
     assert exact.optimal
     assert list(exact.result.assignment) == assignment
-    assert exact.nodes_explored <= ceiling
+    assert exact.nodes_explored == nodes
 
 
 def test_p93791_pins_are_the_oracles(p93791_tables):
