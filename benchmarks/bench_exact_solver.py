@@ -5,14 +5,16 @@ polish (W=16, 24 and 48), three W=32 B=4 candidates of the search
 tier's polish, and two one-class partitions, (8,8,8,8) and
 (8,8,8,8,8), that the 2M-node cap stopped unproved until the subset-sum
 rule (rule 6 of ``repro.assign.exact``); the node budget alone decides
-where a search stops.  The polish solves are timed only:
-``tests/assign/test_exact_differential.py`` already pins their
-assignments and node ceilings.  Each candidate must end proved at its
-pinned optimum, within its node ceiling (the last column of
-``CANDIDATES``): for the W=32 candidates, the nodes the branch-and-
-bound explored before its rectangle, bus-class and twin-core rules;
-for the one-class solves, the nodes rule 6 needs.  Node counts hold
-on any runner; seconds do not, so only the nodes are asserted.
+where a search stops.  Each polish solve must explore exactly its
+pinned node count (the solver's own, which
+``tests/assign/test_exact_differential.py`` pins with the
+assignments), so its ``nodes_per_s`` compares across solver changes
+node for node.  Each candidate must end proved at its pinned optimum,
+within its node ceiling (the last column of ``CANDIDATES``): for the
+W=32 candidates, the nodes the branch-and-bound explored before its
+rectangle, bus-class and twin-core rules; for the one-class solves,
+the nodes rule 6 needs.  Node counts hold on any runner; seconds do
+not, so only the nodes are asserted.
 
 The timing table also lands in ``results/exact_solver.txt``; the
 machine-readable record (seconds and nodes per solve) is appended to
@@ -33,11 +35,11 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / (
     "BENCH_exact_solver.json"
 )
 
-#: (what the solve is, bus widths in pipeline order).
+#: (what the solve is, bus widths in pipeline order, node count).
 POLISH = (
-    ("polish W=16", (4, 4, 4, 4)),
-    ("polish W=24", (6, 6, 6, 6)),
-    ("polish W=48", (4, 6, 7, 7, 7, 8, 9)),
+    ("polish W=16", (4, 4, 4, 4), 4_075),
+    ("polish W=24", (6, 6, 6, 6), 4_545),
+    ("polish W=48", (4, 6, 7, 7, 7, 8, 9), 135_227),
 )
 
 #: (what the solve is, bus widths in pipeline order, proved optimum,
@@ -63,13 +65,20 @@ def solve_row(tables, label, widths):
         "T": exact.result.testing_time,
         "nodes": exact.nodes_explored,
         "seconds": round(seconds, 3),
+        "nodes_per_s": round(exact.nodes_explored / seconds),
     }, exact
 
 
 def run_solves(tables):
-    """One row per solve; asserts each candidate's proof, optimum and
-    node ceiling."""
-    rows = [solve_row(tables, label, widths)[0] for label, widths in POLISH]
+    """One row per solve; asserts each polish solve's node count and
+    each candidate's proof, optimum and node ceiling."""
+    rows = []
+    for label, widths, nodes in POLISH:
+        row, exact = solve_row(tables, label, widths)
+        assert exact.nodes_explored == nodes, (
+            f"{row['partition']}: {exact.nodes_explored} nodes, not {nodes}"
+        )
+        rows.append(row)
     for label, widths, optimum, ceiling in CANDIDATES:
         row, exact = solve_row(tables, label, widths)
         partition = row["partition"]
@@ -93,7 +102,7 @@ def test_exact_solver_nodes_and_seconds(benchmark, report, p93791):
         rows_to_table(
             rows,
             ["solve", "partition", "T", "nodes", "node_ceiling",
-             "seconds"],
+             "seconds", "nodes_per_s"],
             title="Exact P_AW solves on p93791 (proved, node budget "
                   "only).",
         ),

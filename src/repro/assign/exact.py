@@ -25,9 +25,10 @@ Six rules cut the tree:
    rule 1 implies the other.
 3. *Placement* — every core after the next must fit on some bus
    below the incumbent (the next one is the child filter).  With one
-   class no later core can bind, and rule 6 runs instead; otherwise a
-   screen on each bus's largest remaining time skips the per-core
-   loop when none can.
+   class no later core can bind, and rule 6 runs instead; nor can one
+   whose row the next core's row dominates (where it fits nowhere, the
+   next core has no child).  A screen on the others' largest time per
+   bus skips the per-core loop when none can bind.
 4. *Bus classes* — a core tries only the first bus of each
    ``(class, load)`` state; the others root the same subtree with
    buses permuted.
@@ -47,6 +48,12 @@ Six rules cut the tree:
    bitsets are built once per solve, bottom-up, and only for
    suffixes whose total fits one room, which bounds their memory.
 
+A node is a few integer operations in the common case: each depth's
+constants are built once per solve, ``Σ w_j·load_j`` rides down the
+DFS so rule 2 is O(1) whenever ``C - top`` fits every bus's smallest
+remaining time, and only children below the incumbent are built.  No
+rule reads a different value, so no node moves.
+
 Why no answer moves: rules 1-3 and 6, like the child filter and the
 static bound, cut only subtrees with no leaf strictly better than the
 incumbent, and rules 4-5 only subtrees that repeat, with buses
@@ -65,7 +72,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from operator import add, eq, mul
+from operator import add, gt, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.assign.core_assign import core_assign
@@ -92,6 +99,10 @@ class ExactResult:
     elapsed_seconds: float
 
 
+class _Exhausted(Exception):
+    """The node budget ran out: unwinds the whole DFS at once."""
+
+
 class _Search:
     """Mutable state of one branch-and-bound run."""
 
@@ -110,13 +121,12 @@ class _Search:
 
         # Hardest cores first: decreasing minimum time, then
         # decreasing maximum time.
-        self.order = sorted(
+        order = sorted(
             range(num_cores),
             key=lambda i: (min(times[i]), max(times[i])),
             reverse=True,
         )
-        rows = self.rows = [list(times[core]) for core in self.order]
-        self.twin = [False] + list(map(eq, rows[1:], rows))
+        rows = self.rows = [list(times[core]) for core in order]
         # Rule 4: each bus lists the earlier buses of its class.
         classes: Dict[Tuple[int, ...], List[int]] = {}
         self.earlier = []
@@ -125,19 +135,32 @@ class _Search:
             self.earlier.append(list(members))
             members.append(bus)
         self.num_classes = len(classes)
-        # Suffix aggregates over the cores order[depth:], indexed by
-        # depth: rule 1's and rule 2's sums, and each bus's smallest
-        # (rule 2) and largest (rule 3) time.
-        min_sum, area_sum = [0], [0]
-        bus_min, bus_max = [[float("inf")] * num_buses], [[0] * num_buses]
+        # Suffix aggregates over the cores order[depth:], by depth:
+        # rule 1's and rule 2's sums and each bus's smallest time.
+        min_sum, area_sum, bus_min = [0], [0], [[float("inf")] * num_buses]
         for row in reversed(rows):
             min_sum.append(min_sum[-1] + min(row))
             area_sum.append(area_sum[-1] + min(map(mul, widths, row)))
             bus_min.append(list(map(min, bus_min[-1], row)))
-            bus_max.append(list(map(max, bus_max[-1], row)))
-        self.min_sum, self.area_sum, self.bus_min, self.bus_max = (
-            suffix[::-1] for suffix in (min_sum, area_sum, bus_min, bus_max)
+        self.min_sum, area_sum, bus_min = (
+            suffix[::-1] for suffix in (min_sum, area_sum, bus_min)
         )
+        # Each depth's constants, in the order the DFS reads them; rule
+        # 3 checks only the later rows this row does not dominate.
+        self.levels = []
+        for depth, row in enumerate(rows):
+            binding = [
+                later for later in rows[depth + 1:]
+                if any(map(gt, later, row))
+            ]
+            self.levels.append((
+                self.min_sum[depth], bus_min[depth], max(bus_min[depth]),
+                area_sum[depth], binding,
+                [max(column) for column in zip(*binding)],
+                order[depth], row, list(map(mul, widths, row)),
+                order[depth - 1] if depth and row == rows[depth - 1]
+                else None,
+            ))
 
         # Rule 6's subset sums of the cores order[depth:], by depth.
         self.subset_sums = {num_cores: b"\x01"}
@@ -154,36 +177,91 @@ class _Search:
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        self._dfs(0, [0] * self.num_cores, [0] * self.num_buses, 0, 0)
+        levels, earlier, widths = self.levels, self.earlier, self.widths
+        num_cores, num_buses = self.num_cores, self.num_buses
+        buses, total_width = range(num_buses), sum(widths)
+        node_limit, floor = self.node_limit, self.global_lower_bound
+        one_class, rooms_waste = self.num_classes == 1, self._rooms_waste
+        loads, assignment = [0] * num_buses, [0] * num_cores
+        nodes, best, best_assignment = 0, self.best_time, self.best_assignment
 
-    def _pruned(self, depth: int, loads: List[int], work: int) -> bool:
-        """Whether rules 1-3 prove no leaf below beats the incumbent."""
-        best = self.best_time
-        if best <= self.global_lower_bound:
-            return True  # incumbent already provably optimal
-        capacity = best - 1
-        slack = capacity * self.num_buses - work - self.min_sum[depth]
-        if slack < 0:
-            return True
-        usable = 0
-        for width, load, smallest in zip(
-            self.widths, loads, self.bus_min[depth]
-        ):
-            if capacity - load >= smallest:
-                usable += width * (capacity - load)
-        if usable < self.area_sum[depth]:
-            return True
-        later = depth + 1
-        if self.num_classes == 1:
-            return self._rooms_waste(depth, loads, capacity, slack)
-        if later == self.num_cores:
-            return False
-        if min(map(add, loads, self.bus_max[later])) < best:
-            return False
-        return any(
-            min(map(add, loads, self.rows[k])) >= best
-            for k in range(later, self.num_cores)
-        )
+        def visit(depth: int, work: int, wload: int, top: int) -> None:
+            # ``work``, ``wload`` and ``top``: the sum, the width-weighted
+            # sum and the maximum of ``loads``.
+            nonlocal nodes, best, best_assignment
+            nodes += 1
+            if nodes >= node_limit:
+                raise _Exhausted
+            if depth == num_cores:
+                if top < best:
+                    best, best_assignment = top, assignment[:]
+                return
+            if best <= floor:
+                return  # incumbent already provably optimal
+            (min_sum, bus_min, largest_min, area_sum, binding, screen,
+             core, row, wrow, twin) = levels[depth]
+            capacity = best - 1
+            slack = capacity * num_buses - work - min_sum
+            if slack < 0:
+                return  # rule 1
+            if capacity - top >= largest_min:
+                usable = capacity * total_width - wload
+            else:
+                usable = 0
+                for width, load, smallest in zip(widths, loads, bus_min):
+                    if capacity - load >= smallest:
+                        usable += width * (capacity - load)
+            if usable < area_sum:
+                return  # rule 2
+            if one_class:
+                if rooms_waste(depth, loads, capacity, slack):
+                    return  # rule 6
+            elif binding and min(map(add, loads, screen)) >= best:
+                for later in binding:  # rule 3
+                    if min(map(add, loads, later)) >= best:
+                        return
+
+            candidates = []
+            for bus in buses:
+                new_load = loads[bus] + row[bus]
+                if new_load < best:
+                    candidates.append((new_load, bus))
+            candidates.sort()
+            twin_load = twin_bus = -1
+            if twin is not None:
+                twin_bus = assignment[twin]
+                twin_load = loads[twin_bus]
+            for new_load, bus in candidates:
+                if new_load >= best or top >= best:
+                    break  # sorted, or a load already reached the incumbent
+                # Rule 5: keys below the twin's were tried one level up.
+                if new_load < twin_load or (
+                    new_load == twin_load and bus < twin_bus
+                ):
+                    continue
+                load = loads[bus]
+                for other in earlier[bus]:  # rule 4
+                    if loads[other] == load:
+                        break
+                else:
+                    loads[bus] = new_load
+                    assignment[core] = bus
+                    visit(
+                        depth + 1, work + row[bus], wload + wrow[bus],
+                        new_load if new_load > top else top,
+                    )
+                    loads[bus] = load
+
+        try:
+            visit(0, 0, 0, 0)
+        except _Exhausted:
+            self.exhausted = True
+        finally:
+            # ``visit`` refers to itself: breaking the cycle frees the
+            # tables (rule 6's bitsets) now, not at a full collection.
+            del visit
+        self.nodes = nodes
+        self.best_time, self.best_assignment = best, best_assignment
 
     def _rooms_waste(
         self, depth: int, loads: List[int], capacity: int, slack: int,
@@ -216,63 +294,6 @@ class _Search:
                 bits |= bits << self.rows[k][0]
                 levels[k] = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
         return levels[depth]
-
-    def _dfs(
-        self, depth: int, assignment: List[int], loads: List[int],
-        work: int, top: int,
-    ) -> None:
-        # ``work`` and ``top`` are the sum and the maximum of ``loads``.
-        if self.exhausted:
-            return
-        self.nodes += 1
-        if self.nodes >= self.node_limit:
-            self.exhausted = True
-            return
-
-        if depth == self.num_cores:
-            if top < self.best_time:
-                self.best_time = top
-                self.best_assignment = list(assignment)
-            return
-        if self._pruned(depth, loads, work):
-            return
-
-        core = self.order[depth]
-        row = self.rows[depth]
-        best = self.best_time
-        twin_load = twin_bus = -1
-        if self.twin[depth]:
-            twin_bus = assignment[self.order[depth - 1]]
-            twin_load = loads[twin_bus]
-
-        candidates = []
-        for bus, earlier in enumerate(self.earlier):
-            load = loads[bus]
-            new_load = load + row[bus]
-            # Rule 5: keys below the twin's were tried one level up.
-            if new_load >= best or new_load < twin_load or (
-                new_load == twin_load and bus < twin_bus
-            ):
-                continue
-            for other in earlier:  # rule 4
-                if loads[other] == load:
-                    break
-            else:
-                candidates.append((new_load, bus))
-        candidates.sort()
-
-        for new_load, bus in candidates:
-            if new_load >= self.best_time or top >= self.best_time:
-                break  # sorted, or a load already reached the incumbent
-            loads[bus] = new_load
-            assignment[core] = bus
-            self._dfs(
-                depth + 1, assignment, loads, work + row[bus],
-                new_load if new_load > top else top,
-            )
-            loads[bus] = new_load - row[bus]
-            if self.exhausted:
-                return
 
 
 def exact_assign(

@@ -1,15 +1,17 @@
 """Static lower bounds for problem P_AW.
 
-:func:`paw_lower_bound` is the exact solver's global bound, and
+:func:`paw_lower_bound` is the exact solver's global bound,
 :func:`column_lower_bound` its O(1) form that the dense sweep kernel
-prunes with.  Buses are unrelated machines because a core's time
-depends on its bus's width.  The per-node bounds of the
+prunes with, and :func:`partition_lower_bound` the one a top-k polish
+skips partitions by.  Buses are unrelated machines because a core's
+time depends on its bus's width.  The per-node bounds of the
 branch-and-bound live in :mod:`repro.assign.exact`.
 """
 
 from __future__ import annotations
 
 from math import ceil
+from operator import mul
 from typing import Sequence
 
 from repro.exceptions import ConfigurationError
@@ -22,6 +24,19 @@ from repro.schedule.makespan import (
 def paw_lower_bound(times: Sequence[Sequence[int]]) -> int:
     """Best static lower bound on the P_AW makespan."""
     return unrelated_lower_bound(times)
+
+
+def partition_lower_bound(
+    times: Sequence[Sequence[int]], widths: Sequence[int]
+) -> int:
+    """:func:`paw_lower_bound` or the paper's rectangle bound, the larger.
+
+    A core on a ``w``-bit bus fills a ``w``×T rectangle of the
+    ``W``×τ bin (``W = Σ widths``), so no assignment to this
+    partition ends before ``⌈Σ_i min_j w_j·T_ij / W⌉``.
+    """
+    area = sum(min(map(mul, widths, row)) for row in times)
+    return max(paw_lower_bound(times), -(-area // sum(widths)))
 
 
 def column_lower_bound(
@@ -46,6 +61,7 @@ def column_lower_bound(
 
 __all__ = [
     "column_lower_bound",
+    "partition_lower_bound",
     "paw_lower_bound",
     "saturation_lower_bound",
 ]

@@ -38,6 +38,7 @@ from repro.api.specs import (
     resolved_tam_counts,
 )
 from repro.assign.exact import ExactResult, exact_assign
+from repro.assign.lower_bounds import partition_lower_bound
 from repro.exceptions import ConfigurationError
 from repro.obs import span as _obs_span
 from repro.optimize.result import CoOptimizationResult
@@ -182,26 +183,25 @@ def co_optimize(
         candidates = (search.best,) + search.runners_up
         if not spec.polish_per_tam_count:
             candidates = candidates[:spec.polish_top_k]
-        with _obs_span("polish", candidates=len(candidates)):
-            exacts = [
-                run_polish_task(
-                    [
-                        [table.time(width) for width in candidate.widths]
-                        for table in table_list
-                    ],
-                    candidate,
-                    spec.exact_node_limit,
-                )
-                for candidate in candidates
-            ]
-        best_polished = None
+        best_polished: Optional[AssignmentResult] = None
         best_optimal = False
-        for exact in exacts:
-            if (best_polished is None
-                    or exact.result.testing_time
-                    < best_polished.testing_time):
-                best_polished = exact.result
-                best_optimal = exact.optimal
+        with _obs_span("polish", candidates=len(candidates)):
+            for candidate in candidates:
+                times = [
+                    [table.time(width) for width in candidate.widths]
+                    for table in table_list
+                ]
+                # Only a strictly better result replaces the best.
+                if best_polished is not None and partition_lower_bound(
+                    times, candidate.widths
+                ) >= best_polished.testing_time:
+                    continue
+                exact = run_polish_task(times, candidate, spec.exact_node_limit)
+                if (best_polished is None
+                        or exact.result.testing_time
+                        < best_polished.testing_time):
+                    best_polished = exact.result
+                    best_optimal = exact.optimal
         assert best_polished is not None
         final = best_polished
         final_optimal = best_optimal

@@ -43,6 +43,7 @@ from typing import (
 
 from repro.api.specs import resolved_tam_counts
 from repro.assign.exact import exact_assign
+from repro.assign.lower_bounds import partition_lower_bound
 from repro.engine.kernel import (
     DenseTimeMatrix,
     KernelWorkspace,
@@ -270,6 +271,8 @@ def polish_candidates(
     Deterministic: candidates are deduped and ordered by
     ``(heuristic time, widths)``, and the loop stops early once the
     incumbent meets the admissible ``bound`` (nothing can beat it).
+    A candidate whose partition bound reaches the incumbent is not
+    solved, since only a strictly better result replaces it.
     """
     pooled: Dict[Tuple[int, ...], AssignmentResult] = {}
     ordered = sorted(islands, key=lambda result: result.island_index)
@@ -289,8 +292,11 @@ def polish_candidates(
     for candidate in candidates:
         if best.testing_time <= bound:
             break
+        times = matrix.times_for(candidate.widths)
+        if partition_lower_bound(times, candidate.widths) >= best.testing_time:
+            continue
         exact = exact_assign(
-            matrix.times_for(candidate.widths),
+            times,
             candidate.widths,
             incumbent=candidate,
             node_limit=POLISH_NODE_LIMIT,

@@ -67,16 +67,29 @@ class TestPaperShapes:
 
     def test_heuristic_orders_of_magnitude_faster(self, d695):
         import time
-        start = time.monotonic()
-        co_optimize(d695, 24, num_tams=range(1, 4), polish=False)
-        heuristic_time = time.monotonic() - start
 
-        start = time.monotonic()
-        exhaustive_optimize(d695, 24, num_tams=range(1, 4))
-        exhaustive_time = time.monotonic() - start
-        # The paper reports >= 10-100x; even at this tiny scale the
-        # heuristic must be clearly faster.
-        assert heuristic_time < exhaustive_time
+        # Both sides share one set of tables, so only the searches are
+        # timed, and each side keeps its best of three runs, so one
+        # scheduling stall cannot decide the comparison.
+        tables = build_time_tables(d695, 24)
+
+        def best_of_three(run):
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                run()
+                seconds.append(time.perf_counter() - start)
+            return min(seconds)
+
+        heuristic_time = best_of_three(lambda: co_optimize(
+            d695, 24, num_tams=range(1, 4), polish=False, tables=tables,
+        ))
+        exhaustive_time = best_of_three(lambda: exhaustive_optimize(
+            d695, 24, num_tams=range(1, 4), tables=tables,
+        ))
+        # The paper reports >= 10-100x; at this tiny scale the
+        # heuristic must still be several times faster (about 10x).
+        assert 3 * heuristic_time < exhaustive_time
 
     def test_pruning_efficiency_small(self, d695):
         # Table 1: only a small fraction of partitions is evaluated

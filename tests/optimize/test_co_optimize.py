@@ -1,7 +1,10 @@
 """Unit tests for the two-step co-optimization pipeline."""
 
+import sys
+
 import pytest
 
+from repro.assign.exact import exact_assign
 from repro.exceptions import ConfigurationError
 from repro.optimize.co_optimize import co_optimize
 
@@ -99,3 +102,48 @@ class TestD695:
         assert t32 < t16
         # Paper: roughly 2x improvement from W=16 to W=32.
         assert t32 < 0.7 * t16
+
+
+class TestPolishSkip:
+    """A top-k polish skips a candidate whose partition bound reaches
+    the best polished time, and the point stays what polishing every
+    candidate returns."""
+
+    @pytest.mark.parametrize("per_tam_count", [False, True])
+    @pytest.mark.parametrize(
+        "soc_name, width",
+        [("d695", 12), ("d695", 40), ("p21241", 12), ("p21241", 20)],
+    )
+    def test_matches_polishing_every_candidate(
+        self, soc_name, width, per_tam_count, request, monkeypatch
+    ):
+        soc = request.getfixturevalue(soc_name)
+        module = sys.modules["repro.optimize.co_optimize"]
+        polish, solved = module.run_polish_task, []
+
+        def spy(times, candidate, node_limit):
+            solved.append(candidate.widths)
+            return polish(times, candidate, node_limit)
+
+        monkeypatch.setattr(module, "run_polish_task", spy)
+        result = co_optimize(
+            soc, width, range(1, 5), polish_top_k=3,
+            polish_per_tam_count=per_tam_count,
+        )
+        candidates = (result.search.best,) + result.search.runners_up
+        if not per_tam_count:
+            candidates = candidates[:3]
+        best = None
+        for candidate in candidates:
+            times = [
+                [result.tables[core.name].time(w) for w in candidate.widths]
+                for core in soc.cores
+            ]
+            exact = exact_assign(times, candidate.widths, incumbent=candidate)
+            if best is None or (
+                exact.result.testing_time < best.result.testing_time
+            ):
+                best = exact
+        assert len(solved) < len(candidates)  # the skip fired
+        assert result.final == best.result
+        assert result.final_optimal == best.optimal

@@ -142,3 +142,46 @@ class TestRunIsland:
         assert [k.widths for k in first.kept] == [
             k.widths for k in second.kept
         ]
+
+
+class TestPolishSkip:
+    """A candidate whose partition bound reaches the incumbent is not
+    polished; the point stays what polishing every candidate gives."""
+
+    def test_p93791_point_is_identical_without_its_slowest_solve(
+        self, p93791, monkeypatch
+    ):
+        from repro.analysis.sweep import evaluate_point
+        from repro.engine.cache import WrapperTableCache
+        from repro.report.serialize import sweep_point_to_dict
+        from repro.search import driver
+
+        tables = WrapperTableCache(p93791).tables(32)
+        solved = []
+        original = driver.exact_assign
+
+        def spy(times, widths, **options):
+            solved.append(tuple(widths))
+            return original(times, widths, **options)
+
+        def point():
+            solved.clear()
+            return evaluate_point(
+                p93791, 32, (1, 2, 3, 4), tables=tables, mode="search",
+                search_strategy="ga", seed=7, eval_budget=250,
+            )
+
+        monkeypatch.setattr(driver, "exact_assign", spy)
+        skipped = point()
+        assert (11, 7, 7, 7) not in solved  # 941,968 nodes
+        assert len(solved) == 5
+        # With a bound of zero nothing is skipped: every candidate is
+        # polished, the slow one among them.
+        monkeypatch.setattr(
+            driver, "partition_lower_bound", lambda times, widths: 0
+        )
+        every = point()
+        assert (11, 7, 7, 7) in solved and len(solved) == 8
+        assert skipped.testing_time == 2_458_186
+        assert skipped.search.best == every.search.best
+        assert sweep_point_to_dict(skipped) == sweep_point_to_dict(every)
