@@ -1,6 +1,7 @@
 """Job-level fault tolerance of the batch engine."""
 
 import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -193,33 +194,52 @@ class TestBrokenPoolRecovery:
             assert runner.pool_restarts == 1
             assert runner.pools_started >= 2
 
-    def test_exhausted_pool_restarts_record_failed_points(
-        self, tiny_soc
-    ):
-        from concurrent.futures.process import BrokenProcessPool
+    @pytest.fixture
+    def pools_break_on_submit(self, monkeypatch):
+        """Every pool, the rebuilt ones too, breaks on its first submit:
+        a worker death that happens again after each restart."""
 
-        runner = BatchRunner(
-            max_workers=2, on_error="record", pool_restart_retries=0
-        )
-        # A broken pool with no restart budget must not raise under
-        # the record policy: every unfinished point gets a structured
-        # FailedPoint instead.
-        import repro.engine.batch as batch_module
-
-        class _AlwaysBroken:
+        class BrokenOnSubmit:
             def __init__(self, *args, **kwargs):
-                raise BrokenProcessPool("pool refused to start")
+                pass
 
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, wait=True):
+                pass
+
+        monkeypatch.setattr(batch, "ProcessPoolExecutor", BrokenOnSubmit)
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_exhausted_pool_restarts_record_failed_points(
+        self, tiny_soc, pools_break_on_submit, budget
+    ):
+        # After the last restart the supervisor gives up: under the
+        # record policy every unfinished point becomes a FailedPoint
+        # counting the pools it was tried on.
         jobs = [BatchJob(tiny_soc, w, 2) for w in (4, 5)]
-        original = batch_module.ProcessPoolExecutor
-        try:
-            batch_module.ProcessPoolExecutor = _AlwaysBroken
-            with pytest.raises(BrokenProcessPool):
-                # Construction failure happens before dispatch: the
-                # supervisor only guards the dispatch loop.
-                runner.run(jobs)
-        finally:
-            batch_module.ProcessPoolExecutor = original
+        runner = BatchRunner(
+            max_workers=2, on_error="record", pool_restart_retries=budget
+        )
+        results = runner.run(jobs)
+        assert all(isinstance(r, FailedPoint) for r in results)
+        assert [(r.job, r.error_type, r.attempts) for r in results] == [
+            (job, "BrokenProcessPool", budget + 1) for job in jobs
+        ]
+        assert runner.pools_started == budget + 1
+        # Every break counts, the last one too, which is not recovered.
+        assert runner.pool_restarts == budget + 1
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_exhausted_pool_restarts_raise_under_default_policy(
+        self, tiny_soc, pools_break_on_submit, budget
+    ):
+        runner = BatchRunner(max_workers=2, pool_restart_retries=budget)
+        with pytest.raises(BrokenProcessPool):
+            runner.run([BatchJob(tiny_soc, w, 2) for w in (4, 5)])
+        assert runner.pools_started == budget + 1
+        assert runner.pool_restarts == budget + 1
 
     def test_rejects_bad_supervision_knobs(self):
         with pytest.raises(ConfigurationError):
