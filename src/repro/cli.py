@@ -327,7 +327,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     exploration = ExplorationServer(
         max_workers=args.jobs,
         cache_dir=args.cache_dir,
-        retries=args.retries,
         max_records=args.max_records,
         require_auth=args.auth,
         tokens_path=args.tokens_file,
@@ -609,8 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=None,
                        help="worker processes (default: one per CPU; "
                             "1 = run grids inline)")
-    serve.add_argument("--retries", type=int, default=0,
-                       help="retry attempts per failed grid point")
     serve.add_argument("--cache-dir", default=None,
                        help="persist wrapper time tables AND the "
                             "grid-result memo in this directory "

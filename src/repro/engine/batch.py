@@ -27,7 +27,7 @@ Three orthogonal options extend the engine for service use:
   across runs;
 * ``on_error="record"`` turns a failing grid point into a structured
   :class:`FailedPoint` in the result list instead of aborting the
-  whole grid, with ``retries`` transient-failure attempts first;
+  whole grid;
 * ``persistent=True`` keeps the process pool alive across
   :meth:`BatchRunner.run` calls (close with :meth:`BatchRunner.
   close` or a ``with`` block) — the resident-worker mode the
@@ -36,7 +36,10 @@ Three orthogonal options extend the engine for service use:
 Results come back as :class:`~repro.analysis.sweep.SweepPoint`
 records in job order, and are identical to a sequential run — the
 optimizer is deterministic and the tables a cache hands out match a
-fresh build exactly.
+fresh build exactly.  For the same reason a job or a fanned task that
+raises would raise again, so nothing re-runs one: the one recovery
+is the pool supervisor's rebuild after a worker dies (see
+:attr:`BatchRunner.POOL_RESTART_RETRIES`).
 """
 
 from __future__ import annotations
@@ -211,7 +214,9 @@ class FailedPoint:
     Returned in place of a :class:`~repro.analysis.sweep.SweepPoint`
     when the runner's ``on_error`` policy is ``"record"``: the grid
     completes, and failures stay attributable — which job, which
-    exception, after how many attempts.  Picklable, so pool workers
+    exception.  ``attempts`` is 1 for an error the job raised itself
+    (nothing re-runs one); a point the pool supervisor gave up on
+    counts the pools that broke under it.  Picklable, so pool workers
     can ship it back like any result.
     """
 
@@ -351,9 +356,9 @@ def align_point_telemetry(
     ]
 
 
-#: Per-worker-process runtime policy, set by :func:`_init_worker` at
-#: pool start: (on_error, retries).
-_WORKER_POLICY: Tuple[str, int] = ("raise", 0)
+#: Per-worker-process ``on_error`` policy, set by :func:`_init_worker`
+#: at pool start.
+_WORKER_POLICY = "raise"
 
 #: The fault-injection plan active in this worker process, parsed
 #: from the plan text the parent threaded through the initializer.
@@ -379,7 +384,6 @@ def _make_store(cache_dir: Union[str, Path, None]) -> "Optional[TableStore]":
 
 def _init_worker(
     on_error: str,
-    retries: int,
     trace: bool = False,
     faults: Optional[str] = None,
 ) -> None:
@@ -393,7 +397,7 @@ def _init_worker(
     the same deterministic chaos plan.
     """
     global _WORKER_POLICY, _WORKER_FAULTS, _IN_POOL_WORKER
-    _WORKER_POLICY = (on_error, retries)
+    _WORKER_POLICY = on_error
     _WORKER_FAULTS = FaultPlan.parse(faults) if faults else None
     _IN_POOL_WORKER = True
     if trace:
@@ -468,49 +472,38 @@ def _run_job(
 def _with_policy(
     job: BatchJob,
     on_error: str,
-    retries: int,
     run: Callable[[], _T],
 ) -> Union[_T, FailedPoint]:
-    """Run one job's attempts under the runner's failure policy.
+    """Run one job once under the runner's failure policy.
 
-    ``run`` gets ``retries + 1`` attempts.  A ``BrokenProcessPool``
-    is pool-level, not the job's: it passes straight up to the pool
-    supervisor.  The last failure raises, or under
-    ``on_error="record"`` becomes a :class:`FailedPoint`.
+    The pipeline is deterministic, so a job that raised would raise
+    again: its error raises, or under ``on_error="record"`` becomes a
+    :class:`FailedPoint`.  A ``BrokenProcessPool`` is pool-level, not
+    the job's: it passes straight up to the pool supervisor.
     """
-    attempts = retries + 1
-    for attempt in range(1, attempts + 1):
-        try:
-            return run()
-        except BrokenProcessPool:
+    try:
+        return run()
+    except BrokenProcessPool:
+        raise
+    except Exception as error:  # noqa: BLE001 - policy boundary
+        if on_error != "record":
             raise
-        except Exception as error:  # noqa: BLE001 - policy boundary
-            if attempt < attempts:
-                logger.warning(
-                    "job %s failed (attempt %d/%d), retrying: %s",
-                    job.describe(), attempt, attempts, error,
-                )
-                continue
-            if on_error == "record":
-                logger.error(
-                    "job %s failed permanently: %s: %s",
-                    job.describe(), type(error).__name__, error,
-                )
-                return FailedPoint(
-                    job=job,
-                    error_type=type(error).__name__,
-                    error_message=str(error),
-                    attempts=attempt,
-                )
-            raise
-    raise AssertionError("unreachable")  # pragma: no cover
+        logger.error(
+            "job %s failed: %s: %s",
+            job.describe(), type(error).__name__, error,
+        )
+        return FailedPoint(
+            job=job,
+            error_type=type(error).__name__,
+            error_message=str(error),
+            attempts=1,
+        )
 
 
 def _run_job_safe(
     caches: Dict[str, WrapperTableCache],
     job: BatchJob,
     on_error: str,
-    retries: int,
     store: "Optional[TableStore]" = None,
     descriptor: Optional[DenseDescriptor] = None,
     point_index: Optional[int] = None,
@@ -518,7 +511,7 @@ def _run_job_safe(
 ) -> BatchResult:
     """Evaluate one job under the runner's failure policy."""
     return _with_policy(
-        job, on_error, retries,
+        job, on_error,
         lambda: _run_job(
             caches, job, store=store, descriptor=descriptor,
             point_index=point_index, faults=faults,
@@ -537,7 +530,6 @@ def _pool_worker(
     fault-injection hooks.
     """
     job, descriptor, point_index = item
-    on_error, retries = _WORKER_POLICY
     faults = _WORKER_FAULTS
     if (
         faults is not None
@@ -549,7 +541,7 @@ def _pool_worker(
         os._exit(1)
     baseline = task_begin()
     result = _run_job_safe(
-        {}, job, on_error, retries,
+        {}, job, _WORKER_POLICY,
         descriptor=descriptor, point_index=point_index, faults=faults,
     )
     return result, task_end(baseline)
@@ -580,7 +572,7 @@ def _task_prologue(
 def _shard_worker(
     item: Tuple[
         DenseDescriptor, Tuple[int, ...], int,
-        Tuple[ShardSpan, ...], Soc, int, int, bool,
+        Tuple[ShardSpan, ...], Soc, int, int,
     ]
 ) -> Tuple[ShardOutcome, TaskTelemetry]:
     """Pool entry point: score one shard of a sharded partition sweep.
@@ -592,14 +584,14 @@ def _shard_worker(
     merge.
     """
     (descriptor, earlier, shard_index, spans, soc,
-     total_width, keep_top, prune) = item
+     total_width, keep_top) = item
     baseline, matrix = _task_prologue(shard_index, descriptor)
     with span(
         "shard_sweep", soc=soc.name, shard=shard_index
     ) as shard_span:
         outcome = sweep_shard(
             matrix, spans, shard_index, total_width,
-            keep_top=keep_top, prune=prune, earlier=earlier,
+            keep_top=keep_top, earlier=earlier,
         )
         shard_span.annotate(completions=len(outcome.completions))
     REGISTRY.counter("shard.shards_run").inc()
@@ -672,11 +664,6 @@ class BatchRunner:
         ``"raise"`` (default) aborts the batch on the first failing
         job; ``"record"`` returns a :class:`FailedPoint` for it and
         completes the rest of the grid.
-    retries:
-        Extra attempts per job before its failure is raised or
-        recorded.  The pipeline is deterministic, so retries pay off
-        only for environmental failures (a worker killed under
-        memory pressure).
     cache_dir:
         When set, the runner's table caches — which build every
         SOC's tables, inline and for the pool — are backed by a
@@ -696,8 +683,8 @@ class BatchRunner:
         unsharded run either way — sharding is pure execution
         strategy, excluded from every canonical job key.  Only jobs
         on the production defaults (canonical ``unique`` enumeration,
-        no per-count stratification) shard; others fall back to
-        whole-job dispatch.
+        pruned sweep, no per-count stratification) shard; others fall
+        back to whole-job dispatch.
     point_timeout:
         Per-point wall-clock deadline in seconds (pool mode only;
         inline jobs cannot be interrupted).  A point whose result
@@ -708,31 +695,24 @@ class BatchRunner:
         Like ``shard``, overridable per call and per submitted
         :class:`~repro.api.specs.GridSpec` runner hint, and excluded
         from every canonical job key.
-    pool_restart_retries:
-        How many times a grid survives its process pool breaking
-        (a worker OOM-killed or segfaulting): the pool is rebuilt,
-        already-yielded results are kept, and only the unfinished
-        points re-dispatch — after a deterministic
-        :func:`repro.retry.backoff_schedule` delay.  ``0`` restores
-        the historical fail-fast behavior.
     """
 
-    #: Attempts in all that one fanned task (a shard or an island)
-    #: gets before its failure reaches the job-level policy;
-    #: re-running a task is deterministic, so the second attempt only
-    #: pays off for environmental failures.
-    SHARD_RETRY_ATTEMPTS = 2
+    #: How many times a grid survives its process pool breaking (a
+    #: worker OOM-killed or segfaulting): the pool is rebuilt,
+    #: already-yielded results are kept, and only the unfinished
+    #: points re-dispatch, after a deterministic
+    #: :func:`repro.retry.backoff_schedule` delay.  The engine's only
+    #: recovery: a dead worker is the one failure a re-run can cure.
+    POOL_RESTART_RETRIES = 2
 
     def __init__(
         self,
         max_workers: Optional[int] = 1,
         on_error: str = "raise",
-        retries: int = 0,
         cache_dir: Union[str, Path, None] = None,
         persistent: bool = False,
         shard: Union[int, str, None] = "auto",
         point_timeout: Union[int, float, None] = None,
-        pool_restart_retries: int = 2,
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError(
@@ -743,21 +723,10 @@ class BatchRunner:
                 f"on_error must be one of {ON_ERROR_POLICIES}, "
                 f"got {on_error!r}"
             )
-        if retries < 0:
-            raise ConfigurationError(
-                f"retries must be >= 0, got {retries}"
-            )
         normalize_shard_policy(shard)
-        if pool_restart_retries < 0:
-            raise ConfigurationError(
-                "pool_restart_retries must be >= 0, got "
-                f"{pool_restart_retries}"
-            )
         self.point_timeout = normalize_point_timeout(point_timeout)
-        self.pool_restart_retries = pool_restart_retries
         self.max_workers = max_workers
         self.on_error = on_error
-        self.retries = retries
         self.cache_dir = (
             str(cache_dir) if cache_dir is not None else None
         )
@@ -806,8 +775,10 @@ class BatchRunner:
 
     @property
     def pool_restarts(self) -> int:
-        """Broken process pools rebuilt mid-grid over this runner's
-        lifetime — each one a worker death the grid survived."""
+        """Process pools that broke mid-grid over this runner's
+        lifetime, each one a worker death.  Every break counts: those
+        the supervisor rebuilt the pool after, and the last one, after
+        which it gave up."""
         return self.metrics.counter("engine.pool_restarts").value
 
     @property
@@ -831,7 +802,7 @@ class BatchRunner:
             max_workers=workers,
             initializer=_init_worker,
             initargs=(
-                self.on_error, self.retries, TRACER.enabled,
+                self.on_error, TRACER.enabled,
                 plan.text if plan is not None else None,
             ),
         )
@@ -931,9 +902,10 @@ class BatchRunner:
     def _job_shardable(job: BatchJob) -> bool:
         """True when the shard protocol's determinism argument applies.
 
-        That is the exact tier over the ``"unique"`` enumerator with
-        no per-count stratification.  A job whose options do not
-        validate is not fanned: it runs whole and fails as its own
+        That is the exact tier's pruned sweep over the ``"unique"``
+        enumerator with no per-count stratification.  An unpruned job
+        runs whole, through the serial sweep.  A job whose options do
+        not validate is not fanned: it runs whole and fails as its own
         point.
         """
         spec = _valid_spec(job)
@@ -941,6 +913,7 @@ class BatchRunner:
             spec is not None
             and spec.mode == "exact"
             and spec.enumerator == "unique"
+            and spec.prune
             and not spec.polish_per_tam_count
         )
 
@@ -1084,7 +1057,7 @@ class BatchRunner:
             for index, job in enumerate(jobs):
                 baseline = task_begin()
                 result = _run_job_safe(
-                    self._caches, job, self.on_error, self.retries,
+                    self._caches, job, self.on_error,
                     store=self._store, point_index=index,
                     faults=faults,
                 )
@@ -1100,7 +1073,7 @@ class BatchRunner:
         # dead pool, so the rebuilt workers attach the same tables.
         emitted = 0
         restarts = 0
-        delays = backoff_schedule(self.pool_restart_retries)
+        delays = backoff_schedule(self.POOL_RESTART_RETRIES)
         pool = (
             self._resident_pool(workers) if self.persistent
             else self._new_pool(workers)
@@ -1120,7 +1093,7 @@ class BatchRunner:
                     self.metrics.counter("engine.pool_restarts").inc()
                     self._executor = None
                     pool.shutdown(wait=False)
-                    if restarts > self.pool_restart_retries:
+                    if restarts > self.POOL_RESTART_RETRIES:
                         logger.error(
                             "process pool broke after %d/%d results "
                             "and %d rebuild(s); giving up",
@@ -1144,7 +1117,7 @@ class BatchRunner:
                         "process pool broke after %d/%d results; "
                         "rebuilding and resuming (restart %d/%d)",
                         emitted, len(jobs), restarts,
-                        self.pool_restart_retries,
+                        self.POOL_RESTART_RETRIES,
                     )
                     _sleep(delays[restarts - 1])
                     pool = (
@@ -1250,7 +1223,7 @@ class BatchRunner:
                 else:
                     baseline = task_begin()
                     outcome = _with_policy(
-                        jobs[index], self.on_error, self.retries,
+                        jobs[index], self.on_error,
                         lambda: self._run_fanned(
                             jobs[index], descriptors[index], pool,
                             workers, shard_counts[index],
@@ -1279,8 +1252,6 @@ class BatchRunner:
         payload: Callable[[int, Mapping[int, Any]], Any],
         count: int,
         window: int,
-        retry_counter: str,
-        label: str,
     ) -> Tuple[List[Any], List[TaskTelemetry]]:
         """Run ``count`` tasks on ``pool``: values and telemetry, task order.
 
@@ -1289,52 +1260,29 @@ class BatchRunner:
         finished)`` builds task ``index``'s payload at the moment it
         is submitted, from the values of the tasks finished by then
         (``finished`` maps task index to value): that is how a shard
-        is seeded from the shards before it.  A task that raises
-        re-runs alone, up to :attr:`SHARD_RETRY_ATTEMPTS` attempts in
-        all, after a :func:`repro.retry.backoff_schedule` delay; each
-        re-run counts in ``retry_counter``.  No task's value depends
+        is seeded from the shards before it.  No task's value depends
         on what the others finished before it, so the merged result
-        stays bit-identical however the tasks interleave or re-run.
-        A ``BrokenProcessPool`` propagates untouched to the pool
-        supervisor.  Each task's metrics are absorbed into the
-        runner's registry once; the returned telemetry is for the
-        caller's records.
+        stays bit-identical however the tasks interleave.  A task's
+        error propagates at once, to the job's failure policy — or,
+        as a ``BrokenProcessPool``, to the pool supervisor.  Each
+        task's metrics are absorbed into the runner's registry once;
+        the returned telemetry is for the caller's records.
         """
-        delays = backoff_schedule(self.SHARD_RETRY_ATTEMPTS - 1)
         finished: Dict[int, Any] = {}
         telemetry: Dict[int, TaskTelemetry] = {}
-        attempts = [0] * count
         queued = deque(range(count))
         running: Dict["Future[Tuple[Any, TaskTelemetry]]", int] = {}
-
-        def submit(index: int) -> None:
-            attempts[index] += 1
-            running[pool.submit(worker, payload(index, finished))] = index
-
         try:
             while queued or running:
                 while queued and len(running) < window:
-                    submit(queued.popleft())
+                    index = queued.popleft()
+                    running[pool.submit(
+                        worker, payload(index, finished)
+                    )] = index
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in sorted(done, key=running.__getitem__):
                     index = running.pop(future)
-                    try:
-                        value, task_telemetry = future.result()
-                    except BrokenProcessPool:
-                        raise
-                    except Exception as error:  # noqa: BLE001
-                        if attempts[index] >= self.SHARD_RETRY_ATTEMPTS:
-                            raise
-                        logger.warning(
-                            "%s %d failed (attempt %d/%d), "
-                            "re-running: %s",
-                            label, index, attempts[index],
-                            self.SHARD_RETRY_ATTEMPTS, error,
-                        )
-                        self.metrics.counter(retry_counter).inc()
-                        _sleep(delays[attempts[index] - 1])
-                        submit(index)
-                        continue
+                    value, task_telemetry = future.result()
                     self.metrics.absorb(task_telemetry.metrics)
                     finished[index] = value
                     telemetry[index] = task_telemetry
@@ -1378,12 +1326,9 @@ class BatchRunner:
             worker: Callable[[Any], Tuple[Any, TaskTelemetry]],
             payload: Callable[[int, Mapping[int, Any]], Any],
             count: int,
-            retry_counter: str,
-            kind: str,
         ) -> List[Any]:
             values, task_telemetry = self._fan_out(
-                pool, worker, payload, count, workers, retry_counter,
-                f"{job.describe()} {kind}",
+                pool, worker, payload, count, workers,
             )
             telemetry.extend(task_telemetry)
             return values
@@ -1395,20 +1340,20 @@ class BatchRunner:
             return fan(
                 _search_worker,
                 lambda index, _: (descriptor, plans[index], job.soc),
-                len(plans), "engine.island_retries", "island",
+                len(plans),
             )
 
         def sweep(
             table_list: Sequence[TimeTable],
             total_width: int,
             tam_counts: Union[int, Iterable[int]], *,
-            prune: bool = True,
             keep_top: int = 1,
             **_: Any,
         ) -> PartitionSearchResult:
-            # Only jobs _job_shardable admits get here, so the
-            # enumerator is "unique" and nothing is stratified; the
-            # dense matrix co_optimize passes on is `matrix` itself.
+            # Only jobs _job_shardable admits get here, so the sweep
+            # prunes, the enumerator is "unique" and nothing is
+            # stratified; the dense matrix co_optimize passes on is
+            # `matrix` itself.
 
             def scorer(plan: ShardPlan) -> List[ShardOutcome]:
                 self.metrics.counter("shard.shards_planned").inc(
@@ -1425,18 +1370,14 @@ class BatchRunner:
                     )
                     return (
                         descriptor, earlier, index, plan.shards[index],
-                        job.soc, total_width, keep_top, prune,
+                        job.soc, total_width, keep_top,
                     )
 
-                return fan(
-                    _shard_worker, payload, plan.num_shards,
-                    "engine.shard_retries", "shard",
-                )
+                return fan(_shard_worker, payload, plan.num_shards)
 
             return sharded_partition_evaluate(
                 None, total_width, tam_counts, num_shards,
-                prune=prune, keep_top=keep_top, dense=matrix,
-                scorer=scorer,
+                keep_top=keep_top, dense=matrix, scorer=scorer,
             )
 
         self.metrics.counter(

@@ -12,7 +12,8 @@ assignment, runners-up order, and every :class:`~repro.partition.
 evaluate.PartitionStats` count that equality compares.  The one
 exception is the ``num_lb_pruned`` telemetry: each shard counts the
 lower-bound skips it actually makes, under its own thresholds, and
-the merge sums them.
+the merge sums them.  Only the pruned sweep (``prune=True``, the
+default) shards; an unpruned one stays serial.
 
 The protocol rests on two facts about the serial sweep:
 
@@ -50,7 +51,6 @@ import time as _time
 from dataclasses import dataclass
 from typing import (
     Callable,
-    Dict,
     Iterable,
     List,
     Optional,
@@ -69,7 +69,6 @@ from repro.exceptions import ConfigurationError
 from repro.partition.count import count_partitions
 from repro.partition.enumerate import partitions_slice
 from repro.partition.evaluate import (
-    PRUNE_MODES,
     PartitionSearchResult,
     PartitionStats,
     _TopK,
@@ -239,7 +238,6 @@ def sweep_shard(
     shard_index: int,
     total_width: int,
     keep_top: int = 1,
-    prune: bool = True,
     earlier: Sequence[int] = (),
     workspace: Optional[KernelWorkspace] = None,
 ) -> ShardOutcome:
@@ -259,26 +257,15 @@ def sweep_shard(
     count, and counting it twice would over-tighten.  ``earlier=()``
     scores blind, which records more completions for the same merged
     outcome.
-
-    Under ``prune=False`` every partition completes and the seed is
-    unused; recording every completion would ship the whole
-    partition space back to the parent, so only the shard's *final*
-    top-k is reported — lossless, because an entry evicted from (or
-    never admitted to) a shard's top-k is rejected by the serial
-    tracker at the same offer, the shard's entries being a subset of
-    the serial tracker's at every rank — and the merge restores the
-    per-count completion totals analytically (everything completes).
     """
     start_clock = _time.monotonic()
     tracker = _TopK(keep_top)
     workspace = workspace or KernelWorkspace()
     completions: List[ShardCompletion] = []
     lb_pruned: List[Tuple[int, int]] = []
-    #: prune=False: widths-key → latest kept completion (see above).
-    kept: Dict[Tuple[int, ...], ShardCompletion] = {}
     seed = (
         sorted(earlier)[keep_top - 1]
-        if prune and len(earlier) >= keep_top else None
+        if len(earlier) >= keep_top else None
     )
     threshold = seed
     for span in spans:
@@ -298,31 +285,14 @@ def sweep_shard(
             )
             if result is None:
                 continue
-            completion = ShardCompletion(
+            completions.append(ShardCompletion(
                 count_index=span.count_index,
                 rank=span.start + offset,
                 result=result,
-            )
+            ))
             tracker.offer(result)
-            if prune:
-                completions.append(completion)
-                threshold = _tighter(tracker.threshold(), seed)
-            elif any(
-                entry is result for entry in tracker.entries
-            ):
-                kept[tuple(sorted(result.widths))] = completion
+            threshold = _tighter(tracker.threshold(), seed)
         lb_pruned.append((span.count_index, skipped))
-    if not prune and kept:
-        final_keys = {
-            tuple(sorted(entry.widths)) for entry in tracker.entries
-        }
-        completions = sorted(
-            (
-                completion for key, completion in kept.items()
-                if key in final_keys
-            ),
-            key=lambda c: (c.count_index, c.rank),
-        )
     return ShardOutcome(
         shard_index=shard_index,
         completions=tuple(completions),
@@ -335,7 +305,6 @@ def merge_shard_outcomes(
     plan: ShardPlan,
     outcomes: Sequence[ShardOutcome],
     keep_top: int = 1,
-    prune: bool = True,
     elapsed_seconds: Optional[float] = None,
 ) -> PartitionSearchResult:
     """Deterministically merge shard outcomes into the serial result.
@@ -369,7 +338,7 @@ def merge_shard_outcomes(
     for index, count in enumerate(plan.tam_counts):
         size = sizes[index]
         completed = 0
-        threshold = tracker.threshold() if prune else None
+        threshold = tracker.threshold()
         previous_rank = -1
         for completion in per_count[index]:
             if completion.rank <= previous_rank:
@@ -384,13 +353,7 @@ def merge_shard_outcomes(
                 continue  # an extra: serial would have aborted it
             completed += 1
             tracker.offer(result)
-            if prune:
-                threshold = tracker.threshold()
-        if not prune:
-            # No pruning: the serial sweep runs every partition to
-            # completion.  Shards only report their final top-k
-            # (see sweep_shard), so the count is analytic.
-            completed = size
+            threshold = tracker.threshold()
         stats.append(PartitionStats(
             num_tams=count,
             num_unique=size,
@@ -427,7 +390,6 @@ def sharded_partition_evaluate(
     total_width: int,
     num_tams: Union[int, Sequence[int]],
     num_shards: int,
-    prune: bool = True,
     keep_top: int = 1,
     dense: Optional[DenseTimeMatrix] = None,
     scorer: Optional[ShardScorer] = None,
@@ -441,19 +403,13 @@ def sharded_partition_evaluate(
     already finished when it is submitted.
 
     Restrictions mirror what the protocol's determinism proof needs:
-    the canonical ``unique`` enumeration and no per-count
-    stratification — exactly the production defaults.
+    the pruned sweep over the canonical ``unique`` enumeration with no
+    per-count stratification — exactly the production defaults.
     """
     start_clock = _time.monotonic()
     if keep_top < 1:
         raise ConfigurationError(
             f"keep_top must be >= 1, got {keep_top}"
-        )
-    if prune not in PRUNE_MODES:
-        # Same rejection as the serial sweep: a job must fail or
-        # succeed identically at every shard setting.
-        raise ConfigurationError(
-            f"prune must be one of {PRUNE_MODES}, got {prune!r}"
         )
     if dense is None:
         if not tables:
@@ -472,13 +428,13 @@ def sharded_partition_evaluate(
         for index, spans in enumerate(plan.shards):
             scored.append(sweep_shard(
                 dense, spans, index, total_width, keep_top=keep_top,
-                prune=prune, earlier=kept_times(scored, keep_top),
+                earlier=kept_times(scored, keep_top),
                 workspace=workspace,
             ))
         outcomes = scored
     else:
         outcomes = scorer(plan)
     return merge_shard_outcomes(
-        plan, outcomes, keep_top=keep_top, prune=prune,
+        plan, outcomes, keep_top=keep_top,
         elapsed_seconds=_time.monotonic() - start_clock,
     )

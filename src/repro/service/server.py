@@ -99,6 +99,10 @@ TERMINAL_STATUSES: Tuple[str, ...] = (
     "done", "failed", "cancelled", "shed",
 )
 
+#: Compact the job journal at startup once replay folded more than
+#: this many lines; compactions count in ``info()['health']``.
+JOURNAL_COMPACT_THRESHOLD = 256
+
 #: Consecutive-overload backoff hints (seconds): the ``retry_after``
 #: a rejected client is told grows with each back-to-back overload
 #: rejection and resets once any submission is admitted again.
@@ -280,8 +284,6 @@ class ExplorationServer:
     cache_dir:
         Optional persistent table store directory for the built
         runner (see :class:`repro.service.store.TableStore`).
-    retries:
-        Per-point retry budget for the built runner.
     max_records:
         Retention bound for *terminal* job records (done / failed /
         cancelled).  ``None`` (default) keeps every record for the
@@ -305,11 +307,6 @@ class ExplorationServer:
         lower priority class or is rejected with a typed
         :class:`~repro.exceptions.OverloadedError` carrying a
         ``retry_after`` hint.  ``None`` (default) = unbounded.
-    journal_compact_threshold:
-        Compact the job journal at startup when replay folded more
-        than this many lines (and count compactions in
-        ``info()['health']``).  ``0`` compacts whenever the journal
-        is non-trivial.
     """
 
     def __init__(
@@ -317,18 +314,15 @@ class ExplorationServer:
         runner: Optional[BatchRunner] = None,
         max_workers: Optional[int] = None,
         cache_dir: Union[str, Path, None] = None,
-        retries: int = 0,
         max_records: Optional[int] = None,
         require_auth: bool = False,
         tokens_path: Union[str, Path, None] = None,
         max_queue_depth: Optional[int] = None,
-        journal_compact_threshold: int = 256,
     ) -> None:
         if runner is None:
             runner = BatchRunner(
                 max_workers=max_workers,
                 on_error="record",
-                retries=retries,
                 cache_dir=cache_dir,
                 persistent=True,
             )
@@ -343,7 +337,8 @@ class ExplorationServer:
         self.grid_memo: Optional[GridMemo] = None
         if self.runner.cache_dir is not None:
             self.grid_memo = GridMemo(
-                Path(self.runner.cache_dir) / "grid-memo"
+                Path(self.runner.cache_dir) / "grid-memo",
+                metrics=self.runner.metrics,
             )
         #: Run warehouse next to the table store: every grid this
         #: server finishes lands there with its metrics and spans,
@@ -380,7 +375,6 @@ class ExplorationServer:
                 )
             self.token_registry = TokenRegistry.load(tokens_path)
         self.require_auth = require_auth
-        self.journal_compact_threshold = int(journal_compact_threshold)
         self._records: Dict[str, JobRecord] = {}
         self._memo: Dict[str, str] = {}
         self._queue = AdmissionQueue(max_depth=max_queue_depth)
@@ -761,8 +755,7 @@ class ExplorationServer:
             # fsync'd rewrite every time.
             try:
                 if self.journal.compact_if_needed(
-                    self.journal.replay(),
-                    self.journal_compact_threshold,
+                    self.journal.replay(), JOURNAL_COMPACT_THRESHOLD,
                 ):
                     self.runner.metrics.counter(
                         "service.journal_compactions"
@@ -984,21 +977,21 @@ class ExplorationServer:
         journal_errors = snapshot.counter("service.journal_errors")
         unreplayable = snapshot.counter("service.journal_unreplayable")
         quarantined = snapshot.counter("store.quarantined")
+        store_write_errors = snapshot.counter("store.write_errors")
         degraded = bool(
-            pool_restarts or points_timed_out
-            or journal_errors or unreplayable or quarantined
+            pool_restarts or points_timed_out or journal_errors
+            or unreplayable or quarantined or store_write_errors
         )
         health = {
             # "degraded" means the server *recovered* from something
-            # (restarted a pool, quarantined a store entry, timed out
-            # a point, marked a journaled job it could not rebuild
-            # lost) — results stay correct, but an operator should
-            # look at why.
+            # (restarted a pool, quarantined a store entry, kept a
+            # result it could not persist, timed out a point, marked
+            # a journaled job it could not rebuild lost) — results
+            # stay correct, but an operator should look at why.
             "status": "degraded" if degraded else "ok",
             "journal": self.journal is not None,
             "pool_restarts": pool_restarts,
             "points_timed_out": points_timed_out,
-            "shard_retries": snapshot.counter("engine.shard_retries"),
             "journal_replays": snapshot.counter(
                 "service.journal_replays"
             ),
@@ -1008,6 +1001,7 @@ class ExplorationServer:
                 "service.journal_compactions"
             ),
             "quarantined_entries": quarantined,
+            "store_write_errors": store_write_errors,
             "faults_injected": snapshot.counter("faults.injected"),
         }
         with self._lock:

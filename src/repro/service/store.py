@@ -27,6 +27,8 @@ Layout and semantics:
   narrows it — concurrent writers can only grow coverage).
 * Unreadable, corrupt or mismatching records are treated as misses,
   never as errors: the store is a cache, the builder is the truth.
+  For the same reason a failed write is logged and counted under
+  ``store.write_errors``, never raised: the tables stay in memory.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.engine.faults import FaultPlan
-from repro.obs import REGISTRY
+from repro.obs import REGISTRY, MetricsRegistry
 from repro.report.serialize import (
     SCHEMA_VERSION,
     grid_memo_from_dict,
@@ -62,14 +64,14 @@ from repro.wrapper.pareto import TimeTable
 logger = logging.getLogger(__name__)
 
 
-def _quarantine(path: Path, reason: str) -> None:
+def _quarantine(path: Path, reason: str, metrics: MetricsRegistry) -> None:
     """Move a record that failed validation out of the lookup path.
 
     The entry is renamed to ``<name>.bad`` (replacing any previous
     quarantined copy) rather than deleted: the next lookup misses and
     rebuilds, while the damaged bytes stay on disk for forensics.
-    Counted under ``store.quarantined`` so the service health block
-    can surface silent corruption.
+    Counted under ``store.quarantined`` in ``metrics`` so the service
+    health block can surface silent corruption.
     """
     target = path.with_name(path.name + ".bad")
     try:
@@ -80,7 +82,26 @@ def _quarantine(path: Path, reason: str) -> None:
         "quarantined corrupt store entry %s -> %s (%s)",
         path.name, target.name, reason,
     )
-    REGISTRY.counter("store.quarantined").inc()
+    metrics.counter("store.quarantined").inc()
+
+
+def _publish(path: Path, payload: str) -> None:
+    """Write ``payload`` to ``path`` atomically, through a temp file.
+
+    Concurrent readers see the old record or the new one, never a
+    torn write.
+    """
+    handle, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w") as tmp:
+            tmp.write(payload)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 def _corrupt_write_requested() -> bool:
@@ -175,7 +196,8 @@ class TableStore:
         existing record already covers ``table.max_width`` (saving a
         narrower table never clobbers a wider one — the growth check
         and the replace happen under one cross-process write lock,
-        so racing workers can only grow the store).  Directory
+        so racing workers can only grow the store) or when the write
+        failed (logged and counted, never raised).  Directory
         creation is lazy: a store is free until something is worth
         keeping.
         """
@@ -184,38 +206,29 @@ class TableStore:
         # disk can only have grown since.
         if self._known_widths.get(fingerprint, -1) >= table.max_width:
             return False
-        self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(table.core)
-        with self._write_lock():
-            existing = self.stored_width(table.core)
-            if existing >= table.max_width:
-                return False
-            payload = to_json(time_table_to_dict(table))
-            if _corrupt_write_requested():
-                payload = payload[: max(1, len(payload) // 2)]
-            # Atomic publish: concurrent readers see the old record
-            # or the new one, never a torn write.
-            handle, tmp_name = tempfile.mkstemp(
-                dir=self.directory, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(handle, "w") as tmp:
-                    tmp.write(payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-            self._known_widths[fingerprint] = table.max_width
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            with self._write_lock():
+                existing = self.stored_width(table.core)
+                if existing >= table.max_width:
+                    return False
+                payload = to_json(time_table_to_dict(table))
+                if _corrupt_write_requested():
+                    payload = payload[: max(1, len(payload) // 2)]
+                _publish(path, payload)
+                self._known_widths[fingerprint] = table.max_width
+        except OSError as error:
+            logger.warning("table store write failed: %s", error)
+            REGISTRY.counter("store.write_errors").inc()
+            return False
         return True
 
     def _discard(
         self, path: Path, fingerprint: str, reason: str
     ) -> None:
         """Quarantine a record that failed validation."""
-        _quarantine(path, reason)
+        _quarantine(path, reason, REGISTRY)
         self._known_widths.pop(fingerprint, None)
 
     def stored_width(self, core: Core) -> int:
@@ -312,10 +325,20 @@ class GridMemo:
     atomic renames; entries hold *serialized* results (the exact
     ``points``/``failures`` payload the IPC ``result`` op returns),
     so serving one costs no object reconstruction.
+
+    Its quarantines and failed writes count in ``metrics``: the
+    exploration server passes its runner's registry, whose counters
+    its health block reads, since memo reads and writes happen
+    outside any task's telemetry window.
     """
 
-    def __init__(self, directory: Union[str, Path]) -> None:
+    def __init__(
+        self,
+        directory: Union[str, Path],
+        metrics: MetricsRegistry = REGISTRY,
+    ) -> None:
         self.directory = Path(directory)
+        self.metrics = metrics
 
     def path_for(self, key: str) -> Path:
         """The record path serving canonical ``key``."""
@@ -349,7 +372,7 @@ class GridMemo:
 
     def _discard(self, path: Path, reason: str) -> None:
         """Quarantine a record this build knows is bad."""
-        _quarantine(path, reason)
+        _quarantine(path, reason, self.metrics)
 
     def save(
         self, key: str, payload: Dict[str, object], num_jobs: int
@@ -359,26 +382,18 @@ class GridMemo:
         Atomic publish (temp file + rename), idempotent — a key
         already present is simply rewritten with identical content
         (the pipeline is deterministic).  Returns False when the
-        write failed; persistence is best-effort and never takes a
-        finished grid down with it.
+        write failed (logged and counted); persistence is best-effort
+        and never takes a finished grid down with it.
         """
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            record = to_json(grid_memo_to_dict(key, payload, num_jobs))
-            handle, tmp_name = tempfile.mkstemp(
-                dir=self.directory, suffix=".tmp"
+            _publish(
+                self.path_for(key),
+                to_json(grid_memo_to_dict(key, payload, num_jobs)),
             )
-            try:
-                with os.fdopen(handle, "w") as tmp:
-                    tmp.write(record)
-                os.replace(tmp_name, self.path_for(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
+        except OSError as error:
+            logger.warning("grid memo write failed: %s", error)
+            self.metrics.counter("store.write_errors").inc()
             return False
         return True
 

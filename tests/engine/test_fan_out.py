@@ -1,9 +1,9 @@
 """The engine's one fan-out primitive, ``BatchRunner._fan_out``.
 
-Sweep shards and search islands both run through it.  A process pool
-reports a dying worker as ``BrokenProcessPool``, which the task retry
-must leave to the pool supervisor, so the retry itself is driven here
-with a thread pool and a worker that fails on cue.
+Sweep shards and search islands both run through it.  Nothing re-runs
+a task: its error propagates at once, and a process pool's
+``BrokenProcessPool`` goes on to the pool supervisor.  Both are driven
+here with a thread pool and a worker that fails on cue.
 """
 
 import threading
@@ -16,7 +16,6 @@ import pytest
 from repro.engine.batch import BatchRunner
 from repro.obs import MetricsRegistry, TaskTelemetry
 
-RETRIES = "engine.test_retries"
 TASKS = [3, 1, 4, 2, 5]
 
 
@@ -60,35 +59,16 @@ def fan_out(runner, worker, payload=None, window=3, threads=3):
         def payload(index, finished):
             return TASKS[index]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return runner._fan_out(
-            pool, worker, payload, len(TASKS), window, RETRIES, "test",
-        )
+        return runner._fan_out(pool, worker, payload, len(TASKS), window)
 
 
 class TestFanOut:
-    def test_one_failure_reruns_alone_in_task_order(self):
+    def test_first_failure_of_a_task_raises(self):
         runner = BatchRunner()
         worker = CueWorker({4: 1})
-        values, telemetry = fan_out(runner, worker)
-        assert values == [task * task for task in TASKS]
-        assert [
-            entry.metrics.counter("test.task_value") for entry in telemetry
-        ] == TASKS
-        assert worker.calls == {3: 1, 1: 1, 4: 2, 2: 1, 5: 1}
-        assert runner.metrics.counter(RETRIES).value == 1
-        # Each task's metrics are absorbed once; the failed attempt
-        # shipped none.
-        assert runner.metrics.counter("test.task_value").value == sum(
-            TASKS
-        )
-
-    def test_second_failure_of_a_task_raises(self):
-        runner = BatchRunner()
-        worker = CueWorker({4: 2})
         with pytest.raises(RuntimeError, match="task 4 failed"):
             fan_out(runner, worker)
-        assert worker.calls[4] == BatchRunner.SHARD_RETRY_ATTEMPTS
-        assert runner.metrics.counter(RETRIES).value == 1
+        assert worker.calls[4] == 1
 
     def test_broken_pool_propagates_without_retry(self):
         runner = BatchRunner()
@@ -96,7 +76,6 @@ class TestFanOut:
         with pytest.raises(BrokenProcessPool):
             fan_out(runner, worker)
         assert worker.calls[5] == 1
-        assert runner.metrics.counter(RETRIES).value == 0
 
     def test_no_more_than_window_tasks_in_flight(self):
         # The pool has threads to spare; only the window holds tasks

@@ -1,11 +1,16 @@
 """Job-level fault tolerance of the batch engine."""
 
+import errno
+import tempfile
 import threading
+import types
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 import repro.engine.batch as batch
+from repro.api import GridSpec
 from repro.engine.batch import (
     BatchJob,
     BatchRunner,
@@ -13,6 +18,8 @@ from repro.engine.batch import (
     split_results,
 )
 from repro.exceptions import ConfigurationError
+from repro.service.server import ExplorationServer
+from repro.service.store import GridMemo
 
 
 def bad_job(soc, width=4):
@@ -100,51 +107,6 @@ class TestRecordPolicy:
     def test_rejects_unknown_policy(self):
         with pytest.raises(ConfigurationError):
             BatchRunner(on_error="ignore")
-        with pytest.raises(ConfigurationError):
-            BatchRunner(retries=-1)
-
-
-class TestRetries:
-    def test_transient_failure_is_retried_inline(
-        self, tiny_soc, monkeypatch
-    ):
-        attempts = {"count": 0}
-        original = batch.evaluate_point
-
-        def flaky(*args, **kwargs):
-            attempts["count"] += 1
-            if attempts["count"] == 1:
-                raise ConfigurationError("transient")
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(batch, "evaluate_point", flaky)
-        runner = BatchRunner(max_workers=1, on_error="record", retries=1)
-        [result] = runner.run([BatchJob(tiny_soc, 4, 2)])
-        assert not isinstance(result, FailedPoint)
-        assert attempts["count"] == 2
-
-    def test_exhausted_retries_record_attempt_count(
-        self, tiny_soc, monkeypatch
-    ):
-        def always_failing(*args, **kwargs):
-            raise ConfigurationError("permanent")
-
-        monkeypatch.setattr(batch, "evaluate_point", always_failing)
-        runner = BatchRunner(max_workers=1, on_error="record", retries=2)
-        [result] = runner.run([BatchJob(tiny_soc, 4, 2)])
-        assert isinstance(result, FailedPoint)
-        assert result.attempts == 3
-
-    def test_exhausted_retries_raise_under_default_policy(
-        self, tiny_soc, monkeypatch
-    ):
-        def always_failing(*args, **kwargs):
-            raise ConfigurationError("permanent")
-
-        monkeypatch.setattr(batch, "evaluate_point", always_failing)
-        runner = BatchRunner(max_workers=1, retries=1)
-        with pytest.raises(ConfigurationError):
-            runner.run([BatchJob(tiny_soc, 4, 2)])
 
 
 class TestPersistentPool:
@@ -213,15 +175,14 @@ class TestBrokenPoolRecovery:
 
     @pytest.mark.parametrize("budget", [0, 1])
     def test_exhausted_pool_restarts_record_failed_points(
-        self, tiny_soc, pools_break_on_submit, budget
+        self, tiny_soc, pools_break_on_submit, budget, monkeypatch
     ):
         # After the last restart the supervisor gives up: under the
         # record policy every unfinished point becomes a FailedPoint
         # counting the pools it was tried on.
+        monkeypatch.setattr(BatchRunner, "POOL_RESTART_RETRIES", budget)
         jobs = [BatchJob(tiny_soc, w, 2) for w in (4, 5)]
-        runner = BatchRunner(
-            max_workers=2, on_error="record", pool_restart_retries=budget
-        )
+        runner = BatchRunner(max_workers=2, on_error="record")
         results = runner.run(jobs)
         assert all(isinstance(r, FailedPoint) for r in results)
         assert [(r.job, r.error_type, r.attempts) for r in results] == [
@@ -233,17 +194,16 @@ class TestBrokenPoolRecovery:
 
     @pytest.mark.parametrize("budget", [0, 1])
     def test_exhausted_pool_restarts_raise_under_default_policy(
-        self, tiny_soc, pools_break_on_submit, budget
+        self, tiny_soc, pools_break_on_submit, budget, monkeypatch
     ):
-        runner = BatchRunner(max_workers=2, pool_restart_retries=budget)
+        monkeypatch.setattr(BatchRunner, "POOL_RESTART_RETRIES", budget)
+        runner = BatchRunner(max_workers=2)
         with pytest.raises(BrokenProcessPool):
             runner.run([BatchJob(tiny_soc, w, 2) for w in (4, 5)])
         assert runner.pools_started == budget + 1
         assert runner.pool_restarts == budget + 1
 
     def test_rejects_bad_supervision_knobs(self):
-        with pytest.raises(ConfigurationError):
-            BatchRunner(pool_restart_retries=-1)
         # Past threading.TIMEOUT_MAX, Future.result raises
         # OverflowError mid-grid; JSON hints can carry Infinity.
         for timeout in (0, "soon", float("inf"), float("nan"), 1e12):
@@ -296,3 +256,84 @@ class TestPointDeadlines:
         plain = BatchRunner(max_workers=2).run(jobs)
         timed = BatchRunner(max_workers=2, point_timeout=120).run(jobs)
         assert timed == plain
+
+
+def full_disk_for(monkeypatch, full=lambda directory: True):
+    """Make the store's temp-file creation fail with ENOSPC wherever
+    ``full(directory)`` holds; elsewhere it works as usual."""
+    import repro.service.store as store
+
+    real = tempfile.mkstemp
+
+    def mkstemp(*args, dir=None, **kwargs):
+        if full(Path(dir)):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(
+        store, "tempfile", types.SimpleNamespace(mkstemp=mkstemp)
+    )
+
+
+class TestStoreFailures:
+    """A failed store write costs durability, never a grid point, and
+    the service health block shows every store fault."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_table_writes_leave_the_grid_intact(
+        self, d695, tmp_path, monkeypatch, workers
+    ):
+        jobs = [BatchJob(d695, width, 2) for width in (8, 10)]
+        reference = BatchRunner(max_workers=1).run(jobs)
+        full_disk_for(monkeypatch)
+        runner = BatchRunner(
+            max_workers=workers, on_error="record",
+            cache_dir=tmp_path / "tables",
+        )
+        assert runner.run(jobs) == reference
+        assert runner.metrics.counter("store.write_errors").value > 0
+
+    @staticmethod
+    def grid(source):
+        return GridSpec.from_axes([source], (4, 5), num_tams=2)
+
+    def test_torn_memo_entry_shows_in_health(
+        self, tiny_soc_source, tmp_path
+    ):
+        cache_dir = tmp_path / "cache"
+        grid = self.grid(tiny_soc_source)
+        with ExplorationServer(
+            max_workers=1, cache_dir=cache_dir
+        ) as server:
+            record = server.submit(grid)
+            assert server.wait(record.job_id, timeout=300).status == "done"
+        [entry] = GridMemo(cache_dir / "grid-memo").entries()
+        entry.write_text(entry.read_text()[:40])  # torn mid-record
+        with ExplorationServer(
+            max_workers=1, cache_dir=cache_dir
+        ) as reborn:
+            replay = reborn.submit(grid)
+            assert not replay.cached
+            assert reborn.wait(replay.job_id, timeout=300).status == "done"
+            health = reborn.info()["health"]
+        assert entry.with_name(entry.name + ".bad").exists()
+        assert health["quarantined_entries"] == 1
+        assert health["status"] == "degraded"
+
+    def test_failed_memo_write_is_counted(
+        self, tiny_soc_source, tmp_path, monkeypatch
+    ):
+        full_disk_for(
+            monkeypatch,
+            full=lambda directory: directory.name == "grid-memo",
+        )
+        cache_dir = tmp_path / "cache"
+        with ExplorationServer(
+            max_workers=1, cache_dir=cache_dir
+        ) as server:
+            record = server.submit(self.grid(tiny_soc_source))
+            assert server.wait(record.job_id, timeout=300).status == "done"
+            health = server.info()["health"]
+        assert len(GridMemo(cache_dir / "grid-memo")) == 0
+        assert health["store_write_errors"] == 1
+        assert health["status"] == "degraded"

@@ -94,6 +94,16 @@ class TestShardedPoolIdentity:
         assert inline == pooled
         assert runner.jobs_sharded == 0
 
+    def test_unpruned_job_runs_whole(self, d695):
+        # The shard protocol serves only the pruned sweep: an
+        # unpruned job runs whole on one worker, through the serial
+        # sweep.
+        jobs = [BatchJob(d695, 24, options={"prune": False})]
+        inline = BatchRunner(max_workers=1).run(jobs)
+        runner = BatchRunner(max_workers=2, shard=4)
+        assert runner.run(jobs) == inline
+        assert runner.jobs_sharded == 0
+
     def test_shard_validation(self, tiny_soc):
         from repro.exceptions import ConfigurationError
 

@@ -1,8 +1,8 @@
 """Differential suite: the sharded sweep is bit-identical to serial.
 
 The acceptance contract of :mod:`repro.partition.shard`: for every
-shard count, prune mode, and keep-top setting, the merged result
-matches :func:`repro.partition.evaluate.partition_evaluate` on the
+shard count and keep-top setting, the merged result matches the
+pruned :func:`repro.partition.evaluate.partition_evaluate` on the
 *observable* fields — best time, best partition and assignment, the
 runners-up in order, and every ``PartitionStats`` count that equality
 compares.  ``num_lb_pruned`` is telemetry that equality ignores: the
@@ -55,26 +55,24 @@ def in_order_outcomes(matrix, plan, width, keep_top=1, seeded=True):
 
 
 class TestDifferentialD695:
-    """d695 across prune modes, keep-top, shard counts, and seeds."""
+    """d695 across keep-top, shard counts, and seeds."""
 
-    # "lb" is the prune=True sweep again, checked on its lower-bound
-    # skip: both sides skip, and only partitions the abort would end.
-    @pytest.mark.parametrize("prune,check_skips", [
-        pytest.param(True, False, id="True"),
-        pytest.param(True, True, id="lb"),
-        pytest.param(False, False, id="False"),
+    # "True" is the pruned sweep; "lb" is that sweep again, checked on
+    # its lower-bound skip: both sides skip, and only partitions the
+    # abort would end.
+    @pytest.mark.parametrize("check_skips", [
+        pytest.param(False, id="True"),
+        pytest.param(True, id="lb"),
     ])
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_npaw_sweep(self, d695, prune, check_skips, num_shards):
+    def test_npaw_sweep(self, d695, check_skips, num_shards):
         tables = tables_for(d695, 24)
         counts = tuple(range(1, 11))
-        serial = partition_evaluate(tables, 24, counts, prune=prune)
+        serial = partition_evaluate(tables, 24, counts)
         sharded = sharded_partition_evaluate(
-            tables, 24, counts, num_shards, prune=prune,
+            tables, 24, counts, num_shards,
         )
-        assert_identical(serial, sharded, (prune, num_shards))
-        if not prune:
-            assert serial.num_lb_pruned == sharded.num_lb_pruned == 0
+        assert_identical(serial, sharded, num_shards)
         if check_skips:
             assert serial.num_lb_pruned > 0
             assert sharded.num_lb_pruned > 0
@@ -102,10 +100,8 @@ class TestDifferentialD695:
 
     def test_single_count_and_initial_best(self, d695):
         tables = tables_for(d695, 20)
-        serial = partition_evaluate(tables, 20, 3, prune=True)
-        sharded = sharded_partition_evaluate(
-            tables, 20, 3, 4, prune=True,
-        )
+        serial = partition_evaluate(tables, 20, 3)
+        sharded = sharded_partition_evaluate(tables, 20, 3, 4)
         assert_identical(serial, sharded, "single count")
 
     @pytest.mark.parametrize("keep_top", [3, 4])
@@ -127,40 +123,12 @@ class TestDifferentialD695:
         )
         assert_identical(serial, sharded, (keep_top, num_shards))
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_duplicate_tam_counts(self, d695, prune):
+    def test_duplicate_tam_counts(self, d695):
         tables = tables_for(d695, 12)
         counts = (2, 2, 3)
-        serial = partition_evaluate(tables, 12, counts, prune=prune)
-        sharded = sharded_partition_evaluate(
-            tables, 12, counts, 5, prune=prune,
-        )
-        assert_identical(serial, sharded, ("duplicate counts", prune))
-
-    def test_unpruned_outcomes_stay_bounded(self, d695):
-        # prune=False completes every partition; shards must report
-        # only their final top-k, not the whole space.
-        tables = tables_for(d695, 20)
-        matrix = build_dense_matrix(tables, 20)
-        plan = plan_shards(20, (1, 2, 3, 4, 5), 4)
-        keep_top = 3
-        outcomes = [
-            sweep_shard(
-                matrix, spans, index, 20,
-                keep_top=keep_top, prune=False,
-            )
-            for index, spans in enumerate(plan.shards)
-        ]
-        for outcome in outcomes:
-            assert len(outcome.completions) <= keep_top
-        merged = merge_shard_outcomes(
-            plan, outcomes, keep_top=keep_top, prune=False,
-        )
-        serial = partition_evaluate(
-            tables, 20, (1, 2, 3, 4, 5),
-            prune=False, keep_top=keep_top,
-        )
-        assert_identical(serial, merged, "bounded unpruned")
+        serial = partition_evaluate(tables, 12, counts)
+        sharded = sharded_partition_evaluate(tables, 12, counts, 5)
+        assert_identical(serial, sharded, "duplicate counts")
 
     def test_counts_beyond_width_match_serial_rows(self, d695):
         tables = tables_for(d695, 4)
@@ -180,16 +148,11 @@ class TestDifferentialD695:
 
     @pytest.mark.parametrize("bad_prune", ["abort", "none", 2, "lb"])
     def test_invalid_prune_rejected_like_serial(self, d695, bad_prune):
-        # A job must fail or succeed identically at every shard
-        # setting — including on the CLI's prune *names*, which are
-        # not engine prune values, and the retired "lb" mode.
+        # The CLI's prune *names*, which are not engine prune values,
+        # and the retired "lb" mode are rejected.
         tables = tables_for(d695, 8)
         with pytest.raises(ConfigurationError):
             partition_evaluate(tables, 8, 2, prune=bad_prune)
-        with pytest.raises(ConfigurationError):
-            sharded_partition_evaluate(
-                tables, 8, 2, 4, prune=bad_prune,
-            )
 
 
 class TestDifferentialP93791:
@@ -198,19 +161,15 @@ class TestDifferentialP93791:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_w32_b5(self, p93791, num_shards):
         tables = tables_for(p93791, 32)
-        serial = partition_evaluate(tables, 32, 5, prune=True)
-        sharded = sharded_partition_evaluate(
-            tables, 32, 5, num_shards, prune=True,
-        )
+        serial = partition_evaluate(tables, 32, 5)
+        sharded = sharded_partition_evaluate(tables, 32, 5, num_shards)
         assert_identical(serial, sharded, num_shards)
 
     def test_w32_npaw_lb(self, p93791):
         tables = tables_for(p93791, 32)
         counts = tuple(range(1, 11))
-        serial = partition_evaluate(tables, 32, counts, prune=True)
-        sharded = sharded_partition_evaluate(
-            tables, 32, counts, 8, prune=True,
-        )
+        serial = partition_evaluate(tables, 32, counts)
+        sharded = sharded_partition_evaluate(tables, 32, counts, 8)
         assert_identical(serial, sharded, "npaw")
         # Both sweeps actually skipped partitions on the bound.
         assert serial.num_lb_pruned > 0
@@ -340,13 +299,13 @@ class TestMergeProtocol:
         counts = (1, 2, 3, 4)
         plan = plan_shards(16, counts, 8)
         outcomes = [
-            sweep_shard(matrix, spans, index, 16, prune=True)
+            sweep_shard(matrix, spans, index, 16)
             for index, spans in reversed(
                 list(enumerate(plan.shards))
             )
         ]
-        merged = merge_shard_outcomes(plan, outcomes, prune=True)
-        serial = partition_evaluate(tables, 16, counts, prune=True)
+        merged = merge_shard_outcomes(plan, outcomes)
+        serial = partition_evaluate(tables, 16, counts)
         assert_identical(serial, merged, "reverse execution")
 
     def test_merge_rejects_missing_outcomes(self, d695):

@@ -90,6 +90,6 @@ class TestFaultInjectionIdentity:
         no_ambient_faults.setenv(
             FAULTS_ENV, self.plans(tmp_path)[fault]
         )
-        runner = BatchRunner(max_workers=4, retries=1)
+        runner = BatchRunner(max_workers=4)
         (point,) = runner.run([search_job(d695)])
         assert signature(point) == inline_reference

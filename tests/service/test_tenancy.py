@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+import repro.service.server as server_module
 from repro.api import GridSpec
 from repro.engine.batch import BatchRunner
 from repro.exceptions import (
@@ -682,7 +683,9 @@ class TestJournalCompaction:
         assert journal.replay() == []
         assert journal.last_replay_lines == 0
 
-    def test_startup_compaction_is_counted_in_health(self, tmp_path):
+    def test_startup_compaction_is_counted_in_health(
+        self, tmp_path, monkeypatch
+    ):
         spec = GridSpec.from_axes(["d695"], (6,), num_tams=2)
         cache = tmp_path / "cache"
         with ExplorationServer(
@@ -694,9 +697,9 @@ class TestJournalCompaction:
             ).status == "done"
         # The journal now carries settled lines; a restart past the
         # (tiny) threshold rewrites it and reports having done so.
+        monkeypatch.setattr(server_module, "JOURNAL_COMPACT_THRESHOLD", 1)
         with ExplorationServer(
-            max_workers=1, cache_dir=cache,
-            journal_compact_threshold=1,
+            max_workers=1, cache_dir=cache
         ) as reborn:
             assert reborn.info()["health"][
                 "journal_compactions"
